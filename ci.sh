@@ -136,13 +136,16 @@ cargo run --release -q --offline -p manet-rt --bin swarm -- \
 cargo run --release -q --offline -p manet-obs --bin obs_check -- "$SWARM_OBS_DIR"
 
 stage "perf gate (obs tax)"
-# Three throughput gates on the 200-node 900 s Regular hot-path scenario:
-# the disabled sink within 1% of the checked-in baseline (observability
-# must stay free when off), the enabled sink within 3% of the disabled run
-# measured in the same pair (the tax budget that lets obs default to on),
-# and a lockstep sharded run within 10% of its checked-in record. The
-# sharded measurement merges into the smoke scratch file so the checked-in
-# baseline stays untouched.
+# Four throughput gates. Three run on the 200-node 900 s Regular hot-path
+# scenario: the disabled sink within 1% of the checked-in baseline
+# (observability must stay free when off), the enabled sink within 3% of
+# the disabled run measured in the same pair (the tax budget that lets obs
+# default to on), and a lockstep sharded run within 10% of its checked-in
+# record. The fourth is a scale rung: a 2,000-node world at Table 2
+# density, sink on, must reach at least 0.45 of the passing pair's
+# enabled-sink events/sec, so per-event cost that grows with the node count
+# fails CI. The sharded measurement merges into the smoke scratch file so
+# the checked-in baseline stays untouched.
 PERF_GATE_SHARDED_JSON="$BENCH_SMOKE_JSON" \
     cargo run --release -q --offline -p bench --bin perf_gate
 

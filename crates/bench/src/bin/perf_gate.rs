@@ -1,8 +1,9 @@
 //! Observability perf gates: the disabled sink must be free, the enabled
-//! sink nearly so, and the sharded path must hold its throughput.
+//! sink nearly so, per-event cost must not grow with the world, and the
+//! sharded path must hold its throughput.
 //!
 //! Three gates over the hot-path scenario (200 nodes, 900 simulated
-//! seconds, Regular algorithm, calendar scheduler):
+//! seconds, Regular algorithm, calendar scheduler), plus a scale rung:
 //!
 //! 1. **Disabled sink** — events/sec with the sink off must stay within
 //!    `PERF_GATE_TOL` (default 1%) of the checked-in
@@ -13,7 +14,14 @@
 //!    the same interleaved pair. This is the gate that lets observability
 //!    default to on: counters are slab bumps, span timing is
 //!    stride-sampled, trace capture is reservoir-sampled.
-//! 3. **Sharded** — a lockstep (single-thread, like the checked-in
+//! 3. **Scale rung** — once a pair passes, a 2,000-node world at Table 2
+//!    density (632 m side, sink on, 120 simulated seconds) must reach at
+//!    least [`SCALE_MIN_RATIO`] of that pair's enabled-sink events/sec.
+//!    Both sides of the ratio are measured in this invocation, so host
+//!    speed cancels. Per-event work that grows with the node count (an
+//!    O(n) pass per query, say) shows here and nowhere else: the 200-node
+//!    gates cannot see it.
+//! 4. **Sharded** — a lockstep (single-thread, like the checked-in
 //!    record) sharded run must stay within `PERF_GATE_SHARDED_TOL`
 //!    (default 10%) of the `perf_gate/sharded_N/...` baseline, speed
 //!    normalized. When no baseline record exists for the current shape
@@ -42,21 +50,37 @@
 //! The gate also cross-checks determinism for free: the enabled and
 //! disabled runs must produce identical event counts and fingerprints,
 //! and both must match the baseline record's event count (workload drift
-//! guard); the sharded run must match the sharded baseline's event count
-//! likewise.
+//! guard); the scale rung must reproduce [`SCALE_EVENTS`] and the sharded
+//! run must match the sharded baseline's event count likewise.
 //!
-//! Knobs: `BENCH_HOT_NODES` / `BENCH_HOT_SECS` shrink the workload (the
-//! sequential baseline records for that shape must exist),
-//! `PERF_GATE_ITERS` caps the measurement pairs (early exit on pass;
-//! default 4), `BENCH_JSON` the results file.
+//! Knobs: `BENCH_HOT_NODES` / `BENCH_HOT_SECS` shrink the pair's workload
+//! (the sequential baseline records for that shape must exist; the scale
+//! rung keeps its shape), `PERF_GATE_ITERS` caps the measurement pairs
+//! and the scale and sharded attempts (early exit on pass; default 4),
+//! `BENCH_JSON` the results file.
 
 use std::process::ExitCode;
 use std::time::Instant;
 
-use bench::{bench_scenario, env_u64, json::Value, run_result};
+use bench::{
+    bench_scenario, env_u64, host_fields, json::Value, merge_records, record_eps, run_result,
+};
 use manet_des::SchedulerKind;
-use manet_sim::{RunResult, ShardedWorld};
+use manet_sim::{RunResult, Scenario, ShardedWorld};
 use p2p_core::AlgoKind;
+
+/// Scale-rung world: node count, square side (Table 2 density, 200 m² per
+/// node) and simulated seconds.
+const SCALE_NODES: usize = 2_000;
+const SCALE_SIDE_M: f64 = 632.0;
+const SCALE_SECS: u64 = 120;
+
+/// Floor on the scale rung's events/sec over the passing pair's
+/// enabled-sink events/sec.
+const SCALE_MIN_RATIO: f64 = 0.45;
+
+/// The scale rung's event count at seed 7 (workload drift guard).
+const SCALE_EVENTS: u64 = 775_171;
 
 fn env_f64(name: &str, default: f64) -> f64 {
     std::env::var(name)
@@ -65,8 +89,8 @@ fn env_f64(name: &str, default: f64) -> f64 {
         .unwrap_or(default)
 }
 
-/// One timed gate-scenario run; returns (events/sec, result).
-fn timed_run(nodes: usize, secs: u64, observed: bool) -> (f64, RunResult) {
+/// The gate scenario: the bench shape with the sink pinned on or off.
+fn gate_scenario(nodes: usize, secs: u64, observed: bool) -> Scenario {
     let mut scenario = bench_scenario(nodes, AlgoKind::Regular, secs);
     if observed {
         scenario.obs = manet_obs::ObsConfig::enabled();
@@ -75,10 +99,53 @@ fn timed_run(nodes: usize, secs: u64, observed: bool) -> (f64, RunResult) {
         scenario.obs.enabled, observed,
         "bench scenarios pin the sink state explicitly"
     );
+    scenario
+}
+
+/// One timed run at seed 7; returns (events/sec, result).
+fn timed_run(scenario: Scenario) -> (f64, RunResult) {
     let t0 = Instant::now();
     let r = run_result(scenario, 7, SchedulerKind::Calendar);
     let eps = r.events as f64 / t0.elapsed().as_secs_f64();
     (eps, r)
+}
+
+/// Gate the scale rung against `pair_eps_obs`, the passing pair's
+/// enabled-sink events/sec.
+fn gate_scale(pair_eps_obs: f64, iters: u64) -> bool {
+    for i in 0..iters {
+        let mut scenario = gate_scenario(SCALE_NODES, SCALE_SECS, true);
+        scenario.area_side = SCALE_SIDE_M;
+        let (eps, r) = timed_run(scenario);
+        if r.events != SCALE_EVENTS {
+            eprintln!(
+                "perf_gate: scale rung drift — run produced {} events, pinned \
+                 {SCALE_EVENTS}; re-pin SCALE_EVENTS before gating",
+                r.events
+            );
+            return false;
+        }
+        let ratio = eps / pair_eps_obs;
+        println!(
+            "perf_gate: scale rung {SCALE_NODES}n_{SCALE_SECS}s attempt {}/{iters}: \
+             {eps:.0} events/sec, {ratio:.3} of the pair's enabled run (floor \
+             {SCALE_MIN_RATIO})",
+            i + 1,
+        );
+        if ratio >= SCALE_MIN_RATIO {
+            println!("perf_gate: OK — per-event cost holds at {SCALE_NODES} nodes");
+            return true;
+        }
+        eprintln!(
+            "perf_gate: scale attempt {}/{iters} below floor, retrying",
+            i + 1
+        );
+    }
+    eprintln!(
+        "perf_gate: FAIL — every scale attempt fell below {SCALE_MIN_RATIO} of the \
+         pair's enabled rate; some per-event cost grows with the node count"
+    );
+    false
 }
 
 /// Merge one sharded measurement into the sharded-results file.
@@ -92,20 +159,7 @@ fn merge_sharded_record(
     r: &RunResult,
 ) {
     let eps = r.events as f64 / (ms / 1e3);
-    let mut records: Vec<Value> = std::fs::read_to_string(path)
-        .ok()
-        .and_then(|text| Value::parse(&text).ok())
-        .and_then(|doc| {
-            doc.get("records")
-                .and_then(Value::as_arr)
-                .map(<[_]>::to_vec)
-        })
-        .unwrap_or_default();
-    records.retain(|old| {
-        !(old.get("suite").and_then(Value::as_str) == Some("perf_gate")
-            && old.get("name").and_then(Value::as_str) == Some(name))
-    });
-    records.push(Value::Obj(vec![
+    let mut fields = vec![
         ("suite".into(), Value::Str("perf_gate".into())),
         ("name".into(), Value::Str(name.to_string())),
         ("min_ms".into(), Value::Num(ms)),
@@ -118,9 +172,9 @@ fn merge_sharded_record(
         ("threads".into(), Value::Num(1.0)),
         ("events".into(), Value::Num(r.events as f64)),
         ("events_per_sec".into(), Value::Num(eps)),
-    ]));
-    let doc = Value::Obj(vec![("records".into(), Value::Arr(records))]);
-    match std::fs::write(path, doc.render()) {
+    ];
+    fields.extend(host_fields());
+    match merge_records(path, vec![Value::Obj(fields)]) {
         Ok(()) => println!("perf_gate: sharded record merged into {path}"),
         Err(e) => eprintln!("perf_gate: failed to write {path}: {e}"),
     }
@@ -217,35 +271,24 @@ fn main() -> ExitCode {
             return ExitCode::FAILURE;
         }
     };
-    let record_eps = |suite: &str, name: &str| -> Option<(f64, u64)> {
-        let r = doc.get("records").and_then(Value::as_arr).and_then(|rs| {
-            rs.iter().find(|r| {
-                r.get("suite").and_then(Value::as_str) == Some(suite)
-                    && r.get("name").and_then(Value::as_str) == Some(name)
-            })
-        })?;
-        let eps = r.get("events_per_sec").and_then(Value::as_f64)?;
-        let events = r.get("events").and_then(Value::as_f64).unwrap_or(0.0) as u64;
-        (eps > 0.0).then_some((eps, events))
-    };
-    let Some((base_eps, base_events)) = record_eps("micro", &disabled_name) else {
+    let Some((base_eps, base_events)) = record_eps(&doc, "micro", &disabled_name) else {
         eprintln!("perf_gate: no micro/{disabled_name} record in {path}; run the micro bench");
         return ExitCode::FAILURE;
     };
-    let Some((calib_eps, _)) = record_eps("micro", &enabled_name) else {
+    let Some((calib_eps, _)) = record_eps(&doc, "micro", &enabled_name) else {
         eprintln!("perf_gate: no micro/{enabled_name} record in {path}; run the micro bench");
         return ExitCode::FAILURE;
     };
     let sharded_baseline = {
         let shards = env_u64("PERF_GATE_SHARDS", 4) as usize;
-        record_eps("perf_gate", &format!("sharded_{shards}/{shape}"))
+        record_eps(&doc, "perf_gate", &format!("sharded_{shards}/{shape}"))
     };
 
     let mut speed = 1.0f64;
-    let mut passed = false;
+    let mut passed_eps_obs = None;
     for i in 0..iters {
-        let (eps_obs, r_obs) = timed_run(nodes, secs, true);
-        let (eps, r) = timed_run(nodes, secs, false);
+        let (eps_obs, r_obs) = timed_run(gate_scenario(nodes, secs, true));
+        let (eps, r) = timed_run(gate_scenario(nodes, secs, false));
         if r.fingerprint() != r_obs.fingerprint() || r.events != r_obs.events {
             eprintln!(
                 "perf_gate: FAIL — enabling the sink changed the run \
@@ -282,7 +325,7 @@ fn main() -> ExitCode {
                 (eps / (base_eps * speed) - 1.0) * 100.0,
                 (1.0 - eps_obs / eps) * 100.0
             );
-            passed = true;
+            passed_eps_obs = Some(eps_obs);
             break;
         }
         if eps < floor {
@@ -298,11 +341,14 @@ fn main() -> ExitCode {
             );
         }
     }
-    if !passed {
+    let Some(pair_eps_obs) = passed_eps_obs else {
         eprintln!(
             "perf_gate: FAIL — all {iters} measurement pairs fell below a floor; \
              observability is no longer within its tax budget"
         );
+        return ExitCode::FAILURE;
+    };
+    if !gate_scale(pair_eps_obs, iters) {
         return ExitCode::FAILURE;
     }
     if gate_sharded(nodes, secs, &shape, &path, sharded_baseline, speed, iters) {

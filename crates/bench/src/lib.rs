@@ -176,19 +176,17 @@ impl Harness {
     /// repo-wide perf trajectory.
     pub fn finish(self) {
         let path = std::env::var("BENCH_JSON").unwrap_or_else(|_| "BENCH_RESULTS.json".into());
-        let mut merged: Vec<Value> = match std::fs::read_to_string(&path) {
-            Ok(text) => Value::parse(&text)
-                .ok()
-                .and_then(|doc| {
-                    doc.get("records")
-                        .and_then(Value::as_arr)
-                        .map(<[_]>::to_vec)
-                })
-                .unwrap_or_default(),
-            Err(_) => Vec::new(),
-        };
-        let fresh: Vec<Value> = self
-            .records
+        match merge_records(&path, self.into_values()) {
+            Ok(()) => println!("# results merged into {path}"),
+            Err(e) => eprintln!("# failed to write {path}: {e}"),
+        }
+    }
+
+    /// The finished measurements as results-file records, each stamped
+    /// with [`host_fields`].
+    fn into_values(self) -> Vec<Value> {
+        let host = host_fields();
+        self.records
             .into_inner()
             .into_iter()
             .map(|r| {
@@ -201,26 +199,91 @@ impl Harness {
                     ("iters".to_string(), Value::Num(f64::from(r.iters))),
                 ];
                 fields.extend(r.extra.into_iter().map(|(k, v)| (k, Value::Num(v))));
+                fields.extend(host.iter().cloned());
                 Value::Obj(fields)
             })
-            .collect();
-        let key = |v: &Value| -> (String, String) {
-            let field = |k: &str| {
-                v.get(k)
-                    .and_then(Value::as_str)
-                    .unwrap_or_default()
-                    .to_string()
-            };
-            (field("suite"), field("name"))
-        };
-        merged.retain(|old| !fresh.iter().any(|new| key(new) == key(old)));
-        merged.extend(fresh);
-        let doc = Value::Obj(vec![("records".to_string(), Value::Arr(merged))]);
-        match std::fs::write(&path, doc.render()) {
-            Ok(()) => println!("# results merged into {path}"),
-            Err(e) => eprintln!("# failed to write {path}: {e}"),
-        }
+            .collect()
     }
+}
+
+/// The host a record was measured on: `nproc` (available parallelism, 0
+/// when unknown), `cpu_model` (the first `model name` line of
+/// `/proc/cpuinfo`) and `rustc` (`rustc -V`), the strings `unknown` when
+/// they cannot be read. Every record written to the results file carries
+/// these, so records from different machines are never compared blind.
+pub fn host_fields() -> Vec<(String, Value)> {
+    let nproc = std::thread::available_parallelism().map_or(0, |n| n.get());
+    let cpu_model = std::fs::read_to_string("/proc/cpuinfo")
+        .ok()
+        .and_then(|text| {
+            text.lines()
+                .find(|l| l.starts_with("model name"))
+                .and_then(|l| l.split_once(':'))
+                .map(|(_, v)| v.trim().to_string())
+        })
+        .unwrap_or_else(|| "unknown".into());
+    let rustc = std::process::Command::new("rustc")
+        .arg("-V")
+        .output()
+        .ok()
+        .filter(|out| out.status.success())
+        .and_then(|out| String::from_utf8(out.stdout).ok())
+        .map(|v| v.trim().to_string())
+        .filter(|v| !v.is_empty())
+        .unwrap_or_else(|| "unknown".into());
+    vec![
+        ("nproc".into(), Value::Num(nproc as f64)),
+        ("cpu_model".into(), Value::Str(cpu_model)),
+        ("rustc".into(), Value::Str(rustc)),
+    ]
+}
+
+/// Merge `fresh` records into the results file at `path`: an old record
+/// with the `(suite, name)` of a fresh one is replaced, every other old
+/// record is kept, and a missing or unparseable file counts as empty.
+pub fn merge_records(path: &str, fresh: Vec<Value>) -> std::io::Result<()> {
+    let old = std::fs::read_to_string(path).ok();
+    std::fs::write(path, merge_doc(old.as_deref(), fresh))
+}
+
+/// The document [`merge_records`] writes, from the file's old text.
+fn merge_doc(old: Option<&str>, fresh: Vec<Value>) -> String {
+    let mut merged: Vec<Value> = old
+        .and_then(|text| Value::parse(text).ok())
+        .and_then(|doc| {
+            doc.get("records")
+                .and_then(Value::as_arr)
+                .map(<[_]>::to_vec)
+        })
+        .unwrap_or_default();
+    let key = |v: &Value| -> (String, String) {
+        let field = |k: &str| {
+            v.get(k)
+                .and_then(Value::as_str)
+                .unwrap_or_default()
+                .to_string()
+        };
+        (field("suite"), field("name"))
+    };
+    merged.retain(|old| !fresh.iter().any(|new| key(new) == key(old)));
+    merged.extend(fresh);
+    Value::Obj(vec![("records".to_string(), Value::Arr(merged))]).render()
+}
+
+/// The `(events_per_sec, events)` of the `(suite, name)` record in a
+/// results document; `events` is 0 when the record has none. Only the
+/// numeric fields are read, so string fields (the host metadata) are
+/// ignored.
+pub fn record_eps(doc: &Value, suite: &str, name: &str) -> Option<(f64, u64)> {
+    let r = doc.get("records").and_then(Value::as_arr).and_then(|rs| {
+        rs.iter().find(|r| {
+            r.get("suite").and_then(Value::as_str) == Some(suite)
+                && r.get("name").and_then(Value::as_str) == Some(name)
+        })
+    })?;
+    let eps = r.get("events_per_sec").and_then(Value::as_f64)?;
+    let events = r.get("events").and_then(Value::as_f64).unwrap_or(0.0) as u64;
+    (eps > 0.0).then_some((eps, events))
 }
 
 #[cfg(test)]
@@ -237,5 +300,42 @@ mod tests {
     #[test]
     fn run_once_produces_nonzero_work() {
         assert!(run_once(bench_scenario(12, AlgoKind::Regular, 30), 7) > 0);
+    }
+
+    #[test]
+    fn written_records_carry_host_metadata() {
+        let h = Harness {
+            suite: "unit".into(),
+            filter: None,
+            iters_override: None,
+            records: RefCell::new(Vec::new()),
+        };
+        h.time_meta("unit/probe", 1, || 1u64, |_| vec![("events".into(), 1e3)]);
+        let old = r#"{"records": [
+            {"suite": "unit", "name": "unit/probe", "events_per_sec": 1},
+            {"suite": "other", "name": "kept", "events_per_sec": 2}
+        ]}"#;
+        let doc = Value::parse(&merge_doc(Some(old), h.into_values())).expect("valid JSON");
+        let records = doc.get("records").and_then(Value::as_arr).expect("records");
+        assert_eq!(records.len(), 2, "same key replaced, other kept");
+        let probe = records
+            .iter()
+            .find(|r| r.get("name").and_then(Value::as_str) == Some("unit/probe"))
+            .expect("fresh record written");
+        let nproc = probe.get("nproc").and_then(Value::as_f64).expect("nproc");
+        assert_eq!(
+            nproc,
+            std::thread::available_parallelism().map_or(0, |n| n.get()) as f64
+        );
+        for field in ["cpu_model", "rustc"] {
+            let v = probe.get(field).and_then(Value::as_str);
+            assert!(v.is_some_and(|v| !v.is_empty()), "{field} missing: {v:?}");
+        }
+        // The gate's reader skips the string fields and still finds the
+        // numbers.
+        let (eps, events) = record_eps(&doc, "unit", "unit/probe").expect("readable");
+        assert!(eps > 0.0);
+        assert_eq!(events, 1_000);
+        assert_eq!(record_eps(&doc, "other", "kept"), Some((2.0, 0)));
     }
 }

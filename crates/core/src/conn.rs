@@ -17,7 +17,7 @@
 
 use std::collections::BTreeMap;
 
-use manet_des::{NodeId, SimDuration, SimTime};
+use manet_des::{NodeId, SimTime};
 
 use crate::msg::{OvAction, OverlayMsg};
 use crate::params::OverlayParams;
@@ -460,12 +460,6 @@ pub fn stranger_pong(peer: NodeId, token: u32) -> OvAction {
         to: peer,
         msg: OverlayMsg::Pong { token },
     }
-}
-
-/// Keep `SimDuration` available for the grace computation docs.
-#[allow(dead_code)]
-fn _duration_ops(d: SimDuration) -> SimDuration {
-    d * 2
 }
 
 #[cfg(test)]

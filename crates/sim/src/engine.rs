@@ -23,8 +23,8 @@
 
 use manet_aodv::Msg;
 use manet_des::{EventKey, EventQueue, KeyedQueue, NodeId, SchedulerKind, SimTime, Substrate};
+use p2p_stack::AppMsg;
 
-use crate::payload::AppMsg;
 use crate::world::WorldCore;
 
 /// Index of a registered subsystem; doubles as its event namespace.

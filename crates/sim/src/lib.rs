@@ -8,14 +8,13 @@ pub mod errors;
 pub mod experiments;
 pub mod faults;
 pub mod invariants;
-pub mod payload;
+pub(crate) mod oracle;
 pub mod runner;
 pub mod scenario;
 pub mod scn;
 pub mod sharded;
 pub(crate) mod stack;
 pub(crate) mod subsystems;
-pub mod trace;
 pub mod world;
 
 pub use errors::ScenarioError;
@@ -25,10 +24,9 @@ pub use invariants::{check_result, check_result_dumping};
 pub use manet_des::TraceCtx;
 pub use manet_obs::{ObsConfig, ObsReport};
 pub use p2p_core::AdversaryRole;
-pub use payload::AppMsg;
+pub use p2p_stack::{AppMsg, TraceEvent, TraceLog};
 pub use runner::{aggregate, expect_of, measure_corpus, run_replications, Aggregate};
 pub use scenario::{Adversary, ChurnCfg, MobilityKind, Scenario};
 pub use scn::{parse_scn, render_expect, render_scn, Expect, ScnError, ScnErrorKind, ScnFile};
 pub use sharded::ShardedWorld;
-pub use trace::{TraceEvent, TraceLog};
 pub use world::{RunResult, World};

@@ -60,13 +60,13 @@
 use manet_aodv::{Aodv, Msg};
 use manet_des::{NodeId, Rng, SimTime};
 use manet_radio::EnergyMeter;
+use p2p_stack::AppMsg;
 
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Barrier, Mutex};
 
 use crate::engine::{deliver_key, Event};
 use crate::errors::ScenarioError;
-use crate::payload::AppMsg;
 use crate::scenario::Scenario;
 use crate::stack::{NodeStack, OverlayLayer, PhyLayer, RoutingLayer};
 use crate::world::{RunResult, World, WorldCore};

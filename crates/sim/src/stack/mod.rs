@@ -25,8 +25,8 @@ use manet_des::{NodeId, SimTime, Substrate, TraceCtx};
 use manet_radio::{EnergyMeter, PhyStats};
 use p2p_content::QueryEngine;
 use p2p_core::{AdversaryRole, BoxedAlgo, Role};
+use p2p_stack::{AppMsg, TraceEvent};
 
-use crate::payload::AppMsg;
 use crate::world::WorldCore;
 
 // ---------------------------------------------------------------------
@@ -178,7 +178,7 @@ pub(crate) fn resched_timer(core: &mut WorldCore, now: SimTime, id: NodeId) {
         let armed = ctx.child(core.trace.alloc_span());
         core.trace.record(
             now,
-            crate::trace::TraceEvent::TimerArm {
+            TraceEvent::TimerArm {
                 node: id,
                 ctx: armed,
                 at,

@@ -12,10 +12,9 @@ use manet_des::{NodeId, Rng, SimTime, TraceCtx};
 use manet_obs::Severity;
 use p2p_content::ContentMsg;
 use p2p_core::{build_algo, OvAction};
+use p2p_stack::{AppMsg, TraceEvent};
 
-use crate::payload::AppMsg;
 use crate::stack::{routing, DeliverUp, OverlayDown};
-use crate::trace::TraceEvent;
 use crate::world::WorldCore;
 
 /// The member joins the overlay: start the algorithm and the query

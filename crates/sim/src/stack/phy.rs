@@ -11,11 +11,10 @@ use std::time::Instant;
 use manet_des::{NodeId, SimTime};
 use manet_mobility::Mobility;
 use manet_obs::Severity;
+use p2p_stack::{AppMsg, TraceEvent};
 
 use crate::engine::Event;
-use crate::payload::AppMsg;
 use crate::stack::{routing, FrameUp, SendDown};
-use crate::trace::TraceEvent;
 use crate::world::{WorldCore, SPAN_STRIDE};
 
 /// A frame finished arriving at `to`: charge reception, then hand the

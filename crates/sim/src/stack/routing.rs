@@ -10,10 +10,9 @@
 use manet_aodv::{Action as AodvAction, Msg};
 use manet_des::{NodeId, SimTime};
 use p2p_core::AdversaryRole;
+use p2p_stack::{AppMsg, TraceEvent};
 
-use crate::payload::AppMsg;
 use crate::stack::{overlay, phy, DeliverUp, FrameUp, OverlayDown, SendDown};
-use crate::trace::TraceEvent;
 use crate::world::WorldCore;
 
 /// A frame arrived from the phy layer at node `to`: feed it to AODV and

@@ -34,16 +34,17 @@ use manet_obs::{
 use manet_radio::{EnergyMeter, LinkFaults, Medium, PhyStats, TxScratch};
 use p2p_content::{CompletedQuery, QueryEngine};
 use p2p_core::{build_algo, Role};
+use p2p_stack::{TraceEvent, TraceLog};
 
 use std::path::{Path, PathBuf};
 use std::time::Instant;
 
 use crate::engine::{Engine, Event, SubCtx, Subsystem, SubsystemId};
 use crate::errors::ScenarioError;
+use crate::oracle::HopOracle;
 use crate::scenario::{MobilityKind, Scenario};
 use crate::stack::{FrameUp, MemberState, NodeStack, OverlayLayer, PhyLayer, RoutingLayer};
 use crate::subsystems;
-use crate::trace::{TraceEvent, TraceLog};
 use manet_aodv::Aodv;
 
 /// RNG stream labels (see DESIGN.md's determinism note).
@@ -406,6 +407,8 @@ pub(crate) struct WorldCore {
     pub(crate) answers_received: u64,
     /// Reusable transmission-planning buffers (zero-alloc hot path).
     pub(crate) scratch: TxScratch,
+    /// Reusable distance-oracle buffers (zero-alloc per completed query).
+    pub(crate) oracle: HopOracle,
     pub(crate) trace: TraceLog,
     /// Replication seed (kept for observability dump labels).
     pub(crate) seed: u64,
@@ -591,21 +594,27 @@ impl WorldCore {
     }
 
     /// The paper's Fig 5-6 distance: "the minimum number of hops from the
-    /// source to the peer holding the requested information" — a BFS over
-    /// the instantaneous radio connectivity graph from the requirer to the
-    /// *nearest* holder of the file. `None` when no holder is reachable.
-    fn oracle_distance(&self, requirer: NodeId, file: usize) -> Option<u32> {
-        let holders = &self.holders_by_file[file];
-        if holders.is_empty() {
-            return None;
-        }
-        let targets: Vec<u32> = holders
-            .iter()
-            .filter(|h| self.hot_up[h.index()])
-            .map(|h| h.0)
-            .collect();
-        let graph = self.connectivity_graph();
-        graph.min_distance_to_any(requirer.0, &targets)
+    /// source to the peer holding the requested information" — the hop
+    /// count over the instantaneous radio connectivity graph (up nodes,
+    /// linked when within radio range) from the requirer to the *nearest*
+    /// up holder of the file. `Some(0)` when the requirer holds the file;
+    /// `None` when the requirer is down or no up holder is reachable.
+    ///
+    /// The graph is never built: a bounded BFS ([`HopOracle::nearest`])
+    /// walks outward from the requirer one hop level at a time through
+    /// the spatial grid's range queries, visiting only up nodes, and
+    /// returns at the first level that contains a holder (a binary search
+    /// in the slot-sorted holder list). Every node first reached while
+    /// expanding level `d - 1` is exactly `d` hops away, so this is the
+    /// full-graph BFS answer at the cost of the nodes explored.
+    pub(crate) fn oracle_distance(&mut self, requirer: NodeId, file: usize) -> Option<u32> {
+        self.oracle.nearest(
+            &self.grid,
+            self.medium.cfg().range_m,
+            &self.hot_up,
+            &self.holders_by_file[file],
+            requirer,
+        )
     }
 
     /// The instantaneous radio connectivity graph over all (up) nodes.
@@ -1055,6 +1064,7 @@ impl World {
             holders_by_file,
             answers_received: 0,
             scratch: TxScratch::default(),
+            oracle: HopOracle::default(),
             trace: TraceLog::with_seed(scenario.trace_capacity, seed),
             seed,
             obs: ObsSink::new(scenario.obs),
