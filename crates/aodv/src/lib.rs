@@ -12,9 +12,9 @@
 //! deterministic and testable on virtual topologies ([`testkit`]).
 //!
 //! Implemented: expanding-ring RREQ with per-`(origin, rreq_id)` dedup,
-//! RREP from destinations and fresh intermediates, precursor-scoped RERR on
-//! link break (link breaks are reported by the world when a link-layer
-//! unicast finds its receiver out of range — the 802.11 no-ACK analogue),
+//! RREP from destinations and fresh intermediates, RERR broadcast on link
+//! break (link breaks are reported by the world when a link-layer unicast
+//! finds its receiver out of range — the 802.11 no-ACK analogue),
 //! data buffering during discovery with bounded queues, destination
 //! sequence numbers with rollover arithmetic, and soft-state expiry.
 //!
@@ -22,9 +22,9 @@
 //! [`AodvCfg::hello_interval`]; the default relies on link-layer feedback,
 //! the mode the paper's ns-2 setup used. Simplifications vs. RFC 3561,
 //! recorded in DESIGN.md: no local repair, and RERRs are link-layer
-//! broadcast rather than unicast to each precursor (the RFC's multicast
-//! option). Neither affects the paper's metrics, which count overlay
-//! messages.
+//! broadcast to every neighbour rather than unicast to each precursor (the
+//! RFC's multicast option), so the route table keeps no precursor lists.
+//! Neither affects the paper's metrics, which count overlay messages.
 
 pub mod cfg;
 pub mod machine;

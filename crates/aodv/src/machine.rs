@@ -510,12 +510,7 @@ impl<P: Payload> Aodv<P> {
                     .dest_seq
                     .is_none_or(|ds| crate::msg::seq_at_least(route.dest_seq, ds));
             if fresh_enough {
-                let (dest_seq, hop_count, next_hop) =
-                    (route.dest_seq, route.hop_count, route.next_hop);
-                // Precursors: the querier reaches dest through us via `from`;
-                // the dest-side next hop will see traffic from `from`.
-                self.table.add_precursor(rreq.dest, from);
-                self.table.add_precursor(rreq.origin, next_hop);
+                let (dest_seq, hop_count) = (route.dest_seq, route.hop_count);
                 self.stats.rreps_sent += 1;
                 out.push(Action::Unicast {
                     to: from,
@@ -571,8 +566,6 @@ impl<P: Payload> Aodv<P> {
         // Forward along the reverse path.
         if let Some(rev) = self.table.usable_route(rrep.origin, now) {
             let rev_hop = rev.next_hop;
-            self.table.add_precursor(rrep.dest, rev_hop);
-            self.table.add_precursor(rrep.origin, from);
             out.push(Action::Unicast {
                 to: rev_hop,
                 msg: Msg::Rrep(Rrep {

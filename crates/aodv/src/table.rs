@@ -1,10 +1,10 @@
 //! The AODV routing table.
 //!
 //! One entry per known destination, carrying the RFC 3561 state: next hop,
-//! hop count, destination sequence number (and whether it is valid), expiry,
-//! validity flag, and the precursor list used to scope RERR propagation.
-
-use std::collections::{BTreeMap, BTreeSet};
+//! hop count, destination sequence number (and whether it is valid), expiry
+//! and validity flag. There are no precursor lists: a broken route is
+//! reported by a link-layer broadcast RERR that every neighbour hears (see
+//! DESIGN.md), so nothing needs to know who routes through us.
 
 use manet_des::{NodeId, SimDuration, SimTime};
 
@@ -27,9 +27,6 @@ pub struct RouteEntry {
     /// Usable right now. Invalid entries are kept (soft state) so their
     /// sequence numbers still gate stale adverts.
     pub valid: bool,
-    /// Upstream nodes that route through us toward this destination; they
-    /// are told (RERR) when the route breaks.
-    pub precursors: BTreeSet<NodeId>,
 }
 
 impl RouteEntry {
@@ -41,11 +38,14 @@ impl RouteEntry {
 
 /// The table: destination → [`RouteEntry`].
 ///
-/// A `BTreeMap` keeps iteration deterministic (RERR contents, diagnostics)
-/// so simulations replay bit-identically.
+/// A flat `Vec` sorted by destination: lookups binary-search it, a new
+/// destination is inserted at its search position, and iteration runs in
+/// ascending destination order, so RERR contents and diagnostics replay
+/// bit-identically. Tables hold tens to low hundreds of entries, so the
+/// insert shift stays short and one contiguous block beats a tree walk.
 #[derive(Clone, Debug, Default)]
 pub struct RouteTable {
-    entries: BTreeMap<NodeId, RouteEntry>,
+    entries: Vec<(NodeId, RouteEntry)>,
 }
 
 impl RouteTable {
@@ -64,14 +64,25 @@ impl RouteTable {
         self.entries.is_empty()
     }
 
+    /// Position of `dst` in the sorted entries, or where it would go.
+    fn search(&self, dst: NodeId) -> Result<usize, usize> {
+        self.entries.binary_search_by_key(&dst, |(d, _)| *d)
+    }
+
+    fn get_mut(&mut self, dst: NodeId) -> Option<&mut RouteEntry> {
+        let i = self.search(dst).ok()?;
+        Some(&mut self.entries[i].1)
+    }
+
     /// The entry for `dst`, usable or not.
     pub fn entry(&self, dst: NodeId) -> Option<&RouteEntry> {
-        self.entries.get(&dst)
+        let i = self.search(dst).ok()?;
+        Some(&self.entries[i].1)
     }
 
     /// The usable route to `dst` at `now`, if any.
     pub fn usable_route(&self, dst: NodeId, now: SimTime) -> Option<&RouteEntry> {
-        self.entries.get(&dst).filter(|e| e.usable(now))
+        self.entry(dst).filter(|e| e.usable(now))
     }
 
     /// Incorporate a routing advertisement for `dst` (from a RREQ's reverse
@@ -93,23 +104,26 @@ impl RouteTable {
         now: SimTime,
     ) -> bool {
         let expires = now + lifetime;
-        match self.entries.get_mut(&dst) {
-            None => {
+        match self.search(dst) {
+            Err(at) => {
                 self.entries.insert(
-                    dst,
-                    RouteEntry {
-                        next_hop,
-                        hop_count,
-                        dest_seq: seq.unwrap_or(0),
-                        valid_seq: seq.is_some(),
-                        expires,
-                        valid: true,
-                        precursors: BTreeSet::new(),
-                    },
+                    at,
+                    (
+                        dst,
+                        RouteEntry {
+                            next_hop,
+                            hop_count,
+                            dest_seq: seq.unwrap_or(0),
+                            valid_seq: seq.is_some(),
+                            expires,
+                            valid: true,
+                        },
+                    ),
                 );
                 true
             }
-            Some(e) => {
+            Ok(i) => {
+                let e = &mut self.entries[i].1;
                 let fresher = match seq {
                     Some(s) if e.valid_seq => {
                         seq_newer(s, e.dest_seq)
@@ -142,7 +156,7 @@ impl RouteTable {
 
     /// Extend the lifetime of an active route (data traffic refresh).
     pub fn refresh(&mut self, dst: NodeId, lifetime: SimDuration, now: SimTime) {
-        if let Some(e) = self.entries.get_mut(&dst) {
+        if let Some(e) = self.get_mut(dst) {
             if e.valid {
                 let expires = now + lifetime;
                 if e.expires < expires {
@@ -152,18 +166,11 @@ impl RouteTable {
         }
     }
 
-    /// Record that `precursor` routes through us toward `dst`.
-    pub fn add_precursor(&mut self, dst: NodeId, precursor: NodeId) {
-        if let Some(e) = self.entries.get_mut(&dst) {
-            e.precursors.insert(precursor);
-        }
-    }
-
     /// Invalidate the route to `dst`, bumping its sequence number so stale
     /// adverts cannot resurrect it. Returns the invalidated `(dst, seq)` if
     /// a valid entry existed.
     pub fn invalidate(&mut self, dst: NodeId) -> Option<(NodeId, u32)> {
-        let e = self.entries.get_mut(&dst)?;
+        let e = self.get_mut(dst)?;
         if !e.valid {
             return None;
         }
@@ -173,7 +180,8 @@ impl RouteTable {
     }
 
     /// Invalidate every valid route whose next hop is `via`, returning the
-    /// affected `(dst, bumped seq)` pairs — the contents of the RERR.
+    /// affected `(dst, bumped seq)` pairs, sorted by destination — the
+    /// contents of the RERR.
     pub fn break_link(&mut self, via: NodeId) -> Vec<(NodeId, u32)> {
         let mut broken: Vec<(NodeId, u32)> = Vec::new();
         for (dst, e) in self.entries.iter_mut() {
@@ -183,14 +191,13 @@ impl RouteTable {
                 broken.push((*dst, e.dest_seq));
             }
         }
-        broken.sort_unstable_by_key(|(d, _)| *d);
         broken
     }
 
     /// Apply a received RERR from neighbor `from`: invalidate routes to the
     /// listed destinations that go through `from`, adopting the advertised
     /// sequence numbers. Returns the destinations we in turn invalidated
-    /// (for forwarding to our own precursors).
+    /// (for our own RERR broadcast).
     pub fn apply_rerr(
         &mut self,
         from: NodeId,
@@ -198,7 +205,7 @@ impl RouteTable {
     ) -> Vec<(NodeId, u32)> {
         let mut propagate = Vec::new();
         for &(dst, seq) in unreachable {
-            if let Some(e) = self.entries.get_mut(&dst) {
+            if let Some(e) = self.get_mut(dst) {
                 if e.valid && e.next_hop == from {
                     e.valid = false;
                     if !e.valid_seq || seq_at_least(seq, e.dest_seq) {
@@ -213,15 +220,16 @@ impl RouteTable {
     }
 
     /// Drop entries whose soft state outlived its usefulness (expired more
-    /// than `grace` ago). Keeps the map bounded on long runs.
+    /// than `grace` ago). Keeps the table bounded on long runs.
     pub fn purge(&mut self, now: SimTime, grace: SimDuration) {
         self.entries
-            .retain(|_, e| e.valid || e.expires + grace > now);
+            .retain(|(_, e)| e.valid || e.expires + grace > now);
     }
 
-    /// Iterate all entries (tests and diagnostics).
+    /// Iterate all entries in ascending destination order (tests and
+    /// diagnostics).
     pub fn iter(&self) -> impl Iterator<Item = (&NodeId, &RouteEntry)> {
-        self.entries.iter()
+        self.entries.iter().map(|(d, e)| (d, e))
     }
 }
 
@@ -347,17 +355,6 @@ mod tests {
     }
 
     #[test]
-    fn precursors_tracked() {
-        let mut rt = RouteTable::new();
-        rt.update(NodeId(5), NodeId(2), 2, Some(7), LIFE, t(0));
-        rt.add_precursor(NodeId(5), NodeId(9));
-        rt.add_precursor(NodeId(5), NodeId(9));
-        rt.add_precursor(NodeId(5), NodeId(8));
-        let e = rt.entry(NodeId(5)).unwrap();
-        assert_eq!(e.precursors.len(), 2);
-    }
-
-    #[test]
     fn purge_drops_long_expired_soft_state() {
         let mut rt = RouteTable::new();
         rt.update(NodeId(5), NodeId(2), 2, Some(7), LIFE, t(0));
@@ -433,6 +430,52 @@ mod properties {
                     !(e.valid && e.next_hop == NodeId(via)),
                     "route to {dst} still valid via the broken hop"
                 );
+            }
+        }
+
+        /// After any mix of updates, refreshes, invalidations, link breaks,
+        /// RERRs and purges, `iter()` is strictly ascending by destination
+        /// and `entry(d)` finds exactly what a linear scan finds, for every
+        /// destination in range.
+        fn table_stays_sorted_and_searchable(
+            ops in vec_of(
+                (0u8..9, 0u32..12, 0u32..4, option_of(0u32..30), 0u64..60),
+                1..200,
+            )
+        ) {
+            let mut rt = RouteTable::new();
+            for (op, dst, via, seq, at) in ops {
+                let (dst, via, now) = (NodeId(dst), NodeId(via), SimTime::from_secs(at));
+                match op {
+                    0..=3 => {
+                        rt.update(dst, via, 1 + (at % 5) as u8, seq, LIFE, now);
+                    }
+                    4 => rt.refresh(dst, LIFE, now),
+                    5 => {
+                        rt.invalidate(dst);
+                    }
+                    6 => {
+                        rt.break_link(via);
+                    }
+                    7 => {
+                        rt.apply_rerr(via, &[(dst, seq.unwrap_or(0))]);
+                    }
+                    _ => rt.purge(now, SimDuration::from_secs(at % 20)),
+                }
+                let dsts: Vec<NodeId> = rt.iter().map(|(d, _)| *d).collect();
+                prop_assert!(
+                    dsts.windows(2).all(|w| w[0] < w[1]),
+                    "not strictly ascending: {dsts:?}"
+                );
+                prop_assert_eq!(rt.len(), dsts.len());
+                for d in (0..12).map(NodeId) {
+                    let scanned = rt.iter().find(|(k, _)| **k == d).map(|(_, e)| e);
+                    prop_assert!(
+                        rt.entry(d).map(|e| e as *const RouteEntry)
+                            == scanned.map(|e| e as *const RouteEntry),
+                        "entry({d}) disagrees with a linear scan"
+                    );
+                }
             }
         }
     }

@@ -63,6 +63,12 @@ pub(crate) fn send_down(core: &mut WorldCore, now: SimTime, from: NodeId, verb: 
     }
 }
 
+/// Put `msg` on the air at `from`: charge the transmission, plan every
+/// reception in range, and count the lost ones. In a sequential world the
+/// surviving receptions are scheduled as one fan-out slot
+/// ([`Engine::schedule_fanout`](crate::engine::Engine::schedule_fanout));
+/// in a sharded world each is a keyed event of its own, or a cross-shard
+/// frame when another shard owns the receiver.
 fn broadcast(core: &mut WorldCore, now: SimTime, from: NodeId, mut msg: manet_aodv::Msg<AppMsg>) {
     let bytes = msg.wire_size();
     {
@@ -166,23 +172,24 @@ fn broadcast(core: &mut WorldCore, now: SimTime, from: NodeId, mut msg: manet_ao
             obs.spans.add_weighted(obs.s_plan, elapsed, SPAN_STRIDE);
         }
     }
-    // Indexed loop: the scratch buffer must stay borrowable while the
-    // nodes and the queue are mutated (Reception is Copy).
-    for i in 0..core.scratch.receptions.len() {
-        let r = core.scratch.receptions[i];
+    // Every surviving reception goes into one fan-out slot. They share one
+    // timestamp because the medium draws one delay per transmission, which
+    // is what lets a single slot pop exactly like back-to-back schedules.
+    let Some(after) = core.scratch.receptions.first().map(|r| r.after) else {
+        return;
+    };
+    for r in &core.scratch.receptions {
+        assert_eq!(
+            r.after, after,
+            "receptions of one broadcast share one delay"
+        );
         if r.lost {
             core.nodes[r.to.index()].phy.stats.on_loss();
-        } else {
-            core.engine.schedule(
-                now + r.after,
-                Event::Deliver {
-                    to: r.to,
-                    from,
-                    msg: msg.clone(),
-                },
-            );
         }
     }
+    let survivors = core.scratch.receptions.iter().filter(|r| !r.lost);
+    core.engine
+        .schedule_fanout(now + after, from, msg, survivors.map(|r| r.to));
 }
 
 fn unicast(
