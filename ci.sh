@@ -42,6 +42,13 @@ cargo build --workspace --release --offline
 stage "test"
 cargo test --workspace -q --offline
 
+stage "perfbench build"
+# The benchmark is its own cargo workspace, so nothing above builds it.
+# Build it against this workspace and run its derivation tests, so a
+# public-API change that breaks the benchmark fails here. Writes only to
+# the gitignored .bench_build directory.
+CARGO_TARGET_DIR=.bench_build cargo test --offline -q --manifest-path perfbench/Cargo.toml
+
 stage "bench smoke"
 # One-iteration shrunken runs so the bench binaries (and their JSON output
 # path) cannot bitrot. Real numbers live in the checked-in BENCH_RESULTS.json;
@@ -52,6 +59,8 @@ BENCH_ITERS=1 BENCH_HOT_NODES=40 BENCH_HOT_SECS=60 BENCH_JSON="$BENCH_SMOKE_JSON
     cargo run --release -q --offline -p bench --bin micro > /dev/null
 BENCH_ITERS=1 BENCH_JSON="$BENCH_SMOKE_JSON" \
     cargo run --release -q --offline -p bench --bin figures > /dev/null
+CITY_NODES=300 CITY_SECS=20 BENCH_ITERS=1 BENCH_JSON="$BENCH_SMOKE_JSON" \
+    cargo run --release -q --offline -p bench --bin city_10k > /dev/null
 test -s "$BENCH_SMOKE_JSON" || { echo "bench smoke produced no JSON"; exit 1; }
 
 stage "obs smoke"
@@ -92,24 +101,6 @@ cargo run --release -q --offline -p manet-sim --bin sweep -- \
 cargo run --release -q --offline -p manet-sim --bin reproduce -- \
     --scenario corpus/SELFISH_MAJORITY.scn > /dev/null
 
-stage "shard smoke"
-# The sharded executor: a corpus scenario at --shards 4 must reproduce the
-# traffic aggregates of its own single-shard reference run (the reproduce
-# bin performs that comparison and exits non-zero on drift), the merged
-# sharded obs artifacts must satisfy the same obs_check contract as the
-# sequential ones, and the city bench binary must complete at a shrunken
-# scale on both paths.
-OBS_SMOKE_SHARDED_DIR="target/obs_smoke_sharded"
-rm -rf "$OBS_SMOKE_SHARDED_DIR"
-cargo run --release -q --offline -p manet-sim --bin reproduce -- \
-    --scenario corpus/REGULAR_BASELINE.scn --shards 4 \
-    --obs-out "$OBS_SMOKE_SHARDED_DIR" \
-    | grep -q "sharded traffic aggregates match" \
-    || { echo "shard smoke: sharded aggregates diverged"; exit 1; }
-cargo run --release -q --offline -p manet-obs --bin obs_check -- "$OBS_SMOKE_SHARDED_DIR"
-CITY_NODES=300 CITY_SECS=20 BENCH_ITERS=1 BENCH_JSON="$BENCH_SMOKE_JSON" \
-    cargo run --release -q --offline -p bench --bin city_10k > /dev/null
-
 stage "swarm-smoke"
 # The real-time substrate end-to-end: an 8-process loopback swarm runs the
 # Regular algorithm over real UDP sockets for a few wall-seconds and must
@@ -136,18 +127,15 @@ cargo run --release -q --offline -p manet-rt --bin swarm -- \
 cargo run --release -q --offline -p manet-obs --bin obs_check -- "$SWARM_OBS_DIR"
 
 stage "perf gate (obs tax)"
-# Four throughput gates. Three run on the 200-node 900 s Regular hot-path
+# Three throughput gates. Two run on the 200-node 900 s Regular hot-path
 # scenario: the disabled sink within 1% of the checked-in baseline
-# (observability must stay free when off), the enabled sink within 3% of
-# the disabled run measured in the same pair (the tax budget that lets obs
-# default to on), and a lockstep sharded run within 10% of its checked-in
-# record. The fourth is a scale rung: a 2,000-node world at Table 2
-# density, sink on, must reach at least 0.45 of the passing pair's
+# (observability must stay free when off), and the enabled sink within 3%
+# of the disabled run measured in the same pair (the tax budget that lets
+# obs default to on). The third is a scale rung: a 2,000-node world at
+# Table 2 density, sink on, must reach at least 0.45 of the passing pair's
 # enabled-sink events/sec, so per-event cost that grows with the node count
-# fails CI. The sharded measurement merges into the smoke scratch file so
-# the checked-in baseline stays untouched.
-PERF_GATE_SHARDED_JSON="$BENCH_SMOKE_JSON" \
-    cargo run --release -q --offline -p bench --bin perf_gate
+# fails CI.
+cargo run --release -q --offline -p bench --bin perf_gate
 
 stage_end
 echo

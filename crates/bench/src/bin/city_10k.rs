@@ -1,33 +1,24 @@
-//! City-scale throughput: the 10k-node run the single-core path cannot
-//! sustain, sequential vs spatially sharded.
+//! City-scale throughput: the 10k-node sequential run.
 //!
-//! One measurement pair at paper density (200 m² per node, 10 m radio —
-//! the Table 2 neighborhood) on the Regular algorithm: a plain sequential
-//! `World` and a `ShardedWorld` at `CITY_SHARDS` regions, each run once
-//! and recorded into `BENCH_RESULTS.json` with events/sec. The workload
-//! knobs shrink for CI smoke runs:
+//! One measurement at paper density (200 m² per node, 10 m radio — the
+//! Table 2 neighborhood) on the Regular algorithm, run once and recorded
+//! into `BENCH_RESULTS.json` with events/sec. The workload knobs shrink
+//! for CI smoke runs:
 //!
 //! ```text
-//! CITY_NODES=10000 CITY_SECS=300 CITY_SHARDS=4 \
+//! CITY_NODES=10000 CITY_SECS=300 \
 //!     cargo run --release -p bench --bin city_10k
 //! ```
-//!
-//! Speedup is hardware-bound: the sharded driver runs one OS thread per
-//! region, so a multiplier only appears with that many free cores. The
-//! record keeps both absolute wall-clocks so the trajectory is honest on
-//! any machine.
 
 use bench::{bench_scenario, env_u64, Harness};
-use manet_sim::{ShardedWorld, World};
+use manet_sim::World;
 use p2p_core::AlgoKind;
 
 fn main() {
     let h = Harness::from_env("city");
     let nodes = env_u64("CITY_NODES", 10_000) as usize;
     let secs = env_u64("CITY_SECS", 300);
-    let shards = env_u64("CITY_SHARDS", 4) as usize;
     let seed = env_u64("CITY_SEED", 7);
-    let threads = std::thread::available_parallelism().map_or(1, |n| n.get());
 
     // Table 2 density, scaled: 50 nodes on 100 m × 100 m is 200 m² per
     // node; keep that as the city grows so radio neighborhoods (and thus
@@ -46,21 +37,6 @@ fn main() {
                 ("sim_secs".into(), secs as f64),
                 ("events".into(), r.events as f64),
                 ("peak_queue_depth".into(), r.peak_queue_depth as f64),
-                ("queries".into(), r.queries_issued as f64),
-            ]
-        },
-    );
-    h.time_meta(
-        &format!("city/sharded_{shards}/{nodes}n_{secs}s_regular"),
-        1,
-        || ShardedWorld::new(scenario.clone(), seed, shards).run(threads),
-        |r| {
-            vec![
-                ("nodes".into(), nodes as f64),
-                ("sim_secs".into(), secs as f64),
-                ("shards".into(), shards as f64),
-                ("threads".into(), threads as f64),
-                ("events".into(), r.events as f64),
                 ("queries".into(), r.queries_issued as f64),
             ]
         },

@@ -1,8 +1,7 @@
 //! Observability perf gates: the disabled sink must be free, the enabled
-//! sink nearly so, per-event cost must not grow with the world, and the
-//! sharded path must hold its throughput.
+//! sink nearly so, and per-event cost must not grow with the world.
 //!
-//! Three gates over the hot-path scenario (200 nodes, 900 simulated
+//! Two gates over the hot-path scenario (200 nodes, 900 simulated
 //! seconds, Regular algorithm, calendar scheduler), plus a scale rung:
 //!
 //! 1. **Disabled sink** — events/sec with the sink off must stay within
@@ -21,15 +20,6 @@
 //!    speed cancels. Per-event work that grows with the node count (an
 //!    O(n) pass per query, say) shows here and nowhere else: the 200-node
 //!    gates cannot see it.
-//! 4. **Sharded** — a lockstep (single-thread, like the checked-in
-//!    record) sharded run must stay within `PERF_GATE_SHARDED_TOL`
-//!    (default 10%) of the `perf_gate/sharded_N/...` baseline, speed
-//!    normalized. When no baseline record exists for the current shape
-//!    the run is recorded, not gated. `PERF_GATE_SHARDS` (default 4, 0
-//!    skips) picks the shard count; the measurement merges into
-//!    `PERF_GATE_SHARDED_JSON` (default: the `BENCH_JSON` results file;
-//!    CI points it at the smoke scratch file to keep the checked-in
-//!    baseline clean).
 //!
 //! Shared CI machines drift far more than these tolerances between the
 //! moment a baseline was recorded and the moment the gate runs, so raw
@@ -48,25 +38,22 @@
 //! measured back to back in the same pair.
 //!
 //! The gate also cross-checks determinism for free: the enabled and
-//! disabled runs must produce identical event counts and fingerprints,
-//! and both must match the baseline record's event count (workload drift
-//! guard); the scale rung must reproduce [`SCALE_EVENTS`] and the sharded
-//! run must match the sharded baseline's event count likewise.
+//! disabled runs must produce identical event counts and fingerprints
+//! and match the baseline record's event count (workload drift guard),
+//! and the scale rung must reproduce [`SCALE_EVENTS`].
 //!
 //! Knobs: `BENCH_HOT_NODES` / `BENCH_HOT_SECS` shrink the pair's workload
 //! (the sequential baseline records for that shape must exist; the scale
 //! rung keeps its shape), `PERF_GATE_ITERS` caps the measurement pairs
-//! and the scale and sharded attempts (early exit on pass; default 4),
+//! and the scale attempts (early exit on pass; default 4),
 //! `BENCH_JSON` the results file.
 
 use std::process::ExitCode;
 use std::time::Instant;
 
-use bench::{
-    bench_scenario, env_u64, host_fields, json::Value, merge_records, record_eps, run_result,
-};
+use bench::{bench_scenario, env_u64, json::Value, record_eps, run_result};
 use manet_des::SchedulerKind;
-use manet_sim::{RunResult, Scenario, ShardedWorld};
+use manet_sim::{RunResult, Scenario};
 use p2p_core::AlgoKind;
 
 /// Scale-rung world: node count, square side (Table 2 density, 200 m² per
@@ -148,104 +135,6 @@ fn gate_scale(pair_eps_obs: f64, iters: u64) -> bool {
     false
 }
 
-/// Merge one sharded measurement into the sharded-results file.
-fn merge_sharded_record(
-    path: &str,
-    name: &str,
-    nodes: usize,
-    secs: u64,
-    shards: usize,
-    ms: f64,
-    r: &RunResult,
-) {
-    let eps = r.events as f64 / (ms / 1e3);
-    let mut fields = vec![
-        ("suite".into(), Value::Str("perf_gate".into())),
-        ("name".into(), Value::Str(name.to_string())),
-        ("min_ms".into(), Value::Num(ms)),
-        ("mean_ms".into(), Value::Num(ms)),
-        ("max_ms".into(), Value::Num(ms)),
-        ("iters".into(), Value::Num(1.0)),
-        ("nodes".into(), Value::Num(nodes as f64)),
-        ("sim_secs".into(), Value::Num(secs as f64)),
-        ("shards".into(), Value::Num(shards as f64)),
-        ("threads".into(), Value::Num(1.0)),
-        ("events".into(), Value::Num(r.events as f64)),
-        ("events_per_sec".into(), Value::Num(eps)),
-    ];
-    fields.extend(host_fields());
-    match merge_records(path, vec![Value::Obj(fields)]) {
-        Ok(()) => println!("perf_gate: sharded record merged into {path}"),
-        Err(e) => eprintln!("perf_gate: failed to write {path}: {e}"),
-    }
-}
-
-/// Gate (or, lacking a baseline, record) lockstep sharded throughput.
-/// `speed` is the machine-speed factor measured by the sequential pairs —
-/// the sharded run is single-threaded like the baseline record, so the
-/// same factor transfers.
-fn gate_sharded(
-    nodes: usize,
-    secs: u64,
-    shape: &str,
-    bench_json: &str,
-    baseline: Option<(f64, u64)>,
-    speed: f64,
-    iters: u64,
-) -> bool {
-    let shards = env_u64("PERF_GATE_SHARDS", 4) as usize;
-    if shards == 0 {
-        return true;
-    }
-    let tol = env_f64("PERF_GATE_SHARDED_TOL", 0.10);
-    let record_path =
-        std::env::var("PERF_GATE_SHARDED_JSON").unwrap_or_else(|_| bench_json.to_string());
-    let name = format!("sharded_{shards}/{shape}");
-    for i in 0..iters {
-        let scenario = bench_scenario(nodes, AlgoKind::Regular, secs);
-        let t0 = Instant::now();
-        let r = ShardedWorld::new(scenario, 7, shards).run(1);
-        let ms = t0.elapsed().as_secs_f64() * 1e3;
-        let eps = r.events as f64 / (ms / 1e3);
-        let Some((base_eps, base_events)) = baseline else {
-            println!(
-                "perf_gate: {name} (recorded, not gated — no baseline for this shape): \
-                 {ms:.0} ms, {eps:.0} events/sec"
-            );
-            merge_sharded_record(&record_path, &name, nodes, secs, shards, ms, &r);
-            return true;
-        };
-        if base_events != 0 && r.events != base_events {
-            eprintln!(
-                "perf_gate: sharded workload drift — run produced {} events but the \
-                 baseline record has {base_events}; refresh the sharded record before gating",
-                r.events
-            );
-            return false;
-        }
-        let floor = base_eps * speed * (1.0 - tol);
-        println!(
-            "perf_gate: {name} attempt {}/{iters}: {eps:.0} events/sec \
-             (floor {floor:.0} at tol {tol})",
-            i + 1,
-        );
-        if eps >= floor {
-            println!(
-                "perf_gate: OK — sharded path at {:+.2}% of the speed-adjusted baseline",
-                (eps / (base_eps * speed) - 1.0) * 100.0
-            );
-            merge_sharded_record(&record_path, &name, nodes, secs, shards, ms, &r);
-            return true;
-        }
-        eprintln!(
-            "perf_gate: sharded attempt {}/{iters} below floor, retrying",
-            i + 1
-        );
-    }
-    eprintln!("perf_gate: FAIL — all sharded attempts fell below the floor");
-    false
-}
-
 fn main() -> ExitCode {
     let nodes = env_u64("BENCH_HOT_NODES", 200) as usize;
     let secs = env_u64("BENCH_HOT_SECS", 900);
@@ -279,12 +168,7 @@ fn main() -> ExitCode {
         eprintln!("perf_gate: no micro/{enabled_name} record in {path}; run the micro bench");
         return ExitCode::FAILURE;
     };
-    let sharded_baseline = {
-        let shards = env_u64("PERF_GATE_SHARDS", 4) as usize;
-        record_eps(&doc, "perf_gate", &format!("sharded_{shards}/{shape}"))
-    };
 
-    let mut speed = 1.0f64;
     let mut passed_eps_obs = None;
     for i in 0..iters {
         let (eps_obs, r_obs) = timed_run(gate_scenario(nodes, secs, true));
@@ -307,7 +191,7 @@ fn main() -> ExitCode {
         }
         // The machine right now vs the machine that recorded the baseline,
         // measured on the leak-insensitive enabled-sink workload.
-        speed = (eps_obs / calib_eps).min(1.0);
+        let speed = (eps_obs / calib_eps).min(1.0);
         let floor = base_eps * speed * (1.0 - tol);
         // The obs tax needs no normalization: both sides of the ratio were
         // measured back to back in this pair.
@@ -348,10 +232,7 @@ fn main() -> ExitCode {
         );
         return ExitCode::FAILURE;
     };
-    if !gate_scale(pair_eps_obs, iters) {
-        return ExitCode::FAILURE;
-    }
-    if gate_sharded(nodes, secs, &shape, &path, sharded_baseline, speed, iters) {
+    if gate_scale(pair_eps_obs, iters) {
         ExitCode::SUCCESS
     } else {
         ExitCode::FAILURE

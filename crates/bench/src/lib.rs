@@ -211,7 +211,7 @@ impl Harness {
 /// `/proc/cpuinfo`) and `rustc` (`rustc -V`), the strings `unknown` when
 /// they cannot be read. Every record written to the results file carries
 /// these, so records from different machines are never compared blind.
-pub fn host_fields() -> Vec<(String, Value)> {
+fn host_fields() -> Vec<(String, Value)> {
     let nproc = std::thread::available_parallelism().map_or(0, |n| n.get());
     let cpu_model = std::fs::read_to_string("/proc/cpuinfo")
         .ok()
@@ -241,7 +241,7 @@ pub fn host_fields() -> Vec<(String, Value)> {
 /// Merge `fresh` records into the results file at `path`: an old record
 /// with the `(suite, name)` of a fresh one is replaced, every other old
 /// record is kept, and a missing or unparseable file counts as empty.
-pub fn merge_records(path: &str, fresh: Vec<Value>) -> std::io::Result<()> {
+fn merge_records(path: &str, fresh: Vec<Value>) -> std::io::Result<()> {
     let old = std::fs::read_to_string(path).ok();
     std::fs::write(path, merge_doc(old.as_deref(), fresh))
 }

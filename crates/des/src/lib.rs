@@ -17,11 +17,6 @@
 //!   order-insensitive stream forking, so one master seed reproduces a whole
 //!   multi-threaded experiment bit-for-bit.
 //!
-//! A fourth piece serves the sharded parallel world: [`keyed`] provides
-//! [`KeyedQueue`], a future-event list that breaks timestamp ties with an
-//! intrinsic [`EventKey`] instead of insertion order, and [`Lookahead`],
-//! the conservative synchronization slack.
-//!
 //! Plus one shared piece of metadata: [`trace`] defines [`TraceCtx`], the
 //! inert causal-trace context every layer above can carry on its messages
 //! without perturbing a run.
@@ -49,7 +44,6 @@
 
 mod calendar;
 pub mod ids;
-pub mod keyed;
 pub mod queue;
 pub mod rng;
 pub mod substrate;
@@ -58,7 +52,6 @@ pub mod trace;
 pub mod wire;
 
 pub use ids::NodeId;
-pub use keyed::{EventKey, KeyedQueue, Lookahead};
 pub use queue::{EventId, EventQueue, SchedulerKind};
 pub use rng::Rng;
 pub use substrate::Substrate;

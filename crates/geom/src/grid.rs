@@ -52,20 +52,6 @@ impl SpatialGrid {
         self.bounds
     }
 
-    /// Partition the covered area into `r` vertical strips whose seams lie
-    /// on grid-cell column boundaries, for spatially sharded simulation.
-    /// Cell-aligned seams mean a shard's nodes and the cells they hash to
-    /// agree about which side of the seam they are on.
-    pub fn strip_regions(&self, r: usize) -> RegionMap {
-        assert!(r >= 1, "need at least one region");
-        RegionMap {
-            x0: self.bounds.x0,
-            cell: self.cell,
-            cols: self.cols,
-            regions: r,
-        }
-    }
-
     /// Number of keys currently stored.
     pub fn len(&self) -> usize {
         self.where_is.iter().filter(|(_, c)| *c != ABSENT).count()
@@ -206,42 +192,6 @@ impl SpatialGrid {
     }
 }
 
-/// A cell-aligned partition of a grid's area into vertical strips.
-///
-/// Maps any point to a region index in `0..regions()` by first hashing it
-/// to a grid column with the same clamping rule as the grid itself, then
-/// assigning whole columns to regions as evenly as integer division
-/// allows. Seams therefore always lie on cell boundaries, and a point's
-/// region agrees with the region of the cell it hashes to — the property
-/// a spatially sharded simulation needs so a node and its grid cell never
-/// disagree about ownership.
-///
-/// With more regions than columns some regions are simply empty; the
-/// mapping stays total and deterministic.
-#[derive(Clone, Copy, Debug)]
-pub struct RegionMap {
-    x0: f64,
-    cell: f64,
-    cols: usize,
-    regions: usize,
-}
-
-impl RegionMap {
-    /// Number of regions in the partition (the `r` it was built with).
-    pub fn regions(&self) -> usize {
-        self.regions
-    }
-
-    /// Region owning `p`. Points outside the grid's bounds clamp to the
-    /// nearest edge column, exactly as `SpatialGrid` clamps cell indices.
-    pub fn region_of(&self, p: Point) -> usize {
-        // `as usize` saturates: negative offsets land in column 0, huge
-        // ones clamp via the min below — mirroring `cell_index`.
-        let col = (((p.x - self.x0) / self.cell) as usize).min(self.cols - 1);
-        (col * self.regions / self.cols).min(self.regions - 1)
-    }
-}
-
 fn remove_from_cell(cell: &mut Vec<u32>, key: u32) {
     if let Some(at) = cell.iter().position(|&k| k == key) {
         cell.swap_remove(at);
@@ -336,62 +286,6 @@ mod tests {
         g.remove(2);
         let keys: Vec<u32> = g.iter().map(|(k, _)| k).collect();
         assert_eq!(keys, vec![1, 3]);
-    }
-
-    #[test]
-    fn strip_regions_cover_the_area_monotonically() {
-        // 100 m / 10 m cells = 10 columns, split 4 ways.
-        let g = grid();
-        let map = g.strip_regions(4);
-        assert_eq!(map.regions(), 4);
-        let mut seen = [false; 4];
-        let mut last = 0;
-        for step in 0..200 {
-            let x = step as f64 * 0.5;
-            let r = map.region_of(Point::new(x, 50.0));
-            assert!(r < 4);
-            assert!(r >= last, "regions must be monotone in x");
-            last = r;
-            seen[r] = true;
-        }
-        assert!(seen.iter().all(|&s| s), "every region owns some ground");
-    }
-
-    #[test]
-    fn strip_region_seams_lie_on_cell_boundaries() {
-        let g = grid();
-        let map = g.strip_regions(4);
-        for col in 0..10 {
-            // All points within one column share a region.
-            let left = map.region_of(Point::new(col as f64 * 10.0 + 0.01, 0.0));
-            let right = map.region_of(Point::new(col as f64 * 10.0 + 9.99, 99.0));
-            assert_eq!(left, right, "column {col} split across regions");
-        }
-    }
-
-    #[test]
-    fn strip_regions_clamp_out_of_bounds_points() {
-        let g = grid();
-        let map = g.strip_regions(4);
-        assert_eq!(map.region_of(Point::new(-50.0, 10.0)), 0);
-        assert_eq!(map.region_of(Point::new(500.0, 10.0)), 3);
-        assert_eq!(
-            map.region_of(Point::new(50.0, -500.0)),
-            map.region_of(Point::new(50.0, 500.0))
-        );
-    }
-
-    #[test]
-    fn degenerate_partitions_stay_total() {
-        let g = grid();
-        let one = g.strip_regions(1);
-        assert_eq!(one.region_of(Point::new(99.0, 99.0)), 0);
-        // More regions than columns: mapping is still total and in range.
-        let many = g.strip_regions(25);
-        for step in 0..100 {
-            let r = many.region_of(Point::new(step as f64, 1.0));
-            assert!(r < 25);
-        }
     }
 
     #[test]

@@ -8,6 +8,6 @@ pub mod grid;
 pub mod point;
 pub mod rect;
 
-pub use grid::{RegionMap, SpatialGrid};
+pub use grid::SpatialGrid;
 pub use point::{Point, Vector};
 pub use rect::Rect;

@@ -22,8 +22,7 @@
 //! unsynchronized slot bump, folded into the registry at sample points.
 //!
 //! [`ObsReport`] bundles the three for one finished run and merges
-//! deterministically across replications (and owner-gated across shards
-//! via [`ObsReport::merge_shard`]); [`ObsConfig`] is the switch the
+//! deterministically across replications; [`ObsConfig`] is the switch the
 //! simulation layer consults — on by default, since the observed hot path
 //! is held within a few percent of the bare one by the perf gate.
 //! Everything here is passive: when the sink is disabled the instrumented

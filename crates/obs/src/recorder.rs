@@ -169,15 +169,16 @@ impl FlightRecorder {
     }
 
     /// Fold another run's recorder into this one: records concatenate in
-    /// fold order (replication order keeps it deterministic), counters add.
+    /// fold order (replication order keeps it deterministic), counters add
+    /// (saturating).
     pub fn merge(&mut self, other: &FlightRecorder) {
         self.capacity = self.capacity.max(other.capacity);
-        self.offered += other.offered;
-        self.dropped += other.dropped;
+        self.offered = self.offered.saturating_add(other.offered);
+        self.dropped = self.dropped.saturating_add(other.dropped);
         for r in &other.ring {
             if self.capacity > 0 && self.ring.len() == self.capacity {
                 self.ring.pop_front();
-                self.dropped += 1;
+                self.dropped = self.dropped.saturating_add(1);
             }
             self.ring.push_back(r.clone());
         }

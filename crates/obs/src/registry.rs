@@ -92,12 +92,14 @@ impl Histogram {
         self.buckets[i]
     }
 
-    /// Fold another histogram into this one.
+    /// Fold another histogram into this one. Counts saturate, like
+    /// [`from_parts`](Histogram::from_parts): a histogram decoded from
+    /// untrusted bytes cannot overflow the accumulator.
     pub fn merge(&mut self, other: &Histogram) {
         for (a, b) in self.buckets.iter_mut().zip(other.buckets.iter()) {
-            *a += b;
+            *a = a.saturating_add(*b);
         }
-        self.count += other.count;
+        self.count = self.count.saturating_add(other.count);
         self.sum = self.sum.saturating_add(other.sum);
     }
 
@@ -342,7 +344,7 @@ impl Registry {
 
     /// Fold another run's registry into this one, by name.
     ///
-    /// Counters and histogram buckets sum; gauges keep the maximum (they
+    /// Counters and histogram buckets sum, saturating; gauges keep the maximum (they
     /// are high-water marks across replications). Time series sum
     /// pointwise by sample index, missing points counting as zero — with
     /// the fold always applied in replication order the merged series is
@@ -350,7 +352,7 @@ impl Registry {
     pub fn merge(&mut self, other: &Registry) {
         for (name, v) in other.counters() {
             let id = self.counter(name);
-            self.counters[id.0] += v;
+            self.counters[id.0] = self.counters[id.0].saturating_add(v);
         }
         for (name, v) in other.gauges() {
             let id = self.gauge(name);
@@ -373,7 +375,7 @@ impl Registry {
             }
             let mine = &mut self.samples[i];
             for (a, b) in mine.counters.iter_mut().zip(s.counters.iter()) {
-                *a += b;
+                *a = a.saturating_add(*b);
             }
             for (a, b) in mine.gauges.iter_mut().zip(s.gauges.iter()) {
                 *a = a.max(*b);

@@ -81,28 +81,13 @@ impl ObsReport {
 
     /// Fold another run's report into this one. Always fold in replication
     /// order: the result is then identical whatever thread count produced
-    /// the runs (see `run_replications`).
+    /// the runs (see `run_replications`). Every total saturates, so a
+    /// report decoded from untrusted bytes cannot overflow the fold.
     pub fn merge(&mut self, other: &ObsReport) {
         self.registry.merge(&other.registry);
         self.spans.merge(&other.spans);
         self.recorder.merge(&other.recorder);
-        self.runs += other.runs;
-    }
-
-    /// Fold one shard's report of the *same* run into this one.
-    ///
-    /// Shards partition a single run, so `runs` takes the maximum instead
-    /// of summing — the merged report still describes one run. Counters
-    /// sum (each shard owner-gates its bumps, so per-name totals partition
-    /// across shards), gauges keep maxima, series merge pointwise by
-    /// sample index (shards sample at identical logical points — see
-    /// `ShardedWorld`). Always fold in shard order: the result is then
-    /// identical whatever worker count executed the shards.
-    pub fn merge_shard(&mut self, other: &ObsReport) {
-        self.registry.merge(&other.registry);
-        self.spans.merge(&other.spans);
-        self.recorder.merge(&other.recorder);
-        self.runs = self.runs.max(other.runs);
+        self.runs = self.runs.saturating_add(other.runs);
     }
 
     /// The full report as JSONL: a header line, one line per counter,

@@ -105,8 +105,7 @@ impl SpanProfile {
     pub fn merge(&mut self, other: &SpanProfile) {
         for (i, &name) in other.names.iter().enumerate() {
             let id = self.register(name);
-            self.nanos[id.0] += other.nanos[i];
-            self.entries[id.0] += other.entries[i];
+            self.add_total(id, other.nanos[i], other.entries[i]);
         }
     }
 

@@ -1,6 +1,6 @@
 //! Radio parameters.
 
-use manet_des::{Lookahead, SimDuration};
+use manet_des::SimDuration;
 
 /// Physical-layer configuration shared by all nodes of a scenario.
 #[derive(Clone, Copy, Debug, PartialEq)]
@@ -94,16 +94,6 @@ impl RadioCfg {
         SimDuration::from_secs_f64(bytes as f64 * 8.0 / self.bitrate_bps)
     }
 
-    /// The conservative-parallel synchronization slack this radio admits:
-    /// the minimum time any transmission needs to cross the air. Every
-    /// frame pays at least the serialization delay of a 1-byte frame plus
-    /// the fixed hop latency before it can arrive anywhere (real frames
-    /// are >= 2 bytes and jitter only adds), so no event at time `t` can
-    /// influence another node — or another shard — before `t + lookahead`.
-    pub fn lookahead(&self) -> Lookahead {
-        Lookahead(self.serialization_delay(1) + self.hop_latency)
-    }
-
     /// Reception probability at `dist` metres: 1 inside the solid core,
     /// linear decay across the fuzzy edge, 0 beyond `range_m`.
     pub fn reception_prob(&self, dist: f64) -> f64 {
@@ -143,14 +133,6 @@ mod tests {
         assert_eq!(d1, SimDuration::from_millis(1));
         let d2 = cfg.serialization_delay(250);
         assert_eq!(d2, SimDuration::from_millis(2));
-    }
-
-    #[test]
-    fn lookahead_is_min_over_the_air_latency() {
-        let cfg = RadioCfg::paper();
-        // 1 byte at 1 Mb/s = 8 us, plus 1 ms hop latency.
-        assert_eq!(cfg.lookahead().ticks(), 8 + 1000);
-        assert!(cfg.lookahead().is_usable());
     }
 
     #[test]

@@ -28,7 +28,8 @@
 //! the *last* frame per child (snapshots are running totals), merges the
 //! reports with [`manet_obs::ObsReport::merge`] and the traces with
 //! `TraceLog::merge_offset` (per-node id namespaces keep span ids
-//! disjoint), stitches per-process clocks
+//! disjoint; a frame whose trace claims another namespace is rejected),
+//! stitches per-process clocks
 //! ([`p2p_stack::stitch_clocks`]), and writes `swarm_report.jsonl` plus
 //! a Perfetto-loadable `swarm.trace.json` into `--obs-dir`. A child that
 //! panics or errors out dumps its flight recorder as `failure_*.jsonl`
@@ -57,7 +58,9 @@ use manet_rt::{FaultShim, RtNode};
 use manet_sim::FaultPlan;
 use p2p_content::{Catalog, QueryCfg, QueryEngine};
 use p2p_core::{build_algo, AlgoKind, OverlayParams};
-use p2p_stack::{decode_telemetry, from_hex, stitch_clocks, ObsSink, StackMachine, TraceLog};
+use p2p_stack::{
+    decode_telemetry, from_hex, node_id_base, stitch_clocks, ObsSink, StackMachine, TraceLog,
+};
 
 /// Per-node join stagger; also the reason short runs still converge.
 const JOIN_STAGGER_MS: u64 = 150;
@@ -439,6 +442,12 @@ fn merge_telemetry(
         if telem.node != id as u32 {
             return Err(format!("child {id} telemetry claims node {}", telem.node));
         }
+        if telem.trace.id_base() != node_id_base(id as u32) {
+            return Err(format!(
+                "child {id} telemetry trace claims id base {:#x}",
+                telem.trace.id_base()
+            ));
+        }
         report.merge(&telem.report);
         trace.merge_offset(&telem.trace);
     }
@@ -592,4 +601,32 @@ fn main() {
     }
     eprintln!("SWARM FAILED after {attempts} attempts");
     std::process::exit(1);
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use p2p_stack::{encode_telemetry, to_hex};
+
+    #[test]
+    fn merge_rejects_a_trace_minted_in_another_namespace() {
+        let opts = Opts {
+            nodes: 2,
+            algo: AlgoKind::Regular,
+            duration_ms: 0,
+            seed: 1,
+            min_answered: 0,
+            retries: 0,
+            obs: true,
+            obs_dir: std::env::temp_dir(),
+            child_id: None,
+        };
+        // Child 0's frame carrying a trace from node 1's namespace.
+        let forged = TraceLog::with_id_base(8, 0, node_id_base(1));
+        let frame = to_hex(&encode_telemetry(0, &ObsReport::default(), &forged));
+        match merge_telemetry(&opts, 1, &[Some(frame)], &Totals::default()) {
+            Err(e) => assert!(e.contains("child 0") && e.contains("id base"), "{e}"),
+            Ok(_) => panic!("a frame from a foreign namespace was merged"),
+        }
+    }
 }

@@ -5,7 +5,7 @@
 //!           [--seed X] [--threads T] [--obs-out DIR] [--trace-out DIR] \
 //!           [--table1] [--table2]
 //! reproduce --scenario FILE.scn [--reps R] [--seed X] [--threads T] \
-//!           [--shards N] [--obs-out DIR] [--trace-out DIR]
+//!           [--obs-out DIR] [--trace-out DIR]
 //! ```
 //!
 //! `--scenario FILE` runs one declarative scenario file instead of the
@@ -30,8 +30,7 @@ use p2p_core::AlgoKind;
 
 /// Run one `.scn` file: simulate at the pinned (or overridden) reps and
 /// seed, print the aggregate summary, and verify any `expect` line. With
-/// `--obs-out DIR` the merged observability report (replication-merged,
-/// and shard-merged when `--shards N` is in play) lands in
+/// `--obs-out DIR` the replication-merged observability report lands in
 /// `DIR/<name>.jsonl`; with `--trace-out DIR`, one causal artifact per
 /// replication lands in `DIR/<name>_rep<k>.trace.json`.
 fn run_scenario_file(
@@ -47,7 +46,7 @@ fn run_scenario_file(
             return 2;
         }
     };
-    let mut file = match parse_scn(&text) {
+    let file = match parse_scn(&text) {
         Ok(f) => f,
         Err(e) => {
             eprintln!("{path}: {e}");
@@ -70,14 +69,6 @@ fn run_scenario_file(
     let threads = flag("--threads")
         .map(|v| v.parse().expect("--threads count"))
         .unwrap_or_else(|| reps.min(4));
-    if let Some(n) = flag("--shards") {
-        file.scenario.shards = n.parse().expect("--shards count");
-        if let Err(e) = file.scenario.check() {
-            eprintln!("{path}: {e}");
-            return 1;
-        }
-    }
-    let sharded = file.scenario.shards > 1;
     eprintln!(
         "# scenario {}: {} nodes, {} adversaries, {} reps, seed {seed:#x}",
         file.name,
@@ -114,36 +105,6 @@ fn run_scenario_file(
         agg.frames_sent.mean,
         agg.energy_mj.mean
     );
-    if sharded {
-        // Sharded runs define partition-invariant semantics of their own
-        // (per-sender radio RNG streams, intrinsic event keys) — close to
-        // but not bit-equal to the sequential path, whose shared radio RNG
-        // draws in global pop order. The gate is therefore a single-shard
-        // reference run: whatever the shard count, the traffic aggregates
-        // must match R=1 exactly.
-        let reference: Vec<_> = (0..reps)
-            .map(|rep| {
-                let rep_seed = runner::replication_seed(seed, rep);
-                manet_sim::ShardedWorld::new(file.scenario.clone(), rep_seed, 1).run(1)
-            })
-            .collect();
-        let want = manet_sim::expect_of(&reference, reps, seed);
-        println!("single-shard reference {}", render_expect(&want));
-        return if (got.queries, got.answers, got.frames)
-            == (want.queries, want.answers, want.frames)
-        {
-            println!("sharded traffic aggregates match the single-shard reference");
-            0
-        } else {
-            eprintln!(
-                "{}: sharding broke partition invariance\n  1-shard  {}\n  measured {}",
-                file.name,
-                render_expect(&want),
-                render_expect(&got)
-            );
-            1
-        };
-    }
     match file.expect {
         // Pins only bind at their own replication count and seed.
         Some(want) if (want.reps, want.seed) == (reps, seed) && got != want => {

@@ -287,7 +287,6 @@ fn report(
     if cfg.trace {
         s.trace_capacity = TRACE_CAPACITY;
     }
-    s.shards = cfg.shards;
     let s = &s;
     let results = runner::run_replications(s, cfg.reps.min(3), cfg.seed, cfg.threads);
     let agg = runner::aggregate(&results, s.catalog.n_files as usize);

@@ -14,25 +14,21 @@
 //! [`SubsystemId`] it was registered under. Adding a new subsystem
 //! therefore never touches the [`Event`] enum.
 //!
-//! Two queue backends sit behind the same `schedule`/`pop_before`
-//! surface: the sequential [`EventQueue`] (insertion-order tie-breaks,
-//! the default, bit-identical to every pinned fingerprint) and the
-//! [`KeyedQueue`] used by the sharded world, which breaks ties with an
-//! intrinsic [`EventKey`] derived from the event itself so any partition
-//! of the same world pops simultaneous events identically.
+//! The future-event list is an [`EventQueue`]: timestamp ties break by
+//! insertion order, which every pinned fingerprint depends on.
 //!
-//! On the sequential backend a broadcast costs one queue slot, not one per
-//! receiver: [`Engine::schedule_fanout`] stores every surviving reception
-//! of one transmission in a single slot, and [`Engine::pop_before`] hands
-//! them out one [`Event::Deliver`] per call. The receptions share one
-//! timestamp (the medium draws one delay per transmission) and would hold
+//! A broadcast costs one queue slot, not one per receiver:
+//! [`Engine::schedule_fanout`] stores every surviving reception of one
+//! transmission in a single slot, and [`Engine::pop_before`] hands them
+//! out one [`Event::Deliver`] per call. The receptions share one timestamp
+//! (the medium draws one delay per transmission) and would hold
 //! consecutive insertion sequence numbers as separate events, so nothing
 //! can pop between them and the pop sequence is unchanged. Every count the
 //! engine reports — `events`, `len()`, `peak_queue`, `scheduled_total()` —
 //! stays per reception.
 
 use manet_aodv::Msg;
-use manet_des::{EventKey, EventQueue, KeyedQueue, NodeId, SchedulerKind, SimTime, Substrate};
+use manet_des::{EventQueue, NodeId, SchedulerKind, SimTime, Substrate};
 use p2p_stack::AppMsg;
 
 use crate::world::WorldCore;
@@ -72,11 +68,6 @@ impl SubKey {
             _ => SubEvent::NodeAlt(NodeId(self.0 as u32)),
         }
     }
-
-    /// The shape-and-node half (low 40 bits), for intrinsic keying.
-    fn discriminant(self) -> u64 {
-        self.0 & 0xff_ffff_ffff
-    }
 }
 
 /// Everything scheduled in the future-event list.
@@ -95,52 +86,6 @@ pub(crate) enum Event {
     Sub(SubKey),
 }
 
-/// Event-class ranks of the intrinsic [`EventKey`] order (sharded mode).
-pub(crate) mod key_class {
-    pub const JOIN: u8 = 0;
-    pub const NODE_TIMER: u8 = 1;
-    pub const DELIVER: u8 = 2;
-    pub const SUB: u8 = 3;
-}
-
-/// The intrinsic key of a frame delivery: sender/receiver pair plus the
-/// sender's transmission sequence number. Unique per reception, and
-/// derived from what the frame *is* — never from scheduling order — so
-/// every partition of a sharded world agrees on it.
-pub(crate) fn deliver_key(from: NodeId, to: NodeId, tx_seq: u64) -> EventKey {
-    EventKey {
-        class: key_class::DELIVER,
-        k1: ((from.0 as u64) << 32) | to.0 as u64,
-        k2: tx_seq,
-    }
-}
-
-/// The intrinsic key of every event except `Deliver` (whose key needs the
-/// sender's transmission sequence, supplied at the phy layer via
-/// [`Engine::schedule_keyed`]).
-fn intrinsic_key(ev: &Event) -> EventKey {
-    match ev {
-        Event::Join(n) => EventKey {
-            class: key_class::JOIN,
-            k1: n.0 as u64,
-            k2: 0,
-        },
-        Event::NodeTimer(n) => EventKey {
-            class: key_class::NODE_TIMER,
-            k1: n.0 as u64,
-            k2: 0,
-        },
-        Event::Sub(key) => EventKey {
-            class: key_class::SUB,
-            k1: key.owner() as u64,
-            k2: key.discriminant(),
-        },
-        Event::Deliver { .. } => {
-            panic!("Deliver events need an explicit per-sender key (schedule_keyed)")
-        }
-    }
-}
-
 /// An event inside one subsystem's private namespace.
 ///
 /// The meaning of each shape is the owning subsystem's business: mobility
@@ -157,11 +102,11 @@ pub(crate) enum SubEvent {
     NodeAlt(NodeId),
 }
 
-/// One entry of the sequential future-event list.
+/// One entry of the future-event list.
 enum Slot {
     One(Event),
     /// Every surviving reception of one broadcast; the receivers, in
-    /// reception order, are `SeqQueue::receivers[list]`.
+    /// reception order, are `Engine::receivers[list]`.
     FanOut {
         from: NodeId,
         list: u32,
@@ -179,9 +124,15 @@ struct InFlight {
     msg: Msg<AppMsg>,
 }
 
-/// The sequential backend: an insertion-ordered queue of [`Slot`]s plus
-/// the bookkeeping that keeps every count per reception.
-struct SeqQueue {
+/// The clock and future-event list of one replication: an
+/// insertion-ordered queue of [`Slot`]s plus the bookkeeping that keeps
+/// every count per reception.
+///
+/// A broadcast's receptions share one queue slot
+/// ([`schedule_fanout`](Engine::schedule_fanout)); everything the engine
+/// reports still counts receptions, so callers cannot tell the difference
+/// except by speed.
+pub(crate) struct Engine {
     q: EventQueue<Slot>,
     /// Receptions inside queued fan-out slots beyond the one each slot
     /// counts as in `q.len()`.
@@ -196,10 +147,36 @@ struct SeqQueue {
     receivers: Vec<Vec<NodeId>>,
     /// Indices of the `receivers` lists not in use.
     free: Vec<u32>,
+    /// Events the loop has processed.
+    pub(crate) events: u64,
+    /// Deepest the future-event list has been (live events).
+    pub(crate) peak_queue: usize,
 }
 
-impl SeqQueue {
-    fn schedule_fanout(
+impl Engine {
+    pub(crate) fn with_scheduler(kind: SchedulerKind) -> Self {
+        Engine {
+            q: EventQueue::with_scheduler(kind),
+            hidden: 0,
+            hidden_total: 0,
+            in_flight: None,
+            receivers: Vec::new(),
+            free: Vec::new(),
+            events: 0,
+            peak_queue: 0,
+        }
+    }
+
+    /// Schedule `ev` at absolute time `at`.
+    pub(crate) fn schedule(&mut self, at: SimTime, ev: Event) {
+        self.q.schedule(at, Slot::One(ev));
+    }
+
+    /// Schedule the delivery of `msg` from `from` to every node of `to`,
+    /// in that order, all at `at`. Pops exactly as one
+    /// [`schedule`](Engine::schedule) call per receiver would; an empty
+    /// `to` schedules nothing.
+    pub(crate) fn schedule_fanout(
         &mut self,
         at: SimTime,
         from: NodeId,
@@ -234,7 +211,18 @@ impl SeqQueue {
         }
     }
 
-    fn pop_before(&mut self, limit: SimTime) -> Option<(SimTime, Event)> {
+    /// Pop the next event at or before `horizon`, updating the peak-depth
+    /// gauge (before the pop, so the popped event still counts as live)
+    /// and the processed-event counter. A fan-out slot yields one
+    /// [`Event::Deliver`] per call.
+    pub(crate) fn pop_before(&mut self, horizon: SimTime) -> Option<(SimTime, Event)> {
+        self.peak_queue = self.peak_queue.max(self.len());
+        let popped = self.pop_slot_before(horizon)?;
+        self.events += 1;
+        Some(popped)
+    }
+
+    fn pop_slot_before(&mut self, limit: SimTime) -> Option<(SimTime, Event)> {
         if self.in_flight.is_none() {
             match self.q.pop_before(limit)? {
                 (at, Slot::One(ev)) => return Some((at, ev)),
@@ -281,183 +269,39 @@ impl SeqQueue {
         Some((at, Event::Deliver { to, from, msg }))
     }
 
-    fn len(&self) -> usize {
+    /// Timestamp of the earliest pending event, if any.
+    #[cfg(test)]
+    fn next_time(&self) -> Option<SimTime> {
+        match &self.in_flight {
+            Some(fl) => Some(fl.at),
+            None => self.q.peek_time(),
+        }
+    }
+
+    /// The current virtual time (time of the last popped event).
+    pub(crate) fn now(&self) -> SimTime {
+        self.q.now()
+    }
+
+    /// Live events in the future-event list (receptions, not slots).
+    pub(crate) fn len(&self) -> usize {
         let rest = self
             .in_flight
             .as_ref()
             .map_or(0, |fl| self.receivers[fl.list as usize].len() - fl.next);
         self.q.len() + self.hidden + rest
     }
-}
-
-enum Backend {
-    /// Insertion-order tie-breaks: the sequential world's exact semantics.
-    /// Boxed: the fan-out bookkeeping makes it several times the size of
-    /// the keyed queue.
-    Seq(Box<SeqQueue>),
-    /// Intrinsic-key tie-breaks: the sharded world's partition-invariant
-    /// semantics. One entry per reception: sharded ties break on
-    /// `(sender, receiver, tx sequence)` keys, so the receptions of one
-    /// broadcast are not contiguous there.
-    Keyed(KeyedQueue<Event>),
-}
-
-/// The clock and future-event list of one replication (or one shard).
-///
-/// On the sequential backend a broadcast's receptions share one queue
-/// slot ([`schedule_fanout`](Engine::schedule_fanout)); everything the
-/// engine reports still counts receptions, so callers cannot tell the
-/// difference except by speed.
-pub(crate) struct Engine {
-    backend: Backend,
-    /// Events the loop has processed.
-    pub(crate) events: u64,
-    /// Deepest the future-event list has been (live events).
-    pub(crate) peak_queue: usize,
-}
-
-impl Engine {
-    pub(crate) fn with_scheduler(kind: SchedulerKind) -> Self {
-        Engine {
-            backend: Backend::Seq(Box::new(SeqQueue {
-                q: EventQueue::with_scheduler(kind),
-                hidden: 0,
-                hidden_total: 0,
-                in_flight: None,
-                receivers: Vec::new(),
-                free: Vec::new(),
-            })),
-            events: 0,
-            peak_queue: 0,
-        }
-    }
-
-    /// An engine on the key-ordered backend, for one shard of a sharded
-    /// world.
-    pub(crate) fn keyed() -> Self {
-        Engine {
-            backend: Backend::Keyed(KeyedQueue::new()),
-            events: 0,
-            peak_queue: 0,
-        }
-    }
-
-    /// Schedule `ev` at absolute time `at`. On the keyed backend the
-    /// intrinsic key is derived from the event (`Deliver` must go through
-    /// [`schedule_keyed`](Engine::schedule_keyed) instead).
-    pub(crate) fn schedule(&mut self, at: SimTime, ev: Event) {
-        match &mut self.backend {
-            Backend::Seq(s) => {
-                s.q.schedule(at, Slot::One(ev));
-            }
-            Backend::Keyed(q) => {
-                let key = intrinsic_key(&ev);
-                q.schedule(at, key, ev);
-            }
-        }
-    }
-
-    /// Schedule the delivery of `msg` from `from` to every node of `to`,
-    /// in that order, all at `at` (sequential backend only). Pops exactly
-    /// as one [`schedule`](Engine::schedule) call per receiver would; an
-    /// empty `to` schedules nothing.
-    pub(crate) fn schedule_fanout(
-        &mut self,
-        at: SimTime,
-        from: NodeId,
-        msg: Msg<AppMsg>,
-        to: impl IntoIterator<Item = NodeId>,
-    ) {
-        match &mut self.backend {
-            Backend::Seq(s) => s.schedule_fanout(at, from, msg, to),
-            Backend::Keyed(_) => panic!("schedule_fanout on the keyed backend"),
-        }
-    }
-
-    /// Schedule with an explicit intrinsic key (keyed backend only; the
-    /// phy layer uses this for frame deliveries, and shard barriers use
-    /// it to absorb cross-shard messages under their original keys).
-    pub(crate) fn schedule_keyed(&mut self, at: SimTime, key: EventKey, ev: Event) {
-        match &mut self.backend {
-            Backend::Keyed(q) => q.schedule(at, key, ev),
-            Backend::Seq(_) => panic!("schedule_keyed on the sequential backend"),
-        }
-    }
-
-    /// Pop the next event at or before `horizon`, updating the peak-depth
-    /// gauge (before the pop, so the popped event still counts as live)
-    /// and the processed-event counter. A fan-out slot yields one
-    /// [`Event::Deliver`] per call.
-    pub(crate) fn pop_before(&mut self, horizon: SimTime) -> Option<(SimTime, Event)> {
-        let popped = match &mut self.backend {
-            Backend::Seq(s) => {
-                self.peak_queue = self.peak_queue.max(s.len());
-                s.pop_before(horizon)?
-            }
-            Backend::Keyed(q) => {
-                self.peak_queue = self.peak_queue.max(q.len());
-                q.pop_before(horizon)?
-            }
-        };
-        self.events += 1;
-        Some(popped)
-    }
-
-    /// Timestamp of the earliest pending event, if any.
-    pub(crate) fn next_time(&self) -> Option<SimTime> {
-        match &self.backend {
-            Backend::Seq(s) => match &s.in_flight {
-                Some(fl) => Some(fl.at),
-                None => s.q.peek_time(),
-            },
-            Backend::Keyed(q) => q.next_time(),
-        }
-    }
-
-    /// Remove every pending event matching `pred` (keyed backend only;
-    /// used when a node migrates between shards).
-    pub(crate) fn drain_matching(
-        &mut self,
-        pred: impl FnMut(&Event) -> bool,
-    ) -> Vec<(SimTime, EventKey, Event)> {
-        match &mut self.backend {
-            Backend::Keyed(q) => q.drain_matching(pred),
-            Backend::Seq(_) => panic!("drain_matching on the sequential backend"),
-        }
-    }
-
-    /// The current virtual time (time of the last popped event).
-    pub(crate) fn now(&self) -> SimTime {
-        match &self.backend {
-            Backend::Seq(s) => s.q.now(),
-            Backend::Keyed(q) => q.now(),
-        }
-    }
-
-    /// Live events in the future-event list (receptions, not slots).
-    pub(crate) fn len(&self) -> usize {
-        match &self.backend {
-            Backend::Seq(s) => s.len(),
-            Backend::Keyed(q) => q.len(),
-        }
-    }
 
     /// Events ever scheduled, counting every reception (a workload
     /// measure).
     pub(crate) fn scheduled_total(&self) -> u64 {
-        match &self.backend {
-            Backend::Seq(s) => s.q.scheduled_total() + s.hidden_total,
-            Backend::Keyed(q) => q.scheduled_total(),
-        }
+        self.q.scheduled_total() + self.hidden_total
     }
 
     /// Calendar-scheduler statistics, when that backend is in use. These
     /// count physical queue slots (one per fan-out).
     pub(crate) fn calendar_stats(&self) -> Option<[u64; 7]> {
-        match &self.backend {
-            Backend::Seq(s) => s.q.calendar_stats(),
-            Backend::Keyed(_) => None,
-        }
+        self.q.calendar_stats()
     }
 }
 
@@ -495,8 +339,8 @@ impl Substrate for Engine {
 /// 5. [`on_finish`](Subsystem::on_finish) — once when the world is
 ///    finished, before the result is assembled.
 ///
-/// `Send` is part of the contract: the sharded world runs each shard's
-/// subsystem replicas on its own OS thread.
+/// `Send` keeps [`World`](crate::World) `Send`, so a world built on one
+/// thread can run on another.
 pub(crate) trait Subsystem: Send {
     /// Per-node seeding during world construction.
     fn seed_node(&mut self, ctx: &mut SubCtx<'_>, id: NodeId) {
@@ -828,10 +672,8 @@ mod fanout_equivalence {
             tw.fanout(at, 9, &[2, 3, 4]);
             tw.drain();
         }
-        let Backend::Seq(s) = &tw.eng.backend else {
-            unreachable!("sequential engine");
-        };
-        assert_eq!(s.receivers.len(), 1, "one list, reused");
-        assert!(s.receivers[0].is_empty() && s.receivers[0].capacity() >= 3);
+        let receivers = &tw.eng.receivers;
+        assert_eq!(receivers.len(), 1, "one list, reused");
+        assert!(receivers[0].is_empty() && receivers[0].capacity() >= 3);
     }
 }

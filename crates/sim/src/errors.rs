@@ -163,8 +163,6 @@ pub enum ScenarioError {
     JitterWidthNotShorter,
     /// The jitter width is zero.
     JitterWidthZero,
-    /// The scenario cannot run spatially sharded (`shards > 1`).
-    Sharding(String),
 }
 
 impl std::fmt::Display for ScenarioError {
@@ -258,7 +256,6 @@ impl std::fmt::Display for ScenarioError {
             JitterPeriodZero => write!(f, "jitter period must be positive"),
             JitterWidthNotShorter => write!(f, "jitter width must be shorter than the period"),
             JitterWidthZero => write!(f, "jitter width must be positive"),
-            Sharding(msg) => write!(f, "sharding: {msg}"),
         }
     }
 }

@@ -35,8 +35,6 @@ pub struct ExperimentCfg {
     /// Enable causal query tracing on every replication (sets
     /// [`Scenario::trace_capacity`]). Never changes results.
     pub trace: bool,
-    /// Spatial shards per run (1 = the bit-identical sequential path).
-    pub shards: usize,
 }
 
 /// Trace-ring capacity used when [`ExperimentCfg::trace`] is set: large
@@ -56,7 +54,6 @@ impl ExperimentCfg {
             threads: std::thread::available_parallelism().map_or(1, |n| n.get()),
             obs: false,
             trace: false,
-            shards: 1,
         }
     }
 
@@ -73,7 +70,6 @@ impl ExperimentCfg {
             threads: std::thread::available_parallelism().map_or(1, |n| n.get()),
             obs: false,
             trace: false,
-            shards: 1,
         }
     }
 
@@ -87,7 +83,6 @@ impl ExperimentCfg {
         if self.trace {
             s.trace_capacity = TRACE_CAPACITY;
         }
-        s.shards = self.shards;
         s
     }
 }
@@ -271,9 +266,6 @@ options:
   --reps R        replications per cell
   --seed X        experiment seed (u64)
   --threads T     worker threads
-  --shards N      spatial shards per run (default 1 = sequential path;
-                  N > 1 runs each replication as a sharded world and uses
-                  --threads as the shard-worker count)
   --obs-out DIR   write one JSONL observability report per cell into DIR
                   (counters, histograms, time series, span profile,
                   flight-recorder records; the sink itself is always on
@@ -283,7 +275,7 @@ options:
                   (<cell>_rep<k>.trace.json; inspect with trace_query)
   --help          print this text";
 
-/// Parse `--flag value` style arguments shared by the figure binaries.
+/// Parse `--flag value` style arguments shared by the experiment binaries.
 ///
 /// `--help` prints [`USAGE`] and exits. `--obs-out DIR` is a binary-level
 /// flag: binaries that support it strip it (see [`take_obs_out`]) before
@@ -295,7 +287,6 @@ pub fn cfg_from_args(args: &[String]) -> ExperimentCfg {
     let mut reps = None;
     let mut seed = None;
     let mut threads = None;
-    let mut shards = None;
     let mut i = 0;
     while i < args.len() {
         match args[i].as_str() {
@@ -323,10 +314,6 @@ pub fn cfg_from_args(args: &[String]) -> ExperimentCfg {
                 threads = Some(args[i + 1].parse().expect("--threads count"));
                 i += 2;
             }
-            "--shards" => {
-                shards = Some(args[i + 1].parse().expect("--shards count"));
-                i += 2;
-            }
             "--help" | "-h" => {
                 println!("{USAGE}");
                 std::process::exit(0);
@@ -350,9 +337,6 @@ pub fn cfg_from_args(args: &[String]) -> ExperimentCfg {
     }
     if let Some(t) = threads {
         cfg.threads = t;
-    }
-    if let Some(r) = shards {
-        cfg.shards = r;
     }
     cfg
 }
@@ -392,7 +376,6 @@ mod tests {
             threads: 1,
             obs: false,
             trace: false,
-            shards: 1,
         }
     }
 

@@ -12,7 +12,6 @@ pub(crate) mod oracle;
 pub mod runner;
 pub mod scenario;
 pub mod scn;
-pub mod sharded;
 pub(crate) mod stack;
 pub(crate) mod subsystems;
 pub mod world;
@@ -28,5 +27,4 @@ pub use p2p_stack::{AppMsg, TraceEvent, TraceLog};
 pub use runner::{aggregate, expect_of, measure_corpus, run_replications, Aggregate};
 pub use scenario::{Adversary, ChurnCfg, MobilityKind, Scenario};
 pub use scn::{parse_scn, render_expect, render_scn, Expect, ScnError, ScnErrorKind, ScnFile};
-pub use sharded::ShardedWorld;
 pub use world::{RunResult, World};

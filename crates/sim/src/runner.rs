@@ -12,7 +12,6 @@ use manet_obs::ObsReport;
 
 use crate::scenario::Scenario;
 use crate::scn::Expect;
-use crate::sharded::ShardedWorld;
 use crate::world::{RunResult, World};
 
 /// Derive the seed of replication `rep` from an experiment seed.
@@ -59,11 +58,6 @@ pub fn expect_of(results: &[RunResult], reps: usize, seed: u64) -> Expect {
 /// worker finished first, and are identical for any thread count: each
 /// replication's seed depends only on its index.
 ///
-/// With `scenario.shards > 1` the parallelism budget moves *inside* each
-/// run: replications execute one after another as [`ShardedWorld`]s, and
-/// `threads` becomes the shard-worker count per run. Fanning replications
-/// *and* shards out at once would oversubscribe the machine.
-///
 /// Lock-free by construction: worker `w` statically owns replications
 /// `w, w + threads, w + 2·threads, …` and returns its results through its
 /// join handle — no shared mutable state, no `Mutex` on the result path.
@@ -78,14 +72,6 @@ pub fn run_replications(
     threads: usize,
 ) -> Vec<RunResult> {
     assert!(reps >= 1, "need at least one replication");
-    if scenario.shards > 1 {
-        return (0..reps)
-            .map(|rep| {
-                let seed = replication_seed(base_seed, rep);
-                ShardedWorld::new(scenario.clone(), seed, scenario.shards).run(threads)
-            })
-            .collect();
-    }
     // Every spawned worker gets a non-empty stride: worker w < threads
     // owns rep w at least. The pre-clamp `threads` plays no further role,
     // so reps=1, threads=8 spawns exactly one worker, not eight.
@@ -264,19 +250,6 @@ mod tests {
                     "rep {rep} out of order or diverged at reps={reps}"
                 );
             }
-        }
-    }
-
-    #[test]
-    fn sharded_scenarios_dispatch_through_the_same_api() {
-        let mut sharded = Scenario::quick(20, AlgoKind::Regular, 60);
-        sharded.shards = 2;
-        let results = run_replications(&sharded, 2, 3, 1);
-        assert_eq!(results.len(), 2);
-        // Same seeds, same partition-invariant semantics on reruns.
-        let again = run_replications(&sharded, 2, 3, 2);
-        for (a, b) in results.iter().zip(&again) {
-            assert_eq!(a.fingerprint(), b.fingerprint());
         }
     }
 

@@ -119,14 +119,6 @@ pub struct Scenario {
     /// percent of the bare one by the perf gate — and toggling it never
     /// changes simulation results.
     pub obs: ObsConfig,
-    /// Spatial shards for conservative-parallel execution (1 = the
-    /// default sequential path, bit-identical to every pinned
-    /// fingerprint). With more than one shard the run goes through
-    /// [`ShardedWorld`](crate::sharded::ShardedWorld): aggregate metrics,
-    /// the merged [`ObsReport`](manet_obs::ObsReport) registries and the
-    /// merged trace are identical for every shard/thread count; only
-    /// small-world sampling stays sequential-only.
-    pub shards: usize,
 }
 
 impl Scenario {
@@ -157,7 +149,6 @@ impl Scenario {
             faults: FaultPlan::default(),
             adversaries: Vec::new(),
             obs: ObsConfig::default(),
-            shards: 1,
         }
     }
 
@@ -317,32 +308,6 @@ impl Scenario {
             }
         }
         self.faults.check(self.n_nodes)?;
-        if self.shards == 0 {
-            return Err(ScenarioError::Sharding("shards must be at least 1".into()));
-        }
-        if self.shards > 1 {
-            if self.shards > 256 {
-                return Err(ScenarioError::Sharding(format!(
-                    "at most 256 shards, got {}",
-                    self.shards
-                )));
-            }
-            // Observability and causal tracing are sharding-compatible:
-            // counters are owner-gated and fold partition-invariantly
-            // (`ObsReport::merge_shard`), trace logs merge with id
-            // offsetting (`TraceLog::merge_offset`). Only small-world
-            // sampling (needs the global graph mid-run) stays sequential.
-            if self.smallworld_sample.is_some() {
-                return Err(ScenarioError::Sharding(
-                    "small-world sampling needs the sequential path".into(),
-                ));
-            }
-            if !self.radio.lookahead().is_usable() {
-                return Err(ScenarioError::Sharding(
-                    "radio model has zero lookahead (no propagation or serialization delay)".into(),
-                ));
-            }
-        }
         Ok(())
     }
 

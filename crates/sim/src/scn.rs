@@ -383,9 +383,6 @@ pub fn parse_scn(text: &str) -> Result<ScnFile, ScnError> {
             "trace-capacity" => {
                 s.trace_capacity = num_usize(line, need(line, head, rest, "a capacity")?)?;
             }
-            "shards" => {
-                s.shards = num_usize(line, need(line, head, rest, "a shard count")?)?;
-            }
             "smallworld" => {
                 s.smallworld_sample =
                     Some(duration(line, need(line, head, rest, "a sample period")?)?);
@@ -855,9 +852,6 @@ pub fn render_scn(file: &ScnFile) -> String {
         s.qualifier_range.0, s.qualifier_range.1
     ));
     line(format!("trace-capacity {}", s.trace_capacity));
-    if s.shards != 1 {
-        line(format!("shards {}", s.shards));
-    }
     if let Some(mj) = s.battery_mj {
         line(format!("battery {}", flt(mj)));
     }
@@ -1155,31 +1149,6 @@ mod tests {
         let text = render_scn(&file);
         let parsed = parse_scn(&text).unwrap_or_else(|e| panic!("{e}\n---\n{text}"));
         assert_eq!(parsed, file);
-    }
-
-    #[test]
-    fn shards_directive_round_trips() {
-        // Sharded scenarios keep the default-on obs sink (the merged
-        // report is shard-count invariant), so no opt-out here.
-        let mut s = Scenario::quick(40, AlgoKind::Regular, 120);
-        s.shards = 4;
-        let file = ScnFile {
-            name: "SHARDED".into(),
-            scenario: s,
-            expect: None,
-        };
-        let text = render_scn(&file);
-        assert!(text.contains("shards 4"), "missing directive:\n{text}");
-        let parsed = parse_scn(&text).unwrap_or_else(|e| panic!("{e}\n---\n{text}"));
-        assert_eq!(parsed, file);
-        assert!(parsed.scenario.check().is_ok());
-        // The default is elided so pre-sharding corpora stay canonical.
-        let plain = ScnFile {
-            name: "PLAIN".into(),
-            scenario: Scenario::quick(40, AlgoKind::Regular, 120),
-            expect: None,
-        };
-        assert!(!render_scn(&plain).contains("shards"));
     }
 
     #[test]

@@ -96,8 +96,7 @@ impl AdversaryState {
 
 /// One node's full stack, phy to overlay. The node's mobility process and
 /// its RNG stream live in `WorldCore`'s SoA arrays (`mobility`,
-/// `mob_rngs`): hot, replicated-in-every-shard state, unlike the
-/// owner-only protocol state here.
+/// `mob_rngs`), dense arrays the radio hot path reads.
 pub(crate) struct NodeStack {
     pub(crate) phy: PhyLayer,
     pub(crate) routing: RoutingLayer,

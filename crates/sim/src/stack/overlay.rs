@@ -183,15 +183,11 @@ pub(crate) fn peer_unreachable(
 /// dies with it. Local state is discarded (a rebooted app); peers
 /// discover via failed pings.
 pub(crate) fn power_off(core: &mut WorldCore, now: SimTime, id: NodeId) {
-    // The replicated liveness toggle happens in every shard; the stack
-    // itself is owner-only state.
     core.hot_up[id.index()] = false;
-    if core.owns(id) {
-        let node = &mut core.nodes[id.index()];
-        node.phy.up = false;
-        if let Some(m) = node.overlay.member.as_mut() {
-            m.joined = false;
-        }
+    let node = &mut core.nodes[id.index()];
+    node.phy.up = false;
+    if let Some(m) = node.overlay.member.as_mut() {
+        m.joined = false;
     }
     core.trace.record(
         now,
@@ -207,9 +203,6 @@ pub(crate) fn power_off(core: &mut WorldCore, now: SimTime, id: NodeId) {
 /// identity and files, blank protocol state — and rejoin immediately.
 pub(crate) fn power_on(core: &mut WorldCore, now: SimTime, id: NodeId) {
     core.hot_up[id.index()] = true;
-    if !core.owns(id) {
-        return; // rebuild + rejoin is the owning shard's business
-    }
     let scenario_algo = core.scenario.algo;
     let overlay_params = core.scenario.overlay;
     let node = &mut core.nodes[id.index()];

@@ -39,14 +39,7 @@ pub(crate) fn frame_arrival(core: &mut WorldCore, now: SimTime, to: NodeId, fram
         }
     };
     if depleted {
-        // The sequential world mirrors depletion into the hot liveness
-        // array. A sharded world must not: depletion is owner-local
-        // knowledge, and `hot_up` carries only the replicated churn/crash
-        // toggles so every shard reads the same value (the owner's
-        // `phy.up` stays the authoritative gate on frame arrival).
-        if core.shard.is_none() {
-            core.hot_up[to.index()] = false;
-        }
+        core.hot_up[to.index()] = false;
         core.obs_record(now, Severity::Warn, "depleted", || {
             format!("{to} battery depleted; radio off")
         });
@@ -64,11 +57,9 @@ pub(crate) fn send_down(core: &mut WorldCore, now: SimTime, from: NodeId, verb: 
 }
 
 /// Put `msg` on the air at `from`: charge the transmission, plan every
-/// reception in range, and count the lost ones. In a sequential world the
-/// surviving receptions are scheduled as one fan-out slot
-/// ([`Engine::schedule_fanout`](crate::engine::Engine::schedule_fanout));
-/// in a sharded world each is a keyed event of its own, or a cross-shard
-/// frame when another shard owns the receiver.
+/// reception in range, and count the lost ones. The surviving receptions
+/// are scheduled as one fan-out slot
+/// ([`Engine::schedule_fanout`](crate::engine::Engine::schedule_fanout)).
 fn broadcast(core: &mut WorldCore, now: SimTime, from: NodeId, mut msg: manet_aodv::Msg<AppMsg>) {
     let bytes = msg.wire_size();
     {
@@ -98,59 +89,6 @@ fn broadcast(core: &mut WorldCore, now: SimTime, from: NodeId, mut msg: manet_ao
     }
     let pos = core.mobility[from.index()].position(now);
     let faults = core.active_faults();
-    // Sharded worlds draw loss/jitter from the *sender's* private radio
-    // stream and key each delivery by (sender, receiver, tx sequence), so
-    // the outcome is identical however the world is partitioned. Remote
-    // receptions are staged as cross-shard frames for the barrier.
-    if let Some(mut sh) = core.shard.take() {
-        core.medium.plan_broadcast(
-            &core.grid,
-            from,
-            pos,
-            bytes,
-            &mut sh.radio_rngs[from.index()],
-            faults,
-            &mut core.scratch,
-        );
-        // Fanout is planned by the sender's owning shard only, so the
-        // merged histogram is partition-invariant. No span timing here:
-        // wall-clock spans are a sequential-path profile.
-        let fanout = core.scratch.receptions.len() as u64;
-        if let Some(obs) = core.obs.on_mut() {
-            obs.hists.observe(obs.hs_fanout, fanout);
-        }
-        let seq = sh.tx_seq[from.index()];
-        sh.tx_seq[from.index()] += 1;
-        for i in 0..core.scratch.receptions.len() {
-            let r = core.scratch.receptions[i];
-            if sh.owners[r.to.index()] as usize == sh.index {
-                if r.lost {
-                    core.nodes[r.to.index()].phy.stats.on_loss();
-                } else {
-                    core.engine.schedule_keyed(
-                        now + r.after,
-                        crate::engine::deliver_key(from, r.to, seq),
-                        Event::Deliver {
-                            to: r.to,
-                            from,
-                            msg: msg.clone(),
-                        },
-                    );
-                }
-            } else {
-                sh.outbox.push(crate::sharded::CrossFrame {
-                    dst: sh.owners[r.to.index()],
-                    at: now + r.after,
-                    to: r.to,
-                    from,
-                    seq,
-                    msg: (!r.lost).then(|| msg.clone()),
-                });
-            }
-        }
-        core.shard = Some(sh);
-        return;
-    }
     // Stride-sampled span timing: only 1 in SPAN_STRIDE plans pays for an
     // `Instant` pair; the sample is extrapolated by its stride weight.
     let timed = core.obs.on_mut().is_some_and(|obs| obs.plan_timed());
@@ -228,63 +166,8 @@ fn unicast(
     }
     let pos = core.mobility[from.index()].position(now);
     // A down receiver is indistinguishable from an out-of-range one. The
-    // liveness read goes through the replicated hot array (identical to
-    // `phy.up` in a sequential world) so every shard plans the same.
+    // liveness read goes through the hot array, which mirrors `phy.up`.
     let receiver_up = core.hot_up[to.index()];
-    if let Some(mut sh) = core.shard.take() {
-        let plan = if receiver_up {
-            let faults = core.active_faults();
-            core.medium.plan_unicast(
-                &core.grid,
-                pos,
-                to,
-                bytes,
-                &mut sh.radio_rngs[from.index()],
-                faults,
-            )
-        } else {
-            None
-        };
-        let seq = sh.tx_seq[from.index()];
-        sh.tx_seq[from.index()] += 1;
-        match plan {
-            Some(r) => {
-                if sh.owners[to.index()] as usize == sh.index {
-                    if r.lost {
-                        core.nodes[to.index()].phy.stats.on_loss();
-                    } else {
-                        core.engine.schedule_keyed(
-                            now + r.after,
-                            crate::engine::deliver_key(from, to, seq),
-                            Event::Deliver { to, from, msg },
-                        );
-                    }
-                } else {
-                    sh.outbox.push(crate::sharded::CrossFrame {
-                        dst: sh.owners[to.index()],
-                        at: now + r.after,
-                        to,
-                        from,
-                        seq,
-                        msg: (!r.lost).then_some(msg),
-                    });
-                }
-                core.shard = Some(sh);
-            }
-            None => {
-                // Restore the shard context first: the AODV fallout below
-                // re-enters the phy layer for RERR traffic.
-                core.shard = Some(sh);
-                core.nodes[from.index()].phy.stats.on_link_break();
-                let acts = core.nodes[from.index()]
-                    .routing
-                    .aodv
-                    .on_unicast_failed(now, to, msg);
-                routing::exec(core, now, from, acts);
-            }
-        }
-        return;
-    }
     let plan = if receiver_up {
         let faults = core.active_faults();
         core.medium

@@ -51,20 +51,6 @@ impl Subsystem for QueryFlooderDriver {
             .expect("flooder event for unregistered node");
         let period = slot.1;
         ctx.schedule(now + period, SubEvent::Node(id));
-        // In a sharded world the burst counter is derived from the clock
-        // (floods fire at exact period multiples) instead of the emission
-        // count: replicated shards skip emissions for nodes they don't
-        // own, and a migrating flooder must not reset its sequence — time
-        // is the one counter every shard agrees on.
-        if ctx.core.shard.is_some() {
-            if ctx.core.owns(id) {
-                // k-th firing (at k * period) uses sequence k - 1, matching
-                // the sequential counter when no emission was ever skipped.
-                slot.2 = (now.ticks() / period.ticks().max(1)).saturating_sub(1) as u32;
-            } else {
-                return;
-            }
-        }
         let core = &mut *ctx.core;
         let node = &core.nodes[id.index()];
         if !node.phy.up || !node.is_joined() {

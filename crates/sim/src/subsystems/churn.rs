@@ -52,9 +52,7 @@ impl Subsystem for ChurnDriver {
                     .obs_record(now, Severity::Info, "churn", || format!("{id} churned up"));
                 let up = self.rng.exponential(self.cfg.mean_uptime);
                 ctx.schedule(now + SimDuration::from_secs_f64(up), SubEvent::Node(id));
-                if ctx.core.owns(id) {
-                    stack::resched_timer(ctx.core, now, id);
-                }
+                stack::resched_timer(ctx.core, now, id);
             }
             SubEvent::Tick => {}
         }

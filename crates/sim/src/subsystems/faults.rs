@@ -86,9 +86,7 @@ impl Subsystem for CrashPlan {
                 stack::overlay::power_on(ctx.core, now, id);
                 ctx.core
                     .obs_record(now, Severity::Info, "crash", || format!("{id} restarted"));
-                if ctx.core.owns(id) {
-                    stack::resched_timer(ctx.core, now, id);
-                }
+                stack::resched_timer(ctx.core, now, id);
             }
             SubEvent::Tick => {}
         }

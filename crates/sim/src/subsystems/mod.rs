@@ -55,9 +55,9 @@ pub(crate) fn build(scenario: &Scenario, master: &Rng) -> Vec<Box<dyn Subsystem>
         subs.push(Box::new(JitterDriver::new(jitter)));
     }
     // Observability series sampling is no longer a subsystem: the cadence
-    // check is inlined into the event loop (`World::step_observed`,
-    // `sharded::pop_window`), so the subsystem roster — and with it every
-    // packed `Sub` event key — is identical whether obs is on or off.
+    // check is inlined into the event loop (`World::step_observed`), so
+    // the subsystem roster — and with it every packed `Sub` event key — is
+    // identical whether obs is on or off.
     // Appended last so adversary-free scenarios keep the exact historical
     // registration (and therefore event-insertion) order.
     let flooders: Vec<_> = scenario

@@ -81,7 +81,7 @@ pub(crate) const SPAN_STRIDE: u64 = 64;
 /// maintains anyway — enabling observability never draws randomness,
 /// schedules events, or otherwise perturbs a run (the fingerprint tests
 /// hold it to that). Series cadence is inlined into the event loop
-/// (`step_observed` sequentially, `pop_window` on the sharded path).
+/// (`step_observed`).
 pub(crate) struct ObsState {
     pub(crate) registry: Registry,
     pub(crate) spans: SpanProfile,
@@ -98,10 +98,6 @@ pub(crate) struct ObsState {
     pub(crate) hists: HistSlab,
     pub(crate) hs_fanout: HistSlotId,
     pub(crate) hs_hops: HistSlotId,
-    /// Count replicated `Sub` dispatches? True sequentially and on shard
-    /// 0; other shards skip them so the merged per-shard totals partition
-    /// the run's true event count (see `ShardedWorld`).
-    pub(crate) count_sub: bool,
     /// Series cadence (zero disables series sampling; the final
     /// at-horizon counter mirror still happens).
     sample_period: SimDuration,
@@ -160,7 +156,6 @@ impl ObsState {
             sl_sub: slab.slot("des.dispatch.sub"),
             hs_fanout: hists.slot("radio.broadcast_fanout"),
             hs_hops: hists.slot("sim.deliver_hops"),
-            count_sub: true,
             sample_period: period,
             next_sample: SimTime::ZERO + period,
             pop_stride_left: 0,
@@ -385,19 +380,13 @@ pub(crate) struct WorldCore {
     /// SoA hot per-node state: the mobility process, its RNG stream, and
     /// the administrative radio liveness, indexed by node id. Split out
     /// of [`NodeStack`] so the position/liveness reads the radio hot path
-    /// makes stay in a few dense arrays — and so the sharded world can
-    /// replicate exactly this state in every shard while the (cold,
-    /// owner-only) protocol stacks stay sharded.
+    /// makes stay in a few dense arrays.
     pub(crate) mobility: Vec<AnyMobility>,
     pub(crate) mob_rngs: Vec<Rng>,
-    /// Administrative up/down per node. In the sequential world this
-    /// mirrors `phy.up` exactly (churn, crashes *and* battery depletion).
-    /// In a sharded world it carries only the replicated churn/crash
-    /// toggles — depletion is owner-local knowledge — so every shard
-    /// reads the same value whatever the partition.
+    /// Administrative up/down per node, mirroring `phy.up` exactly
+    /// (churn, crashes *and* battery depletion). The distance oracle, the
+    /// connectivity graph and unicast planning read it.
     pub(crate) hot_up: Vec<bool>,
-    /// Sharded-execution context; `None` on the sequential path.
-    pub(crate) shard: Option<Box<crate::sharded::ShardCtx>>,
     pub(crate) members: Vec<NodeId>,
     pub(crate) holders_by_file: Vec<Vec<NodeId>>,
     pub(crate) counters: NodeCounters,
@@ -421,16 +410,6 @@ impl WorldCore {
     /// The scenario horizon as an absolute time.
     pub(crate) fn horizon(&self) -> SimTime {
         SimTime::ZERO + self.scenario.duration
-    }
-
-    /// Does this world (or this shard of it) own node `id`'s protocol
-    /// stack? Always true sequentially; a shard owns exactly the nodes
-    /// its region currently claims.
-    pub(crate) fn owns(&self, id: NodeId) -> bool {
-        match &self.shard {
-            None => true,
-            Some(sh) => sh.owners[id.index()] as usize == sh.index,
-        }
     }
 
     /// The impairment in force for a transmission planned right now,
@@ -459,44 +438,20 @@ impl WorldCore {
     /// Mirror the world's always-on counters into the registry, fold the
     /// hot-path slabs, and (when `push_series`) append a time-series
     /// sample at `now`.
-    ///
-    /// On the sharded path every mirror here is owner-gated: protocol
-    /// stacks live only on their owning shard (husks elsewhere carry zero
-    /// stats), transmissions are planned by the sender's owner, and the
-    /// event count comes from the dispatch slab's owned classes — so
-    /// summing the per-shard registries reproduces the sequential totals
-    /// for any shard count.
     pub(crate) fn obs_sample(&mut self, now: SimTime, push_series: bool) {
         let ObsSink::On(mut obs) = std::mem::replace(&mut self.obs, ObsSink::Off) else {
             return;
         };
         obs.slab.fold_into(&mut obs.registry);
         obs.hists.fold_into(&mut obs.registry);
-        match &self.shard {
-            None => {
-                obs.registry.set(obs.c_events, self.engine.events);
-                obs.registry
-                    .set(obs.c_scheduled, self.engine.scheduled_total());
-                if let Some(stats) = self.engine.calendar_stats() {
-                    obs.registry.set(obs.c_retunes, stats[3]);
-                }
-                obs.registry
-                    .set_gauge(obs.g_queue, self.engine.len() as f64);
-            }
-            Some(_) => {
-                // A shard's engine counts replicated Sub events too; the
-                // dispatch slab already decomposes pops into owned classes
-                // plus (shard 0 only) the shared Sub stream, so its total
-                // partitions the true event count across shards. Queue
-                // depth and scheduling totals are per-shard artifacts and
-                // stay 0.
-                let events = obs.slab.value(obs.sl_deliver)
-                    + obs.slab.value(obs.sl_timer)
-                    + obs.slab.value(obs.sl_join)
-                    + obs.slab.value(obs.sl_sub);
-                obs.registry.set(obs.c_events, events);
-            }
+        obs.registry.set(obs.c_events, self.engine.events);
+        obs.registry
+            .set(obs.c_scheduled, self.engine.scheduled_total());
+        if let Some(stats) = self.engine.calendar_stats() {
+            obs.registry.set(obs.c_retunes, stats[3]);
         }
+        obs.registry
+            .set_gauge(obs.g_queue, self.engine.len() as f64);
         obs.registry
             .set(obs.c_tx_planned, self.scratch.planned_total);
         obs.registry.set(obs.c_tx_lost, self.scratch.lost_total);
@@ -525,17 +480,9 @@ impl WorldCore {
     }
 
     /// Take a cadence-due series sample at `now`, advancing the cadence.
-    ///
-    /// Called after every event on the sequential path. On the sharded
-    /// path it runs only after `Sub` events: those are replicated with
-    /// identical times and keys in every shard, and within a shard events
-    /// execute in `(time, key)` order — so by the time a given `Sub`
-    /// dispatches, a shard has processed exactly the owned events ordered
-    /// before that `(time, key)` point. Every shard therefore samples at
-    /// the same logical cut, and the merged series is
-    /// partition-invariant.
+    /// Called after every observed event.
     #[inline]
-    pub(crate) fn obs_series_tick(&mut self, now: SimTime) {
+    fn obs_series_tick(&mut self, now: SimTime) {
         let due = match &mut self.obs {
             ObsSink::On(o) => {
                 if o.series_due(now) {
@@ -864,22 +811,12 @@ impl World {
         World::try_with_scheduler(scenario, seed, scheduler).unwrap_or_else(|e| panic!("{e}"))
     }
 
-    /// Fallible twin of [`with_scheduler`](World::with_scheduler).
+    /// Fallible twin of [`with_scheduler`](World::with_scheduler); every
+    /// other constructor goes through here.
     pub fn try_with_scheduler(
         scenario: Scenario,
         seed: u64,
         scheduler: SchedulerKind,
-    ) -> Result<Self, ScenarioError> {
-        World::try_build(scenario, seed, Some(scheduler))
-    }
-
-    /// The full constructor. `scheduler` picks the sequential backend;
-    /// `None` builds the world on the key-ordered backend instead (one
-    /// shard replica of a sharded run — see `crate::sharded`).
-    pub(crate) fn try_build(
-        scenario: Scenario,
-        seed: u64,
-        scheduler: Option<SchedulerKind>,
     ) -> Result<Self, ScenarioError> {
         scenario.check()?;
         let master = Rng::new(seed);
@@ -1049,16 +986,12 @@ impl World {
             smallworld: Vec::new(),
             radio_rng: master.fork(labels::RADIO),
             link_state: LinkState::default(),
-            engine: match scheduler {
-                Some(kind) => Engine::with_scheduler(kind),
-                None => Engine::keyed(),
-            },
+            engine: Engine::with_scheduler(scheduler),
             grid,
             medium,
             mobility: mobility_soa,
             mob_rngs,
             hot_up: vec![true; n],
-            shard: None,
             nodes,
             members,
             holders_by_file,
@@ -1165,17 +1098,15 @@ impl World {
 
     /// Route one event: node-stack traffic to the layer adapters,
     /// namespaced events to their owning subsystem.
-    pub(crate) fn dispatch(&mut self, now: SimTime, event: Event) {
+    fn dispatch(&mut self, now: SimTime, event: Event) {
         if let ObsSink::On(obs) = &mut self.core.obs {
             let slot = match &event {
-                Event::Deliver { .. } => Some(obs.sl_deliver),
-                Event::NodeTimer(_) => Some(obs.sl_timer),
-                Event::Join(_) => Some(obs.sl_join),
-                Event::Sub(_) => obs.count_sub.then_some(obs.sl_sub),
+                Event::Deliver { .. } => obs.sl_deliver,
+                Event::NodeTimer(_) => obs.sl_timer,
+                Event::Join(_) => obs.sl_join,
+                Event::Sub(_) => obs.sl_sub,
             };
-            if let Some(slot) = slot {
-                obs.slab.bump(slot, 1);
-            }
+            obs.slab.bump(slot, 1);
         }
         match event {
             Event::Deliver { to, from, msg } => {
@@ -1194,7 +1125,7 @@ impl World {
         }
     }
 
-    pub(crate) fn run_post_hooks(&mut self, now: SimTime) {
+    fn run_post_hooks(&mut self, now: SimTime) {
         for &k in &self.post_hooks {
             self.subsystems[k as usize].after_event(&mut self.core, now);
         }

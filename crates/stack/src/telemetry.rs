@@ -890,6 +890,43 @@ mod tests {
         assert_eq!(b.report.registry.counter_by_name("rt.dgram_rx"), Some(10));
     }
 
+    /// Decode a frame carrying `trace` and fold it into `acc` the way the
+    /// swarm parent does.
+    fn merge_forged(acc: &mut TraceLog, trace: &TraceLog, times: usize) {
+        let frame = encode_telemetry(0, &ObsReport::default(), trace);
+        let decoded = decode_telemetry(&frame).expect("forged frame decodes");
+        for _ in 0..times {
+            acc.merge_offset(&decoded.trace);
+        }
+    }
+
+    #[test]
+    fn forged_zero_trace_watermark_merges_without_panicking() {
+        // A base-0 trace whose mint watermark claims 0 — below the
+        // "first id is 1" floor every real log starts from.
+        let mut forged = TraceLog::new(8);
+        forged.record(t(1), TraceEvent::Join { node: NodeId(0) });
+        forged.next_trace = 0;
+        forged.next_span = 0;
+        let mut acc = TraceLog::new(64);
+        merge_forged(&mut acc, &forged, 1);
+        assert_eq!(acc.len(), 1);
+        assert_eq!(acc.offered(), 1);
+    }
+
+    #[test]
+    fn forged_offered_total_saturates_across_merges() {
+        let mut forged = TraceLog::with_id_base(8, 0, crate::trace::node_id_base(0));
+        forged.offered = u64::MAX;
+        forged.dropped = u64::MAX;
+        forged.sampled_out = u64::MAX;
+        let mut acc = TraceLog::new(64);
+        merge_forged(&mut acc, &forged, 2);
+        assert_eq!(acc.offered(), u64::MAX);
+        assert_eq!(acc.dropped(), u64::MAX);
+        assert_eq!(acc.sampled_out(), u64::MAX);
+    }
+
     #[test]
     fn empty_report_and_trace_roundtrip() {
         let frame = encode_telemetry(0, &ObsReport::default(), &TraceLog::new(0));

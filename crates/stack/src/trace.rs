@@ -38,15 +38,13 @@
 //!   memory is `O(capacity)` however many traces a long run mints, not
 //!   one flag per trace forever.
 //!
-//! Sharded DES runs keep one log per shard, each allocating ids from 1;
-//! [`merge_offset`](TraceLog::merge_offset) folds them into one log by
-//! offsetting the ids of the folded log past the accumulator's, so merged
-//! traces stay causally linked and collision-free. Multi-*process* runs
-//! instead give each node a disjoint id namespace up front
+//! A DES world keeps one log, minting ids from 1. Multi-*process* runs
+//! give each node a disjoint id namespace up front
 //! ([`with_id_base`](TraceLog::with_id_base)): a trace minted on one node
-//! flows through other nodes' logs under its original ids, so a
-//! cross-process merge needs no remapping — and must not remap, or the
-//! parent links stitched across the wire would be severed.
+//! flows through other nodes' logs under its original ids, so
+//! [`merge_offset`](TraceLog::merge_offset) folds the per-process logs
+//! into one without remapping — remapping would sever the parent links
+//! stitched across the wire.
 
 use std::collections::HashSet;
 
@@ -210,7 +208,7 @@ pub struct TraceLog {
     /// Mirror of `live` for O(1) admission checks at record time. A
     /// locally minted trace is admitted iff it is (still) in here;
     /// foreign traces (ids outside this log's mint range — another
-    /// process's namespace, or a merged-in shard) bypass sampling, since
+    /// process's namespace) bypass sampling, since
     /// their reservoir decision belongs to the minting log.
     pub(crate) live_set: HashSet<u64>,
     /// Reservoir size (0 disables sampling: every trace admitted).
@@ -231,7 +229,7 @@ impl TraceLog {
 
     /// A log whose trace reservoir is seeded from `seed` (worlds pass the
     /// replication seed, so reruns sample identically). Ids are minted
-    /// from 1 — the DES shape, remapped at merge time when sharded.
+    /// from 1 — the DES shape.
     pub fn with_seed(capacity: usize, seed: u64) -> Self {
         TraceLog::with_id_base(capacity, seed, 0)
     }
@@ -419,80 +417,31 @@ impl TraceLog {
         self.id_base
     }
 
-    /// Fold another log into this one.
+    /// Fold another process's log into this one: the cross-process merge
+    /// of a multi-process run.
     ///
-    /// Two regimes, told apart by the id bases:
-    ///
-    /// * **Same base** (sharded DES: every shard allocates from 1) — the
-    ///   folded log's trace and span ids are offset past this log's so
-    ///   ids stay collision-free and causal links intact.
-    /// * **Different base** (multi-process: each node owns a disjoint
-    ///   namespace) — ids are globally unique already and a single trace's
-    ///   spans are scattered across *both* logs, so no remapping happens;
-    ///   remapping would sever the cross-process parent links.
-    ///
-    /// Either way events re-sort by time (stable: same-time events keep
-    /// fold order, so folding shards in index order is thread-count
-    /// invariant).
+    /// Each process mints from its own namespace ([`node_id_base`]), so
+    /// ids are globally unique already and a single trace's spans are
+    /// scattered across several logs; events keep their ids verbatim.
+    /// Events re-sort by time (stable: same-time events keep fold order)
+    /// and the oldest beyond the larger capacity are dropped. The totals
+    /// saturate, so a log decoded from untrusted bytes cannot overflow
+    /// them.
     pub fn merge_offset(&mut self, other: &TraceLog) {
-        let same_namespace = self.id_base == other.id_base;
-        let t_off = self.next_trace - 1;
-        let s_off = self.next_span - 1;
-        let remap = |ctx: &TraceCtx| -> TraceCtx {
-            TraceCtx {
-                trace_id: if ctx.trace_id == 0 {
-                    0
-                } else {
-                    ctx.trace_id + t_off
-                },
-                parent_id: if ctx.parent_id == 0 {
-                    0
-                } else {
-                    ctx.parent_id + s_off
-                },
-                span_seq: if ctx.span_seq == 0 {
-                    0
-                } else {
-                    ctx.span_seq + s_off
-                },
-            }
-        };
         let mut all: Vec<(SimTime, TraceEvent)> = self.events().cloned().collect();
-        for (at, e) in other.events() {
-            let mut e = e.clone();
-            if same_namespace {
-                match &mut e {
-                    TraceEvent::DeliverUp { ctx, .. }
-                    | TraceEvent::Origin { ctx, .. }
-                    | TraceEvent::Send { ctx, .. }
-                    | TraceEvent::Recv { ctx, .. }
-                    | TraceEvent::Unreachable { ctx, .. }
-                    | TraceEvent::TimerArm { ctx, .. } => *ctx = remap(ctx),
-                    TraceEvent::Join { .. }
-                    | TraceEvent::ConnUp { .. }
-                    | TraceEvent::ConnDown { .. }
-                    | TraceEvent::RoleChange { .. }
-                    | TraceEvent::PowerChange { .. } => {}
-                }
-            }
-            all.push((*at, e));
-        }
+        all.extend(other.events().cloned());
         all.sort_by_key(|(at, _)| *at);
         self.capacity = self.capacity.max(other.capacity);
-        self.offered += other.offered;
-        self.dropped += other.dropped;
-        self.sampled_out += other.sampled_out;
+        self.offered = self.offered.saturating_add(other.offered);
+        self.dropped = self.dropped.saturating_add(other.dropped);
+        self.sampled_out = self.sampled_out.saturating_add(other.sampled_out);
         let excess = all.len().saturating_sub(self.capacity);
         if excess > 0 {
             all.drain(..excess);
-            self.dropped += excess as u64;
+            self.dropped = self.dropped.saturating_add(excess as u64);
         }
         self.arena = all;
         self.head = 0;
-        if same_namespace {
-            self.next_trace += other.next_trace - 1;
-            self.next_span += other.next_span - 1;
-        }
     }
 
     /// Render the retained events as text, one per line. A truncated trace
@@ -1003,71 +952,10 @@ mod tests {
     }
 
     #[test]
-    fn merge_offset_remaps_ids_and_keeps_causal_links() {
-        let mut a = TraceLog::new(64);
-        let ta = a.alloc_trace();
-        let root_a = TraceCtx::root(ta, a.alloc_span());
-        a.record(
-            t(1),
-            TraceEvent::Origin {
-                node: NodeId(0),
-                ctx: root_a,
-                label: "query",
-            },
-        );
-        let mut b = TraceLog::new(64);
-        let tb = b.alloc_trace();
-        let root_b = TraceCtx::root(tb, b.alloc_span());
-        b.record(
-            t(1),
-            TraceEvent::Origin {
-                node: NodeId(9),
-                ctx: root_b,
-                label: "query",
-            },
-        );
-        let send_b = root_b.child(b.alloc_span());
-        b.record(
-            t(2),
-            TraceEvent::Send {
-                node: NodeId(9),
-                ctx: send_b,
-                to: None,
-                frame: "flood",
-                bytes: 40,
-            },
-        );
-        a.merge_offset(&b);
-        let events = a.causal_events();
-        assert_eq!(events.len(), 3);
-        let traces: std::collections::BTreeSet<u64> = events.iter().map(|e| e.trace_id).collect();
-        assert_eq!(
-            traces.len(),
-            2,
-            "merged traces must not collide: {events:?}"
-        );
-        // b's chain survives the remap: its send still links under its
-        // origin.
-        let origin_b = events
-            .iter()
-            .find(|e| e.node == 9 && e.parent == 0)
-            .expect("remapped origin");
-        let send = events
-            .iter()
-            .find(|e| e.node == 9 && e.parent != 0)
-            .unwrap();
-        assert_eq!(send.parent, origin_b.span);
-        assert_eq!(send.trace_id, origin_b.trace_id);
-        // Fresh ids minted after the merge keep ascending past both logs.
-        assert_eq!(a.alloc_trace(), 3);
-        assert!(a.alloc_span() > 3);
-    }
-
-    #[test]
     fn merge_offset_sorts_by_time_and_respects_capacity() {
-        let mut a = TraceLog::new(3);
+        let mut a = TraceLog::with_id_base(3, 0, node_id_base(0));
         a.record(t(5), TraceEvent::Join { node: NodeId(0) });
-        let mut b = TraceLog::new(3);
+        let mut b = TraceLog::with_id_base(3, 0, node_id_base(1));
         b.record(t(1), TraceEvent::Join { node: NodeId(1) });
         b.record(t(9), TraceEvent::Join { node: NodeId(2) });
         b.record(t(2), TraceEvent::Join { node: NodeId(3) });

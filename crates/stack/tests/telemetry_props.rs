@@ -11,7 +11,8 @@
 //! 2. **Typed truncation** — every strict prefix of a valid frame
 //!    decodes to a typed [`WireError`], never a panic, never a frame.
 //! 3. **Corruption tolerance** — flipping any byte never panics; the
-//!    parent decodes whatever a dying child managed to flush.
+//!    parent decodes whatever a dying child managed to flush and folds
+//!    it into its accumulators without overflowing them.
 //!
 //! Plus the hex armor: `from_hex(&to_hex(b)) == b`, odd-length and
 //! non-hex inputs rejected with typed errors.
@@ -274,13 +275,23 @@ properties! {
     }
 
     /// Flipping any single byte never panics: whatever a dying child
-    /// half-wrote, the parent survives reading it.
+    /// half-wrote, the parent survives reading it — and survives folding
+    /// it, twice over, into one accumulator the way the swarm parent
+    /// merges reports and traces.
     fn telemetry_corruption_never_panics(t in AnyTelemetry, pick in manet_testkit::any_u64()) {
         let (node, report, trace) = t;
         let mut frame = encode_telemetry(node, &report, &trace);
         let at = pick as usize % frame.len();
         frame[at] ^= 0x5A;
-        let _ = decode_telemetry(&frame);
+        if let Ok(back) = decode_telemetry(&frame) {
+            let mut acc_report = ObsReport::default();
+            let mut acc_trace = TraceLog::new(64);
+            for _ in 0..2 {
+                acc_report.merge(&back.report);
+                acc_trace.merge_offset(&back.trace);
+            }
+            prop_assert!(acc_trace.len() <= acc_trace.capacity());
+        }
     }
 
     /// Hex armor is the identity on bytes, and rejects what a mangled

@@ -51,7 +51,7 @@ pub mod prelude {
     pub use manet_des::{NodeId, Rng, SimDuration, SimTime};
     pub use manet_sim::{
         check_result, run_matrix, run_replications, AppMsg, ChurnCfg, ExperimentCfg, FaultPlan,
-        MobilityKind, RunResult, Scenario, ShardedWorld, World,
+        MobilityKind, RunResult, Scenario, World,
     };
     pub use p2p_content::{Catalog, FileId, QueryCfg};
     pub use p2p_core::{AlgoKind, OverlayParams, Reconfigurator, Role};

@@ -148,7 +148,6 @@ fn experiment_matrix_produces_all_figures() {
         threads: 1,
         obs: false,
         trace: false,
-        shards: 1,
     };
     let matrix = run_matrix(&cfg);
     assert_eq!(matrix.len(), 4);
