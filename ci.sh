@@ -146,3 +146,6 @@ for i in "${!STAGE_NAMES[@]}"; do
     TOTAL=$((TOTAL + STAGE_SECS[i]))
 done
 printf '  %-26s %4ds\n' "total" "$TOTAL"
+# The workspace size ROADMAP tracks: information only, not a gate.
+RS_LINES=$(git ls-files '*.rs' | grep -v '^perfbench/' | xargs cat | wc -l) || RS_LINES="n/a"
+printf '  %-26s %6s\n' "rust lines (no perfbench)" "$RS_LINES"

@@ -2,9 +2,9 @@
 //!
 //! A deployed overlay must tolerate nodes that do not follow protocol. This
 //! module names the misbehaviours the simulator and test harnesses model;
-//! the *mechanics* live in the layer each role subverts (the simulator's
-//! routing/overlay stacks, or [`crate::testkit::MiniNet`] for conformance
-//! tests). Keeping the contract here lets scenarios, conformance tests and
+//! the *mechanics* live in the layer each role subverts (inside
+//! `p2p-stack`'s protocol machine, which both substrates host, or
+//! [`crate::testkit::MiniNet`] for conformance tests). Keeping the contract here lets scenarios, conformance tests and
 //! the scenario DSL all speak the same vocabulary.
 //!
 //! All roles are deterministic: grey-holes drop every n-th forwarded frame

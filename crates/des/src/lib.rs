@@ -21,11 +21,9 @@
 //! inert causal-trace context every layer above can carry on its messages
 //! without perturbing a run.
 //!
-//! Two further pieces serve the sim-to-real split: [`substrate`] defines
-//! [`Substrate`], the seam behind which the DES and the real-time UDP
-//! driver are interchangeable hosts for the same protocol stacks, and
-//! [`wire`] holds the byte-exact encoding primitives ([`WireReader`],
-//! [`WireError`]) every layer's codec builds on.
+//! One further piece serves the sim-to-real split: [`wire`] holds the
+//! byte-exact encoding primitives ([`WireReader`], [`WireError`]) every
+//! layer's codec builds on.
 //!
 //! Higher layers (radio, AODV, the P2P overlay) are written as pure state
 //! machines; the only mutable shared state in a running world is this queue.
@@ -46,7 +44,6 @@ mod calendar;
 pub mod ids;
 pub mod queue;
 pub mod rng;
-pub mod substrate;
 pub mod time;
 pub mod trace;
 pub mod wire;
@@ -54,7 +51,6 @@ pub mod wire;
 pub use ids::NodeId;
 pub use queue::{EventId, EventQueue, SchedulerKind};
 pub use rng::Rng;
-pub use substrate::Substrate;
 pub use time::{SimDuration, SimTime, TICKS_PER_SECOND};
 pub use trace::TraceCtx;
 pub use wire::{WireError, WireReader};

@@ -19,9 +19,9 @@
 //! scenario seeds holdings — no placement traffic needed.
 //!
 //! With `--obs` the swarm additionally runs the distributed
-//! observability pipeline end-to-end. Each child arms the machine's
-//! [`p2p_stack::ObsSink`], so the event loop records the same counters,
-//! spans and causal traces the DES adapters record; at a wall-clock
+//! observability pipeline end-to-end. Each child arms its node's
+//! observability ([`RtNode::arm_obs`]), so the event loop records the
+//! same counters, spans and causal traces the DES records; at a wall-clock
 //! cadence it ships a small `TELEM <hex>` heartbeat frame (running
 //! counters, no trace) on the same stdout the RESULT line uses, and at
 //! shutdown one full frame carrying the causal trace. The parent keeps
@@ -54,13 +54,10 @@ use manet_aodv::AodvCfg;
 use manet_des::{NodeId, Rng, SimDuration};
 use manet_obs::report::dump_failure;
 use manet_obs::{causal, ObsConfig, ObsReport};
-use manet_rt::{FaultShim, RtNode};
-use manet_sim::FaultPlan;
+use manet_rt::RtNode;
 use p2p_content::{Catalog, QueryCfg, QueryEngine};
 use p2p_core::{build_algo, AlgoKind, OverlayParams};
-use p2p_stack::{
-    decode_telemetry, from_hex, node_id_base, stitch_clocks, ObsSink, StackMachine, TraceLog,
-};
+use p2p_stack::{decode_telemetry, from_hex, node_id_base, stitch_clocks, StackMachine, TraceLog};
 
 /// Per-node join stagger; also the reason short runs still converge.
 const JOIN_STAGGER_MS: u64 = 150;
@@ -214,19 +211,10 @@ fn child_main(id: u32, opts: &Opts) -> std::io::Result<()> {
         files,
         Rng::new(opts.seed).fork(2_000 + id as u64),
     );
-    let mut machine = StackMachine::new(node, AodvCfg::default(), algo, engine);
+    let machine = StackMachine::new(node, AodvCfg::default(), algo, engine);
+    let mut rt = RtNode::new(machine, socket, peers)?;
     if opts.obs {
-        machine.set_obs(ObsSink::armed(
-            id,
-            &ObsConfig::default(),
-            TRACE_CAPACITY,
-            opts.seed,
-        ));
-    }
-    let shim = FaultShim::new(&FaultPlan::default(), opts.seed);
-
-    let mut rt = RtNode::new(machine, socket, peers, shim)?;
-    if opts.obs {
+        rt.arm_obs(&ObsConfig::default(), TRACE_CAPACITY, opts.seed);
         rt.set_telemetry_period(Duration::from_millis(TELEM_PERIOD_MS));
     }
 

@@ -1,30 +1,27 @@
 //! # manet-rt — the real-time substrate
 //!
-//! The second of the workspace's two [`Substrate`](manet_des::Substrate)
-//! implementations: where `manet-sim` executes the protocol stack
-//! against a virtual clock and a modelled radio, this crate executes the
-//! *identical* stack ([`p2p_stack::StackMachine`]) against the wall
-//! clock and real UDP sockets, with zero external dependencies:
+//! Where `manet-sim` hosts the protocol stack against a virtual clock and
+//! a modelled radio, this crate hosts the *identical* stack
+//! ([`p2p_stack::StackMachine`], through its [`StackHost`] trait) against
+//! the wall clock and real UDP sockets, with zero external dependencies:
 //!
 //! * [`clock`] — maps elapsed wall microseconds onto the [`SimTime`]
 //!   axis (one tick = one microsecond on both substrates) and turns
 //!   protocol deadlines back into poll timeouts;
 //! * [`epoll`] — a hand-rolled readiness poller (`epoll` FFI on Linux, a
 //!   blocking peek-with-timeout elsewhere);
-//! * [`faults`] — the scenario [`FaultPlan`](manet_sim::FaultPlan)
-//!   re-applied at the socket: loss bursts, link flaps and jitter spikes
-//!   with the DES's window semantics;
 //! * [`node`] — [`RtNode`], the event loop hosting one machine per OS
-//!   process; the `swarm` binary forks N of them on loopback.
+//!   process, with optional observability; the `swarm` binary forks N of
+//!   them on loopback.
 //!
 //! [`SimTime`]: manet_des::SimTime
+//! [`StackHost`]: p2p_stack::StackHost
 
 pub mod clock;
 pub mod epoll;
-pub mod faults;
 pub mod node;
+mod obs;
 
 pub use clock::Clock;
 pub use epoll::Poller;
-pub use faults::{FaultShim, SendVerdict};
 pub use node::{RtNode, RtReport};

@@ -3,39 +3,41 @@
 //! The event loop is the real-time analogue of the DES dispatch loop,
 //! with the future-event list replaced by the kernel:
 //!
-//! * the node's combined protocol timer becomes the poll *deadline* —
-//!   [`Substrate::arm_timer`] records the earliest wake, and
-//!   [`Clock::timeout_until`] turns it into how long `epoll_wait` may
-//!   sleep;
-//! * the modelled radio becomes the socket — a [`SendDown`] broadcast is
-//!   a `sendto` to every peer (the loopback full mesh realizes the
-//!   single-hop broadcast domain of a dense MANET), a unicast is one
-//!   `sendto`;
+//! * the node's combined protocol timer becomes the poll *deadline* — the
+//!   machine's timer requests ([`StackHost::arm_timer`]) keep the earliest
+//!   wake, and [`Clock::timeout_until`] turns it into how long
+//!   `epoll_wait` may sleep;
+//! * the modelled radio becomes the socket — a broadcast is a `sendto` to
+//!   every peer (the loopback full mesh realizes the single-hop broadcast
+//!   domain of a dense MANET), a unicast is one `sendto`;
 //! * frame arrival becomes readability — every drained datagram is
 //!   decoded by [`p2p_stack::decode_frame`] and handed up as the same
-//!   [`FrameUp`](p2p_stack::FrameUp) verb the DES phy layer produces;
-//!   undecodable datagrams
-//!   are counted, never fatal: a real socket receives whatever the
-//!   network felt like delivering.
+//!   [`FrameUp`](p2p_stack::FrameUp) verb the DES phy layer produces.
+//!   Datagrams that do not decode, or that do not come from the address
+//!   of the peer they claim to be from, are counted and dropped, never
+//!   fatal: a real socket receives whatever the network felt like
+//!   delivering.
 //!
-//! The protocol machine itself is byte-for-byte the one the simulator
-//! hosts; nothing in this module looks inside it.
+//! The protocol machine itself is the one the simulator hosts; nothing in
+//! this module looks inside it.
 
 use std::collections::HashMap;
 use std::io;
 use std::net::{SocketAddr, UdpSocket};
-use std::time::Instant;
+use std::time::{Duration, Instant};
 
-use manet_des::{NodeId, SimTime, Substrate};
-use manet_obs::{CounterId, ObsReport, Severity, SpanId};
+use manet_aodv::Msg;
+use manet_des::{NodeId, SimTime};
+use manet_obs::{ObsConfig, ObsReport, Severity};
+use p2p_content::CompletedQuery;
 use p2p_stack::{
-    decode_frame, encode_frame, encode_telemetry, to_hex, SendDown, StackMachine, StackOutput,
-    TraceLog,
+    decode_frame, encode_frame, encode_telemetry, node_id_base, to_hex, trace_send, AppMsg,
+    SendDown, StackHost, StackMachine, TimerReq, TraceLog,
 };
 
 use crate::clock::Clock;
 use crate::epoll::Poller;
-use crate::faults::{FaultShim, SendVerdict};
+use crate::obs::StackObs;
 
 /// Largest datagram the codec may produce; loopback MTU is far larger.
 const MAX_DATAGRAM: usize = 2048;
@@ -50,9 +52,10 @@ const SPAN_STRIDE: u64 = 64;
 pub struct RtReport {
     /// Datagrams put on the wire.
     pub frames_sent: u64,
-    /// Datagrams received and decoded.
+    /// Datagrams received and accepted.
     pub frames_received: u64,
-    /// Datagrams that failed to decode (counted, dropped).
+    /// Datagrams rejected (undecodable, or not from the peer they claim
+    /// to be from).
     pub decode_errors: u64,
     /// Queries this node issued.
     pub issued: u64,
@@ -60,109 +63,141 @@ pub struct RtReport {
     pub answered: u64,
     /// QueryHits this node served as a holder.
     pub hits_served: u64,
-    /// Datagrams the fault shim dropped.
-    pub shim_dropped: u64,
-    /// Datagrams the fault shim delayed.
-    pub shim_delayed: u64,
 }
 
-/// The deadline register of the real-time substrate: where the DES
-/// schedules a `NodeTimer` event, this records the earliest requested
-/// wake and the event loop sleeps no longer than that.
-struct DeadlineReg {
-    clock: Clock,
-    next: SimTime,
+/// The machine's host on this substrate: the socket it transmits on, the
+/// deadline register, and what the node records.
+struct Air {
+    socket: UdpSocket,
+    /// Peer address book (this node excluded). Broadcast sends to all.
+    peers: Vec<(NodeId, SocketAddr)>,
+    by_id: HashMap<NodeId, SocketAddr>,
+    report: RtReport,
+    /// Earliest wake the machine asked for (MAX = none).
+    wake: SimTime,
+    obs: Option<Box<StackObs>>,
+    /// Disabled (capacity 0) until [`RtNode::arm_obs`].
+    trace: TraceLog,
 }
 
-impl Substrate for DeadlineReg {
-    fn now(&self) -> SimTime {
-        self.clock.now()
+impl Air {
+    /// One datagram onto the wire.
+    fn transmit(&mut self, to: SocketAddr, bytes: &[u8]) {
+        if self.socket.send_to(bytes, to).is_ok() {
+            self.report.frames_sent += 1;
+            if let Some(o) = &mut self.obs {
+                o.inc(o.c_dgram_tx);
+            }
+        }
     }
 
-    fn arm_timer(&mut self, _node: NodeId, at: SimTime) {
-        self.next = self.next.min(at);
+    /// Count a rejected datagram and say why in the flight recorder.
+    fn reject(&mut self, now: SimTime, tag: &'static str, why: String) {
+        self.report.decode_errors += 1;
+        if let Some(o) = &mut self.obs {
+            o.inc(o.c_decode_errors);
+            o.flight(now, Severity::Warn, tag, why);
+        }
     }
 }
 
-/// The substrate's registered observability handles, resolved once at
-/// construction when the hosted machine's [`p2p_stack::ObsSink`] is
-/// armed. Every event-loop site then pays one `Option` branch plus a
-/// slab-indexed increment — the same discipline as the DES adapters.
-struct RtObsIds {
-    /// `epoll_wait` returned readable.
-    c_epoll_wakeups: CounterId,
-    /// `epoll_wait` returned by deadline.
-    c_epoll_timeouts: CounterId,
-    /// Datagrams received and decoded.
-    c_dgram_rx: CounterId,
-    /// Datagrams put on the wire.
-    c_dgram_tx: CounterId,
-    /// Datagrams that failed to decode.
-    c_decode_errors: CounterId,
-    /// Datagrams the fault shim dropped.
-    c_shim_dropped: CounterId,
-    /// Datagrams the fault shim delayed.
-    c_shim_delayed: CounterId,
-    /// Stride-sampled wall-clock cost of one loop body past the poll.
-    s_loop: SpanId,
+impl StackHost for Air {
+    fn send(&mut self, now: SimTime, from: NodeId, frame: SendDown) -> Option<Msg<AppMsg>> {
+        match frame {
+            SendDown::Broadcast(mut msg) => {
+                trace_send(&mut self.trace, now, from, None, &mut msg);
+                let bytes = encode_frame(from, &msg);
+                for i in 0..self.peers.len() {
+                    let to = self.peers[i].1;
+                    self.transmit(to, &bytes);
+                }
+            }
+            SendDown::Unicast { to, mut msg } => {
+                trace_send(&mut self.trace, now, from, Some(to), &mut msg);
+                // A peer missing from the address book is out of range.
+                let Some(&addr) = self.by_id.get(&to) else {
+                    return Some(msg);
+                };
+                self.transmit(addr, &encode_frame(from, &msg));
+            }
+        }
+        None
+    }
+
+    fn delivered(&mut self, _at: NodeId, _payload: &AppMsg, hops: u8) {
+        if let Some(o) = &mut self.obs {
+            o.on_delivered(hops);
+        }
+    }
+
+    fn query_completed(&mut self, _requirer: NodeId, done: &CompletedQuery) {
+        if !done.answers.is_empty() {
+            self.report.answered += 1;
+        }
+    }
+
+    fn arm_timer(&mut self, _now: SimTime, _node: NodeId, req: TimerReq) {
+        self.wake = self.wake.min(req.at);
+    }
+
+    fn trace(&mut self) -> &mut TraceLog {
+        &mut self.trace
+    }
 }
 
 /// A protocol stack bound to a socket, plus the loop that drives it.
 pub struct RtNode {
     machine: StackMachine,
-    socket: UdpSocket,
     poller: Poller,
-    /// Peer address book (this node excluded). Broadcast sends to all.
-    peers: Vec<(NodeId, SocketAddr)>,
-    by_id: HashMap<NodeId, SocketAddr>,
-    shim: FaultShim,
-    report: RtReport,
-    obs: Option<RtObsIds>,
+    air: Air,
     /// Wall-clock period between `TELEM` stdout frames (`None` disables
     /// periodic telemetry; the final frame is always available through
     /// [`RtNode::telemetry_hex`]).
-    telem_period: Option<std::time::Duration>,
+    telem_period: Option<Duration>,
 }
 
 impl RtNode {
     /// Bind `machine` to `socket`. `peers` maps every *other* node to
-    /// its address; `shim` carries the scenario's medium impairments
-    /// (use an empty plan for a clean medium).
+    /// its address; only datagrams from those addresses are accepted, each
+    /// under the id it is listed with.
     pub fn new(
         machine: StackMachine,
         socket: UdpSocket,
         peers: Vec<(NodeId, SocketAddr)>,
-        shim: FaultShim,
     ) -> io::Result<RtNode> {
         let poller = Poller::new(&socket)?;
         let by_id = peers.iter().copied().collect();
-        let mut machine = machine;
-        let obs = machine.obs_mut().on_mut().map(|o| RtObsIds {
-            c_epoll_wakeups: o.counter("rt.epoll_wakeups"),
-            c_epoll_timeouts: o.counter("rt.epoll_timeouts"),
-            c_dgram_rx: o.counter("rt.dgram_rx"),
-            c_dgram_tx: o.counter("rt.dgram_tx"),
-            c_decode_errors: o.counter("rt.decode_errors"),
-            c_shim_dropped: o.counter("rt.shim_dropped"),
-            c_shim_delayed: o.counter("rt.shim_delayed"),
-            s_loop: o.report.spans.register("rt.loop"),
-        });
         Ok(RtNode {
             machine,
-            socket,
             poller,
-            peers,
-            by_id,
-            shim,
-            report: RtReport::default(),
-            obs,
+            air: Air {
+                socket,
+                peers,
+                by_id,
+                report: RtReport::default(),
+                wake: SimTime::MAX,
+                obs: None,
+                trace: TraceLog::new(0),
+            },
             telem_period: None,
         })
     }
 
+    /// Arm observability: counters, spans and a flight recorder per
+    /// `cfg`, and a causal trace of `trace_capacity` events minting ids
+    /// from this node's namespace (its reservoir seeded by `seed ^ node`,
+    /// so each node samples independently but reruns reproduce). Arming
+    /// changes nothing about what the node sends — only what it records.
+    pub fn arm_obs(&mut self, cfg: &ObsConfig, trace_capacity: usize, seed: u64) {
+        let node = self.machine.id().0;
+        self.air.obs = Some(Box::new(StackObs::new(cfg)));
+        self.air.trace =
+            TraceLog::with_id_base(trace_capacity, seed ^ node as u64, node_id_base(node));
+    }
+
     /// The local socket address (what a child advertises to the parent).
     pub fn local_addr(&self) -> io::Result<SocketAddr> {
-        self.socket.local_addr()
+        self.air.socket.local_addr()
     }
 
     /// Emit a `TELEM <hex>` line on stdout every `period` of wall time
@@ -170,39 +205,36 @@ impl RtNode {
     /// an *empty* trace — they are the crash-forensics heartbeat (small
     /// enough never to back up the parent's pipe mid-run); the full
     /// trace ships once, in the final [`RtNode::telemetry_hex`] frame.
-    pub fn set_telemetry_period(&mut self, period: std::time::Duration) {
+    pub fn set_telemetry_period(&mut self, period: Duration) {
         self.telem_period = Some(period);
     }
 
-    /// Bump a registered substrate counter if the sink is armed.
-    #[inline]
-    fn obs_inc(&mut self, pick: impl FnOnce(&RtObsIds) -> CounterId) {
-        if let Some(ids) = &self.obs {
-            let id = pick(ids);
-            if let Some(o) = self.machine.obs_mut().on_mut() {
-                o.inc(id, 1);
-            }
+    /// Mirror the protocol layers' running totals into the armed report.
+    fn sync_obs(&mut self) {
+        if let Some(o) = &mut self.air.obs {
+            let q = self.machine.query_stats().copied().unwrap_or_default();
+            o.mirror_stats(&q, self.machine.aodv().stats());
         }
     }
 
     /// Mirror the protocol totals and return the current telemetry frame
-    /// hex-armored for the stdio channel, if the sink is armed. With
+    /// hex-armored for the stdio channel, if observability is armed. With
     /// `full_trace` the frame carries the whole causal trace (the final,
     /// at-shutdown snapshot); without it the trace section is empty (the
     /// periodic heartbeat).
     pub fn telemetry_hex(&mut self, full_trace: bool) -> Option<String> {
-        self.machine.sync_obs();
-        let node = self.machine.id().0;
-        let obs = self.machine.obs().on()?;
+        self.sync_obs();
+        let obs = self.air.obs.as_ref()?;
         let empty = TraceLog::new(0);
-        let trace = if full_trace { &obs.trace } else { &empty };
+        let trace = if full_trace { &self.air.trace } else { &empty };
+        let node = self.machine.id().0;
         Some(to_hex(&encode_telemetry(node, &obs.report, trace)))
     }
 
     /// The armed report (for failure dumps), synced first.
     pub fn obs_report(&mut self) -> Option<&ObsReport> {
-        self.machine.sync_obs();
-        self.machine.obs().on().map(|o| &o.report)
+        self.sync_obs();
+        self.air.obs.as_ref().map(|o| &o.report)
     }
 
     /// Join the overlay after `join_delay`, then run the event loop for
@@ -216,75 +248,65 @@ impl RtNode {
     /// swarm gives each node an id-proportional delay for the same
     /// effect; before joining, the node still relays frames (AODV runs
     /// from the first datagram).
-    pub fn run(
-        &mut self,
-        duration: std::time::Duration,
-        join_delay: std::time::Duration,
-    ) -> io::Result<RtReport> {
-        let mut sub = DeadlineReg {
-            clock: Clock::start(),
-            next: SimTime::MAX,
-        };
+    pub fn run(&mut self, duration: Duration, join_delay: Duration) -> io::Result<RtReport> {
+        let clock = Clock::start();
         let end = SimTime::from_ticks(duration.as_micros() as u64);
         let join_at = SimTime::from_ticks(join_delay.as_micros() as u64).min(end);
         let telem_ticks = self
             .telem_period
-            .filter(|_| self.obs.is_some())
+            .filter(|_| self.air.obs.is_some())
             .map(|p| (p.as_micros() as u64).max(1));
         let mut next_telem = telem_ticks.map_or(SimTime::MAX, SimTime::from_ticks);
         let mut iters: u64 = 0;
+        let mut join_pending = true;
 
         loop {
-            let mut deadline = sub.next.min(end).min(next_telem);
-            if !self.machine.is_joined() {
+            let mut deadline = self.air.wake.min(end).min(next_telem);
+            if join_pending {
                 deadline = deadline.min(join_at);
             }
-            if let Some(due) = self.shim.next_due() {
-                deadline = deadline.min(due);
-            }
-            let timeout = sub.clock.timeout_until(deadline);
-            let readable = self.poller.wait(&self.socket, timeout)?;
-            self.obs_inc(|ids| {
-                if readable {
-                    ids.c_epoll_wakeups
+            let timeout = clock.timeout_until(deadline);
+            let readable = self.poller.wait(&self.air.socket, timeout)?;
+            if let Some(o) = &mut self.air.obs {
+                o.inc(if readable {
+                    o.c_epoll_wakeups
                 } else {
-                    ids.c_epoll_timeouts
-                }
-            });
+                    o.c_epoll_timeouts
+                });
+            }
             // Stride-sampled wall-clock span over the post-poll loop
             // body: one timestamp pair per SPAN_STRIDE wakeups.
             iters += 1;
-            let timed = self.obs.is_some() && iters.is_multiple_of(SPAN_STRIDE);
+            let timed = self.air.obs.is_some() && iters.is_multiple_of(SPAN_STRIDE);
             let t0 = timed.then(Instant::now);
 
             if readable {
-                self.drain(&sub)?;
+                self.drain(&clock)?;
             }
-            let now = sub.now();
-            if !self.machine.is_joined() && now >= join_at {
-                let out = self.machine.join(now);
-                self.emit(now, out);
+            let now = clock.now();
+            if join_pending && now >= join_at {
+                join_pending = false;
+                if let Some(o) = &mut self.air.obs {
+                    let id = self.machine.id();
+                    o.flight(
+                        now,
+                        Severity::Info,
+                        "join",
+                        format!("{id} joined the overlay"),
+                    );
+                }
+                self.machine.join(&mut self.air, now);
             }
-            if sub.next <= now {
-                sub.next = SimTime::MAX;
-                let out = self.machine.tick(now);
-                self.emit(now, out);
+            if self.air.wake <= now {
+                self.air.wake = SimTime::MAX;
+                self.machine.tick(&mut self.air, now);
             }
-            for (to, bytes) in self.shim.take_due(now) {
-                self.socket.send_to(&bytes, to)?;
-                self.report.frames_sent += 1;
-                self.obs_inc(|ids| ids.c_dgram_tx);
-            }
-            self.rearm(&mut sub);
-            if let Some(o) = self.machine.obs_mut().on_mut() {
+            if let Some(o) = &mut self.air.obs {
                 o.maybe_sample(now);
-            }
-            if let (Some(t0), Some(ids)) = (t0, &self.obs) {
-                let s_loop = ids.s_loop;
-                if let Some(o) = self.machine.obs_mut().on_mut() {
+                if let Some(t0) = t0 {
                     o.report
                         .spans
-                        .add_weighted(s_loop, t0.elapsed(), SPAN_STRIDE);
+                        .add_weighted(o.s_loop, t0.elapsed(), SPAN_STRIDE);
                 }
             }
             if now >= next_telem {
@@ -297,107 +319,51 @@ impl RtNode {
                     }
                 }
             }
-            if sub.now() >= end {
+            if clock.now() >= end {
                 break;
             }
         }
 
-        let qs = self.machine.query_stats();
-        self.report.issued = qs.issued;
-        self.report.hits_served = qs.hits_served;
-        self.report.shim_dropped = self.shim.dropped;
-        self.report.shim_delayed = self.shim.delayed;
-        self.machine.sync_obs();
-        Ok(self.report)
+        if let Some(qs) = self.machine.query_stats() {
+            self.air.report.issued = qs.issued;
+            self.air.report.hits_served = qs.hits_served;
+        }
+        self.sync_obs();
+        Ok(self.air.report)
     }
 
-    /// Ask the machine for its combined timer and record it in the
-    /// deadline register — the same `resched_timer` dance the DES does,
-    /// against the other substrate.
-    fn rearm(&self, sub: &mut DeadlineReg) {
-        let req = self.machine.timer_request();
-        let id = self.machine.id();
-        sub.arm_timer(id, req.at);
-    }
-
-    /// Drain every pending datagram and hand each up as a frame.
-    fn drain(&mut self, sub: &DeadlineReg) -> io::Result<()> {
+    /// Drain every pending datagram and hand each accepted one up as a
+    /// frame. A frame is accepted only from the address its claimed
+    /// sender is listed with, so no other socket can speak for a peer.
+    fn drain(&mut self, clock: &Clock) -> io::Result<()> {
         let mut buf = [0u8; MAX_DATAGRAM];
         loop {
-            match self.socket.recv_from(&mut buf) {
-                Ok((len, _addr)) => match decode_frame(&buf[..len]) {
-                    Ok(frame) => {
-                        self.report.frames_received += 1;
-                        self.obs_inc(|ids| ids.c_dgram_rx);
-                        let now = sub.now();
-                        let out = self.machine.on_frame(now, frame);
-                        self.emit(now, out);
-                    }
-                    Err(e) => {
-                        self.report.decode_errors += 1;
-                        self.obs_inc(|ids| ids.c_decode_errors);
-                        let now = sub.now();
-                        if let Some(o) = self.machine.obs_mut().on_mut() {
-                            o.flight(
-                                now,
-                                Severity::Warn,
-                                "decode_error",
-                                format!("{len}-byte datagram rejected: {e}"),
-                            );
+            match self.air.socket.recv_from(&mut buf) {
+                Ok((len, addr)) => {
+                    let now = clock.now();
+                    match decode_frame(&buf[..len]) {
+                        Ok(frame) if self.air.by_id.get(&frame.from) == Some(&addr) => {
+                            self.air.report.frames_received += 1;
+                            if let Some(o) = &mut self.air.obs {
+                                o.inc(o.c_dgram_rx);
+                            }
+                            self.machine.on_frame(&mut self.air, now, frame);
                         }
+                        Ok(frame) => self.air.reject(
+                            now,
+                            "spoofed_sender",
+                            format!("frame claiming to be {} arrived from {addr}", frame.from),
+                        ),
+                        Err(e) => self.air.reject(
+                            now,
+                            "decode_error",
+                            format!("{len}-byte datagram rejected: {e}"),
+                        ),
                     }
-                },
+                }
                 Err(e) if e.kind() == io::ErrorKind::WouldBlock => return Ok(()),
                 Err(e) if e.kind() == io::ErrorKind::Interrupted => continue,
                 Err(e) => return Err(e),
-            }
-        }
-    }
-
-    /// Execute a machine output against the socket: encode frames, pass
-    /// them through the fault shim, tally completions.
-    fn emit(&mut self, now: SimTime, out: StackOutput) {
-        for frame in out.frames {
-            match frame {
-                SendDown::Broadcast(msg) => {
-                    let bytes = encode_frame(self.machine.id(), &msg);
-                    for i in 0..self.peers.len() {
-                        let to = self.peers[i].1;
-                        self.transmit(now, to, bytes.clone());
-                    }
-                }
-                SendDown::Unicast { to, msg } => {
-                    if let Some(&addr) = self.by_id.get(&to) {
-                        let bytes = encode_frame(self.machine.id(), &msg);
-                        self.transmit(now, addr, bytes);
-                    }
-                }
-            }
-        }
-        for done in &out.completed {
-            if !done.answers.is_empty() {
-                self.report.answered += 1;
-            }
-        }
-    }
-
-    /// One datagram through the fault shim and (maybe) onto the wire.
-    ///
-    /// The shim draws per *datagram*: a broadcast that fans out to N
-    /// peers takes N independent draws, the socket-level analogue of the
-    /// modelled radio drawing per receiver.
-    fn transmit(&mut self, now: SimTime, to: SocketAddr, bytes: Vec<u8>) {
-        match self.shim.on_send(now) {
-            SendVerdict::Now => {
-                if self.socket.send_to(&bytes, to).is_ok() {
-                    self.report.frames_sent += 1;
-                    self.obs_inc(|ids| ids.c_dgram_tx);
-                }
-            }
-            SendVerdict::Drop => self.obs_inc(|ids| ids.c_shim_dropped),
-            SendVerdict::DelayUntil(due) => {
-                self.shim.hold(due, to, bytes);
-                self.obs_inc(|ids| ids.c_shim_delayed);
             }
         }
     }
@@ -408,10 +374,8 @@ mod tests {
     use super::*;
     use manet_aodv::AodvCfg;
     use manet_des::Rng;
-    use manet_sim::FaultPlan;
     use p2p_content::{Catalog, FileId, QueryCfg, QueryEngine};
     use p2p_core::{build_algo, AlgoKind, OverlayParams};
-    use std::time::Duration;
 
     fn machine(id: u32, files: Vec<u16>) -> StackMachine {
         let node = NodeId(id);
@@ -450,18 +414,12 @@ mod tests {
 
         // Node 0 holds nothing and node 1 holds the whole catalogue, so
         // every query node 0 issues has exactly one possible answerer.
-        let mut node_a = RtNode::new(
-            machine(0, vec![]),
-            sock_a,
-            vec![(NodeId(1), addr_b)],
-            FaultShim::new(&FaultPlan::default(), 1),
-        )
-        .expect("node a");
+        let mut node_a =
+            RtNode::new(machine(0, vec![]), sock_a, vec![(NodeId(1), addr_b)]).expect("node a");
         let mut node_b = RtNode::new(
             machine(1, (0..20).collect()),
             sock_b,
             vec![(NodeId(0), addr_a)],
-            FaultShim::new(&FaultPlan::default(), 2),
         )
         .expect("node b");
 
@@ -472,6 +430,14 @@ mod tests {
         let ra = node_a.run(run, Duration::ZERO).expect("a runs");
         let rb = t.join().expect("join b");
 
+        assert!(
+            node_a.obs_report().is_none(),
+            "an unarmed node records nothing"
+        );
+        assert!(
+            node_a.telemetry_hex(true).is_none(),
+            "and ships no telemetry"
+        );
         assert!(ra.frames_sent > 0 && rb.frames_sent > 0, "traffic flowed");
         assert_eq!(ra.decode_errors + rb.decode_errors, 0, "codec clean");
         assert!(
@@ -484,38 +450,61 @@ mod tests {
         );
     }
 
-    /// The same two-node exchange with the observability seam armed: the
+    /// A well-formed frame claiming to be node 1 is accepted from node
+    /// 1's address and rejected from any other socket.
+    #[test]
+    fn impersonated_datagrams_are_rejected() {
+        let sock_a = UdpSocket::bind("127.0.0.1:0").expect("bind a");
+        let sock_b = UdpSocket::bind("127.0.0.1:0").expect("bind b");
+        let intruder = UdpSocket::bind("127.0.0.1:0").expect("bind intruder");
+        let addr_a = sock_a.local_addr().unwrap();
+        let addr_b = sock_b.local_addr().unwrap();
+
+        let mut node_a =
+            RtNode::new(machine(0, vec![]), sock_a, vec![(NodeId(1), addr_b)]).expect("node a");
+        node_a.arm_obs(&ObsConfig::default(), 64, 7);
+        let frame = encode_frame(NodeId(1), &Msg::Hello(manet_aodv::msg::Hello { seq: 1 }));
+        intruder.send_to(&frame, addr_a).expect("intruder sends");
+        sock_b.send_to(&frame, addr_a).expect("peer sends");
+
+        let report = node_a
+            .run(Duration::from_millis(200), Duration::from_secs(1))
+            .expect("a runs");
+        assert_eq!(report.frames_received, 1, "only the genuine frame");
+        assert_eq!(report.decode_errors, 1, "the impersonation is counted");
+        let obs = node_a.obs_report().expect("armed");
+        assert_eq!(obs.registry.counter_by_name("rt.decode_errors"), Some(1));
+        let intruder_addr = intruder.local_addr().unwrap().to_string();
+        assert!(
+            obs.recorder.records().any(|r| r.severity == Severity::Warn
+                && r.msg.contains(&NodeId(1).to_string())
+                && r.msg.contains(&intruder_addr)),
+            "a warning names the claimed sender and the address"
+        );
+    }
+
+    /// The same two-node exchange with observability armed: the
     /// substrate counters must agree exactly with the `RtReport` tallies,
     /// and the final telemetry frame must round-trip through the codec.
     #[test]
     fn armed_node_counters_reconcile_with_its_report() {
-        use manet_obs::ObsConfig;
-        use p2p_stack::{decode_telemetry, from_hex, ObsSink};
+        use p2p_stack::{decode_telemetry, from_hex, TraceEvent};
 
         let sock_a = UdpSocket::bind("127.0.0.1:0").expect("bind a");
         let sock_b = UdpSocket::bind("127.0.0.1:0").expect("bind b");
         let addr_a = sock_a.local_addr().unwrap();
         let addr_b = sock_b.local_addr().unwrap();
 
-        let mut m_a = machine(0, vec![]);
-        m_a.set_obs(ObsSink::armed(0, &ObsConfig::default(), 1024, 7));
-        let mut m_b = machine(1, (0..20).collect());
-        m_b.set_obs(ObsSink::armed(1, &ObsConfig::default(), 1024, 7));
-
-        let mut node_a = RtNode::new(
-            m_a,
-            sock_a,
-            vec![(NodeId(1), addr_b)],
-            FaultShim::new(&FaultPlan::default(), 1),
-        )
-        .expect("node a");
+        let mut node_a =
+            RtNode::new(machine(0, vec![]), sock_a, vec![(NodeId(1), addr_b)]).expect("node a");
+        node_a.arm_obs(&ObsConfig::default(), 1024, 7);
         let mut node_b = RtNode::new(
-            m_b,
+            machine(1, (0..20).collect()),
             sock_b,
             vec![(NodeId(0), addr_a)],
-            FaultShim::new(&FaultPlan::default(), 2),
         )
         .expect("node b");
+        node_b.arm_obs(&ObsConfig::default(), 1024, 7);
 
         let run = Duration::from_millis(2_000);
         let t = std::thread::spawn(move || {
@@ -529,6 +518,7 @@ mod tests {
         for (report, hex, node) in [(ra, hex_a, 0u32), (rb, hex_b, 1u32)] {
             let telem = decode_telemetry(&from_hex(&hex).expect("hex")).expect("frame");
             assert_eq!(telem.node, node);
+            assert_eq!(telem.report.runs, 1, "each node contributes one run");
             let reg = &telem.report.registry;
             assert_eq!(
                 reg.counter_by_name("rt.dgram_rx"),
@@ -546,6 +536,25 @@ mod tests {
                 "traffic flowed, so the poller woke at least once"
             );
             assert!(!telem.trace.is_empty(), "causal spans were recorded");
+            assert_eq!(
+                telem.trace.id_base(),
+                node_id_base(node),
+                "spans mint from the node's own namespace"
+            );
+            let namespace = node_id_base(node)..node_id_base(node + 1);
+            let minted: Vec<u64> = telem
+                .trace
+                .events()
+                .filter_map(|(_, e)| match e {
+                    TraceEvent::Origin { ctx, .. } => Some(ctx.trace_id),
+                    _ => None,
+                })
+                .collect();
+            assert!(!minted.is_empty(), "node {node} originated a trace");
+            assert!(
+                minted.iter().all(|id| namespace.contains(id)),
+                "every trace the node originates is minted in its namespace"
+            );
         }
     }
 }

@@ -3,13 +3,13 @@
 //!
 //! [`Engine`] is deliberately slim — it owns the future-event list, the
 //! processed-event counter and the peak-depth gauge, and nothing else.
-//! Everything that *reacts* to events lives either in the per-node layer
-//! stack (`crate::stack`) or in a registered [`Subsystem`]
-//! (`crate::subsystems`).
+//! Everything that *reacts* to events lives either in a node's protocol
+//! machine (hosted through `crate::stack`) or in a registered
+//! [`Subsystem`] (`crate::subsystems`).
 //!
-//! Event routing is typed: node-stack traffic (frame deliveries, combined
-//! node timers, overlay joins) is dispatched straight to the layer
-//! adapters, while every cross-cutting process (mobility, churn, faults,
+//! Event routing is typed: node traffic (frame deliveries, combined node
+//! timers, overlay joins) is dispatched straight to the node's machine,
+//! while every cross-cutting process (mobility, churn, faults,
 //! samplers) schedules [`SubEvent`]s in its own namespace — the
 //! [`SubsystemId`] it was registered under. Adding a new subsystem
 //! therefore never touches the [`Event`] enum.
@@ -28,8 +28,8 @@
 //! stays per reception.
 
 use manet_aodv::Msg;
-use manet_des::{EventQueue, NodeId, SchedulerKind, SimTime, Substrate};
-use p2p_stack::AppMsg;
+use manet_des::{EventQueue, NodeId, SchedulerKind, SimTime};
+use p2p_stack::{AppMsg, StackMachine};
 
 use crate::world::WorldCore;
 
@@ -305,21 +305,6 @@ impl Engine {
     }
 }
 
-/// The DES engine is one of the two [`Substrate`]s (the real-time driver
-/// in `manet-rt` is the other): "now" is the virtual clock and arming a
-/// node's combined timer schedules a [`Event::NodeTimer`] on the
-/// future-event list — the exact call path `resched_timer` always used,
-/// now named by the trait.
-impl Substrate for Engine {
-    fn now(&self) -> SimTime {
-        Engine::now(self)
-    }
-
-    fn arm_timer(&mut self, node: NodeId, at: SimTime) {
-        self.schedule(at, Event::NodeTimer(node));
-    }
-}
-
 /// A pluggable cross-cutting process registered on the engine.
 ///
 /// Subsystems own their private state (RNG streams, schedules, cadences)
@@ -382,6 +367,9 @@ pub(crate) trait Subsystem: Send {
 /// namespace.
 pub(crate) struct SubCtx<'a> {
     pub(crate) core: &'a mut WorldCore,
+    /// Every node's protocol machine, for subsystems that power nodes
+    /// on and off or inject traffic.
+    pub(crate) stacks: &'a mut [StackMachine],
     pub(crate) owner: SubsystemId,
 }
 

@@ -177,7 +177,7 @@ mod tests {
         s.area_side = 200.0;
         let mut w = World::new(s, 1);
         assert_eq!(w.core.medium.cfg().range_m, 10.0);
-        for id in 0..w.core.nodes.len() {
+        for id in 0..w.stacks.len() {
             let (pos, up) = match xs.get(id) {
                 Some(&x) => (Point::new(x, 5.0), true),
                 None => (Point::new(195.0, 195.0), false),

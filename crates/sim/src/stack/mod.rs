@@ -1,187 +1,147 @@
-//! The per-node protocol stack: three explicit layers plus mobility.
+//! The DES host of the protocol stack.
+//!
+//! Every node's stack above the phy layer is a [`StackMachine`] — the same
+//! composition `manet-rt` hosts on a UDP socket. The world keeps the
+//! machines beside its core and runs each one with the core as its
+//! [`StackHost`]: frames go onto the modelled radio and the future-event
+//! list ([`phy`]), deliveries feed the figure counters, completed queries
+//! the distance metrics, and timer requests become `NodeTimer` events.
 //!
 //! ```text
-//!   overlay   Reconfigurator + QueryEngine      (crate::stack::overlay)
-//!      ↑ DeliverUp            ↓ OverlayDown
-//!   routing   AODV state machine                (crate::stack::routing)
+//!   StackMachine  AODV → Reconfigurator + QueryEngine   (p2p-stack)
 //!      ↑ FrameUp              ↓ SendDown
-//!   phy       radio stats + energy meter        (crate::stack::phy)
+//!   phy           radio stats + energy meter            (stack::phy)
 //! ```
 //!
-//! Layers communicate exclusively through the typed verbs defined here;
-//! no layer reaches into another's fields. The adapters are free
-//! functions over `&mut WorldCore` rather than methods on a borrowed
-//! [`NodeStack`]: action execution is depth-first and immediate (an AODV
-//! broadcast draws from the shared radio RNG *before* the next action
-//! runs), so the adapters need the whole core — nodes, medium, RNG and
-//! event queue — at every hop of the cascade.
+//! The core holds no machine, so a cascade touches its own node's
+//! protocol state and the medium only. Per-node [`PhyLayer`] state lives
+//! in the core, not in the machines, because a broadcast updates the
+//! receivers' stats in the middle of the sender's cascade.
 
-pub(crate) mod overlay;
 pub(crate) mod phy;
-pub(crate) mod routing;
 
-use manet_aodv::Aodv;
-use manet_des::{NodeId, SimTime, Substrate, TraceCtx};
+use manet_aodv::Msg;
+use manet_des::{NodeId, Rng, SimTime};
+use manet_obs::Severity;
 use manet_radio::{EnergyMeter, PhyStats};
-use p2p_content::QueryEngine;
-use p2p_core::{AdversaryRole, BoxedAlgo, Role};
-use p2p_stack::{AppMsg, TraceEvent};
+use p2p_content::CompletedQuery;
+use p2p_core::build_algo;
+use p2p_stack::{AppMsg, SendDown, StackHost, StackMachine, TimerReq, TraceEvent, TraceLog};
 
+use crate::engine::Event;
 use crate::world::WorldCore;
 
-// ---------------------------------------------------------------------
-// Inter-layer verbs
-// ---------------------------------------------------------------------
-// The verbs themselves live in the substrate-neutral `p2p-stack` crate —
-// they are the *only* boundary either substrate (this DES or the
-// real-time driver) may cross, so both hosts import the same types.
-pub(crate) use p2p_stack::{DeliverUp, FrameUp, OverlayDown, SendDown, TimerReq};
-
-// ---------------------------------------------------------------------
-// Layers
-// ---------------------------------------------------------------------
-
-/// Physical layer: radio accounting and the energy budget.
+/// Physical layer: radio accounting and the energy budget. Radio on/off
+/// lives in [`WorldCore::hot_up`].
 pub(crate) struct PhyLayer {
     pub(crate) stats: PhyStats,
     pub(crate) energy: EnergyMeter,
-    /// Radio on/off (churn, crashes, battery depletion).
-    pub(crate) up: bool,
 }
 
-/// Routing layer: the AODV state machine and the combined-timer slot.
-pub(crate) struct RoutingLayer {
-    pub(crate) aodv: Aodv<AppMsg>,
-    /// Earliest scheduled NodeTimer (MAX = none) — avoids event storms.
-    pub(crate) timer_at: SimTime,
-}
-
-/// Overlay-member state (reconfiguration algorithm + query engine).
-pub(crate) struct MemberState {
-    pub(crate) algo: BoxedAlgo,
-    pub(crate) engine: QueryEngine,
-    pub(crate) joined: bool,
-    /// Seed to rebuild the algorithm after churn or a crash restart.
-    pub(crate) algo_seed: u64,
-    pub(crate) qualifier: u32,
-    /// Trace support: last observed neighbor set and role, for deltas.
-    pub(crate) last_neighbors: Vec<NodeId>,
-    pub(crate) last_role: Role,
-}
-
-/// Overlay layer: present only on members.
-pub(crate) struct OverlayLayer {
-    pub(crate) member: Option<MemberState>,
-}
-
-/// Adversarial behaviour attached to one node (honest nodes carry none).
-///
-/// The role drives deterministic interception at the layer it subverts:
-/// the routing adapter consults it when executing AODV actions
-/// (black/grey-holes, RREQ amplification), the overlay adapter when
-/// delivering content payloads (selfish peers). Query flooding is driven
-/// by a dedicated subsystem and needs no per-frame state here.
-pub(crate) struct AdversaryState {
-    pub(crate) role: AdversaryRole,
-    /// Forwarded payload frames seen so far — the grey-hole's deterministic
-    /// drop counter.
-    pub(crate) fwd_seen: u64,
-}
-
-impl AdversaryState {
-    pub(crate) fn new(role: AdversaryRole) -> Self {
-        AdversaryState { role, fwd_seen: 0 }
-    }
-}
-
-/// One node's full stack, phy to overlay. The node's mobility process and
-/// its RNG stream live in `WorldCore`'s SoA arrays (`mobility`,
-/// `mob_rngs`), dense arrays the radio hot path reads.
-pub(crate) struct NodeStack {
-    pub(crate) phy: PhyLayer,
-    pub(crate) routing: RoutingLayer,
-    pub(crate) overlay: OverlayLayer,
-    /// `Some` only on misbehaving nodes; `None` keeps the honest path
-    /// bit-identical to a world without the adversary subsystem.
-    pub(crate) adversary: Option<AdversaryState>,
-}
-
-impl NodeStack {
-    /// Is this node a member that currently participates in the overlay?
-    pub(crate) fn is_joined(&self) -> bool {
-        self.overlay.member.as_ref().is_some_and(|m| m.joined)
-    }
-
-    /// The earliest wake any layer of this stack needs, as a typed
-    /// [`TimerReq`]: the minimum over the routing, overlay and query
-    /// timers (overlay/query only while joined).
-    ///
-    /// `trace_on` gates the extra scan attributing the wake to a waiting
-    /// route discovery, keeping the untraced hot path unchanged.
-    pub(crate) fn timer_request(&self, trace_on: bool) -> TimerReq {
-        let aodv_wake = self.routing.aodv.next_wake();
-        let mut wake = aodv_wake;
-        if let Some(m) = &self.overlay.member {
-            if m.joined {
-                wake = wake.min(m.algo.next_wake()).min(m.engine.next_wake());
+impl StackHost for WorldCore {
+    fn send(&mut self, now: SimTime, from: NodeId, frame: SendDown) -> Option<Msg<AppMsg>> {
+        match frame {
+            SendDown::Broadcast(msg) => {
+                phy::broadcast(self, now, from, msg);
+                None
             }
+            SendDown::Unicast { to, msg } => phy::unicast(self, now, from, to, msg),
         }
-        let ctx = if trace_on && wake == aodv_wake {
-            self.routing.aodv.next_wake_ctx()
-        } else {
-            TraceCtx::NONE
-        };
-        TimerReq { at: wake, ctx }
+    }
+
+    fn delivered(&mut self, at: NodeId, payload: &AppMsg, hops: u8) {
+        self.counters.record(at, payload.kind());
+        if let Some(obs) = self.obs.on_mut() {
+            obs.hists.observe(obs.hs_hops, hops as u64);
+        }
+    }
+
+    fn query_completed(&mut self, requirer: NodeId, done: &CompletedQuery) {
+        self.record_completed_query(requirer, done);
+    }
+
+    /// Schedule a `NodeTimer` unless the node is down, an earlier (or
+    /// equal) timer is already pending, or the wake lies past the horizon.
+    fn arm_timer(&mut self, now: SimTime, id: NodeId, req: TimerReq) {
+        let TimerReq { at: wake, ctx } = req;
+        if !self.hot_up[id.index()] || wake >= self.timer_at[id.index()] || wake > self.horizon() {
+            return;
+        }
+        let at = wake.max(now);
+        self.engine.schedule(at, Event::NodeTimer(id));
+        self.timer_at[id.index()] = at;
+        if ctx.is_active() {
+            let armed = ctx.child(self.trace.alloc_span());
+            self.trace.record(
+                now,
+                TraceEvent::TimerArm {
+                    node: id,
+                    ctx: armed,
+                    at,
+                },
+            );
+        }
+    }
+
+    fn trace(&mut self) -> &mut TraceLog {
+        &mut self.trace
     }
 }
 
-// ---------------------------------------------------------------------
-// Combined-timer plumbing
-// ---------------------------------------------------------------------
-
-/// The node's combined protocol timer fired: tick routing, then (for
-/// joined members) the overlay and query layers, then re-arm.
-pub(crate) fn node_timer(core: &mut WorldCore, now: SimTime, id: NodeId) {
-    {
-        let node = &mut core.nodes[id.index()];
-        node.routing.timer_at = SimTime::MAX;
-        if !node.phy.up {
-            return;
-        }
+/// The node's combined protocol timer fired: run the machine's tick
+/// unless the radio is off.
+pub(crate) fn node_timer(core: &mut WorldCore, stack: &mut StackMachine, now: SimTime) {
+    let id = stack.id().index();
+    core.timer_at[id] = SimTime::MAX;
+    if core.hot_up[id] {
+        stack.tick(core, now);
     }
-    routing::tick(core, now, id);
-    overlay::tick(core, now, id);
-    resched_timer(core, now, id);
 }
 
-/// Re-arm the node's combined timer from the stack's [`TimerReq`], unless
-/// an earlier (or equal) timer is already pending or the wake lies past
-/// the horizon.
-pub(crate) fn resched_timer(core: &mut WorldCore, now: SimTime, id: NodeId) {
-    let trace_on = core.trace.enabled();
-    let TimerReq { at: wake, ctx } = {
-        let node = &core.nodes[id.index()];
-        if !node.phy.up {
-            return;
-        }
-        node.timer_request(trace_on)
-    };
-    let horizon = core.horizon();
-    if wake >= core.nodes[id.index()].routing.timer_at || wake > horizon {
+/// A member's staggered join fired.
+pub(crate) fn join(core: &mut WorldCore, stack: &mut StackMachine, now: SimTime) {
+    let id = stack.id();
+    if !core.hot_up[id.index()] || !stack.is_member() {
         return;
     }
-    let at = wake.max(now);
-    core.engine.arm_timer(id, at);
-    core.nodes[id.index()].routing.timer_at = at;
-    if ctx.is_active() {
-        let armed = ctx.child(core.trace.alloc_span());
-        core.trace.record(
-            now,
-            TraceEvent::TimerArm {
-                node: id,
-                ctx: armed,
-                at,
-            },
+    core.obs_record(now, Severity::Info, "join", || {
+        format!("{id} joined the overlay")
+    });
+    stack.join(core, now);
+}
+
+/// The node's radio switches off (churn, crash): the overlay presence
+/// dies with it. Peers discover via failed pings.
+pub(crate) fn power_off(core: &mut WorldCore, stack: &mut StackMachine, now: SimTime) {
+    let id = stack.id();
+    core.hot_up[id.index()] = false;
+    stack.power_off();
+    core.trace.record(
+        now,
+        TraceEvent::PowerChange {
+            node: id,
+            up: false,
+        },
+    );
+}
+
+/// The node's radio comes back (churn recovery, crash restart): a member
+/// restarts with an algorithm rebuilt from its stable seed — same
+/// identity and files, blank protocol state — and rejoins at once. The
+/// caller re-arms the timer.
+pub(crate) fn power_on(core: &mut WorldCore, stack: &mut StackMachine, now: SimTime) {
+    let id = stack.id();
+    core.hot_up[id.index()] = true;
+    if let Some(&(seed, qualifier)) = core.algo_seeds.get(id.index()) {
+        let algo = build_algo(
+            core.scenario.algo,
+            id,
+            core.scenario.overlay,
+            qualifier,
+            Rng::new(seed),
         );
+        stack.restart(core, now, algo);
     }
+    core.trace
+        .record(now, TraceEvent::PowerChange { node: id, up: true });
 }

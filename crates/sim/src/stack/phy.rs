@@ -1,42 +1,46 @@
-//! The phy-layer adapter: frame arrival and transmission.
+//! The phy layer: frame arrival and transmission.
 //!
 //! Owns all radio accounting (PHY stats, energy charges) and the only
-//! contact point with the [`Medium`](manet_radio::Medium): the routing
-//! layer hands down [`SendDown`] verbs, arriving frames are handed up as
-//! [`FrameUp`] verbs. Energy charges borrow the medium's config in place —
-//! no per-frame clone on the hot path.
+//! contact point with the [`Medium`](manet_radio::Medium): a machine's
+//! [`SendDown`](p2p_stack::SendDown) verbs arrive through the
+//! [`StackHost`](p2p_stack::StackHost) impl, and arriving frames are
+//! handed up as [`FrameUp`] verbs. Energy charges borrow the medium's
+//! config in place — no per-frame clone on the hot path.
 
 use std::time::Instant;
 
+use manet_aodv::Msg;
 use manet_des::{NodeId, SimTime};
 use manet_mobility::Mobility;
 use manet_obs::Severity;
-use p2p_stack::{AppMsg, TraceEvent};
+use p2p_stack::{trace_send, AppMsg, FrameUp, StackMachine};
 
 use crate::engine::Event;
-use crate::stack::{routing, FrameUp, SendDown};
 use crate::world::{WorldCore, SPAN_STRIDE};
 
-/// A frame finished arriving at `to`: charge reception, then hand the
-/// frame up to the routing layer (unless the radio is off or the battery
-/// just died).
-pub(crate) fn frame_arrival(core: &mut WorldCore, now: SimTime, to: NodeId, frame: FrameUp) {
-    let FrameUp { from, msg } = frame;
+/// A frame finished arriving at `stack`'s node: charge reception, then
+/// hand the frame up to the machine (unless the radio is off or the
+/// battery just died).
+pub(crate) fn frame_arrival(
+    core: &mut WorldCore,
+    stack: &mut StackMachine,
+    now: SimTime,
+    frame: FrameUp,
+) {
+    let to = stack.id();
+    if !core.hot_up[to.index()] {
+        return;
+    }
     let depleted = {
         let cfg = core.medium.cfg();
-        let node = &mut core.nodes[to.index()];
-        if !node.phy.up || node.phy.energy.is_depleted() {
+        let phy = &mut core.phy[to.index()];
+        if phy.energy.is_depleted() {
             return;
         }
-        let bytes = msg.wire_size();
-        node.phy.stats.on_receive(bytes);
-        node.phy.energy.charge_rx(cfg, bytes);
-        if node.phy.energy.is_depleted() {
-            node.phy.up = false;
-            true
-        } else {
-            false
-        }
+        let bytes = frame.msg.wire_size();
+        phy.stats.on_receive(bytes);
+        phy.energy.charge_rx(cfg, bytes);
+        phy.energy.is_depleted()
     };
     if depleted {
         core.hot_up[to.index()] = false;
@@ -45,48 +49,34 @@ pub(crate) fn frame_arrival(core: &mut WorldCore, now: SimTime, to: NodeId, fram
         });
         return;
     }
-    routing::frame_up(core, now, to, FrameUp { from, msg });
+    stack.on_frame(core, now, frame);
 }
 
-/// Execute a [`SendDown`] verb from the routing layer at node `from`.
-pub(crate) fn send_down(core: &mut WorldCore, now: SimTime, from: NodeId, verb: SendDown) {
-    match verb {
-        SendDown::Broadcast(msg) => broadcast(core, now, from, msg),
-        SendDown::Unicast { to, msg } => unicast(core, now, from, to, msg),
+/// Charge a transmission of `bytes` at `from`. False when the radio is
+/// off or the battery is flat, and nothing goes on the air.
+fn charge_tx(core: &mut WorldCore, from: NodeId, bytes: u32) -> bool {
+    let cfg = core.medium.cfg();
+    let phy = &mut core.phy[from.index()];
+    if !core.hot_up[from.index()] || phy.energy.is_depleted() {
+        return false;
     }
+    phy.stats.on_send(bytes);
+    phy.energy.charge_tx(cfg, bytes);
+    true
 }
 
 /// Put `msg` on the air at `from`: charge the transmission, plan every
 /// reception in range, and count the lost ones. The surviving receptions
 /// are scheduled as one fan-out slot
 /// ([`Engine::schedule_fanout`](crate::engine::Engine::schedule_fanout)).
-fn broadcast(core: &mut WorldCore, now: SimTime, from: NodeId, mut msg: manet_aodv::Msg<AppMsg>) {
+pub(crate) fn broadcast(core: &mut WorldCore, now: SimTime, from: NodeId, mut msg: Msg<AppMsg>) {
     let bytes = msg.wire_size();
-    {
-        let cfg = core.medium.cfg();
-        let node = &mut core.nodes[from.index()];
-        if !node.phy.up || node.phy.energy.is_depleted() {
-            return;
-        }
-        node.phy.stats.on_send(bytes);
-        node.phy.energy.charge_tx(cfg, bytes);
+    if !charge_tx(core, from, bytes) {
+        return;
     }
     // Record the Send span before the per-receiver clones, so every
     // reception of this frame chains off the same transmission.
-    if core.trace.enabled() && msg.ctx().is_active() {
-        let send = msg.ctx().child(core.trace.alloc_span());
-        core.trace.record(
-            now,
-            TraceEvent::Send {
-                node: from,
-                ctx: send,
-                to: None,
-                frame: msg.kind(),
-                bytes,
-            },
-        );
-        msg.set_ctx(send);
-    }
+    trace_send(&mut core.trace, now, from, None, &mut msg);
     let pos = core.mobility[from.index()].position(now);
     let faults = core.active_faults();
     // Stride-sampled span timing: only 1 in SPAN_STRIDE plans pays for an
@@ -122,7 +112,7 @@ fn broadcast(core: &mut WorldCore, now: SimTime, from: NodeId, mut msg: manet_ao
             "receptions of one broadcast share one delay"
         );
         if r.lost {
-            core.nodes[r.to.index()].phy.stats.on_loss();
+            core.phy[r.to.index()].stats.on_loss();
         }
     }
     let survivors = core.scratch.receptions.iter().filter(|r| !r.lost);
@@ -130,45 +120,26 @@ fn broadcast(core: &mut WorldCore, now: SimTime, from: NodeId, mut msg: manet_ao
         .schedule_fanout(now + after, from, msg, survivors.map(|r| r.to));
 }
 
-fn unicast(
+/// Put a unicast to `to` on the air at `from`. Hands the frame back when
+/// `to` is down or out of range, so the sender's AODV repairs the route.
+pub(crate) fn unicast(
     core: &mut WorldCore,
     now: SimTime,
     from: NodeId,
     to: NodeId,
-    mut msg: manet_aodv::Msg<AppMsg>,
-) {
+    mut msg: Msg<AppMsg>,
+) -> Option<Msg<AppMsg>> {
     let bytes = msg.wire_size();
-    {
-        let cfg = core.medium.cfg();
-        let node = &mut core.nodes[from.index()];
-        if !node.phy.up || node.phy.energy.is_depleted() {
-            return;
-        }
-        node.phy.stats.on_send(bytes);
-        node.phy.energy.charge_tx(cfg, bytes);
+    if !charge_tx(core, from, bytes) {
+        return None;
     }
     // Stamp the Send span before fate is decided: a failed unicast hands
     // the stamped frame to AODV, linking the RERR/rediscovery fallout
     // under this transmission.
-    if core.trace.enabled() && msg.ctx().is_active() {
-        let send = msg.ctx().child(core.trace.alloc_span());
-        core.trace.record(
-            now,
-            TraceEvent::Send {
-                node: from,
-                ctx: send,
-                to: Some(to),
-                frame: msg.kind(),
-                bytes,
-            },
-        );
-        msg.set_ctx(send);
-    }
+    trace_send(&mut core.trace, now, from, Some(to), &mut msg);
     let pos = core.mobility[from.index()].position(now);
-    // A down receiver is indistinguishable from an out-of-range one. The
-    // liveness read goes through the hot array, which mirrors `phy.up`.
-    let receiver_up = core.hot_up[to.index()];
-    let plan = if receiver_up {
+    // A down receiver is indistinguishable from an out-of-range one.
+    let plan = if core.hot_up[to.index()] {
         let faults = core.active_faults();
         core.medium
             .plan_unicast(&core.grid, pos, to, bytes, &mut core.radio_rng, faults)
@@ -180,19 +151,14 @@ fn unicast(
             core.engine
                 .schedule(now + r.after, Event::Deliver { to, from, msg });
         }
-        Some(_) => {
-            core.nodes[to.index()].phy.stats.on_loss();
-        }
+        Some(_) => core.phy[to.index()].stats.on_loss(),
         None => {
-            core.nodes[from.index()].phy.stats.on_link_break();
+            core.phy[from.index()].stats.on_link_break();
             core.obs_record(now, Severity::Debug, "link_break", || {
                 format!("{from} lost unicast link to {to}")
             });
-            let acts = core.nodes[from.index()]
-                .routing
-                .aodv
-                .on_unicast_failed(now, to, msg);
-            routing::exec(core, now, from, acts);
+            return Some(msg);
         }
     }
+    None
 }

@@ -1,7 +1,8 @@
 //! The query-flooder adversary: a subsystem injecting synthetic queries.
 //!
 //! Black/grey-holes, RREQ amplifiers and selfish peers act *inside* the
-//! per-node stack (they rewrite traffic the honest protocol produced);
+//! node's [`StackMachine`](p2p_stack::StackMachine) (they rewrite traffic
+//! the honest protocol produced);
 //! query flooding instead needs its own clock — a flooding member emits
 //! bursts on a fixed period regardless of what its query engine is doing.
 //! That makes it a [`Subsystem`] like churn or the fault drivers, with
@@ -12,9 +13,9 @@
 
 use manet_des::{NodeId, SimDuration, SimTime, TraceCtx};
 use p2p_content::{ContentMsg, FileId, QueryId};
+use p2p_stack::OverlayDown;
 
 use crate::engine::{SubCtx, SubEvent, Subsystem};
-use crate::stack::OverlayDown;
 
 /// Flooder query sequence numbers start here, far above anything a real
 /// [`QueryEngine`](p2p_content::QueryEngine) issues (engines count up
@@ -52,17 +53,11 @@ impl Subsystem for QueryFlooderDriver {
         let period = slot.1;
         ctx.schedule(now + period, SubEvent::Node(id));
         let core = &mut *ctx.core;
-        let node = &core.nodes[id.index()];
-        if !node.phy.up || !node.is_joined() {
+        let stack = &mut ctx.stacks[id.index()];
+        if !core.hot_up[id.index()] || !stack.is_joined() {
             return; // powered-off or not-yet-joined flooders stay quiet
         }
-        let neighbors = node
-            .overlay
-            .member
-            .as_ref()
-            .expect("joined member")
-            .algo
-            .neighbors();
+        let neighbors = stack.neighbors();
         if neighbors.is_empty() {
             return;
         }
@@ -76,10 +71,9 @@ impl Subsystem for QueryFlooderDriver {
             p2p_hops: 0,
         };
         for to in neighbors {
-            crate::stack::routing::overlay_down(
+            stack.overlay_down(
                 core,
                 now,
-                id,
                 OverlayDown::Content {
                     to,
                     msg: msg.clone(),
@@ -87,6 +81,6 @@ impl Subsystem for QueryFlooderDriver {
                 },
             );
         }
-        crate::stack::resched_timer(core, now, id);
+        stack.rearm(core, now);
     }
 }

@@ -36,7 +36,7 @@ impl Subsystem for ChurnDriver {
             SubEvent::Node(id) => {
                 // The overlay presence dies with the radio; peers discover
                 // via failed pings.
-                stack::overlay::power_off(ctx.core, now, id);
+                stack::power_off(ctx.core, &mut ctx.stacks[id.index()], now);
                 ctx.core.obs_record(now, Severity::Warn, "churn", || {
                     format!("{id} churned down")
                 });
@@ -47,12 +47,12 @@ impl Subsystem for ChurnDriver {
                 );
             }
             SubEvent::NodeAlt(id) => {
-                stack::overlay::power_on(ctx.core, now, id);
+                stack::power_on(ctx.core, &mut ctx.stacks[id.index()], now);
                 ctx.core
                     .obs_record(now, Severity::Info, "churn", || format!("{id} churned up"));
                 let up = self.rng.exponential(self.cfg.mean_uptime);
                 ctx.schedule(now + SimDuration::from_secs_f64(up), SubEvent::Node(id));
-                stack::resched_timer(ctx.core, now, id);
+                ctx.stacks[id.index()].rearm(ctx.core, now);
             }
             SubEvent::Tick => {}
         }

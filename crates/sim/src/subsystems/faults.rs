@@ -75,7 +75,7 @@ impl Subsystem for CrashPlan {
                     .iter()
                     .find(|c| c.node == id && c.at <= now)
                     .and_then(|c| c.restart_after);
-                stack::overlay::power_off(ctx.core, now, id);
+                stack::power_off(ctx.core, &mut ctx.stacks[id.index()], now);
                 ctx.core
                     .obs_record(now, Severity::Warn, "crash", || format!("{id} crashed"));
                 if let Some(after) = restart_after {
@@ -83,10 +83,10 @@ impl Subsystem for CrashPlan {
                 }
             }
             SubEvent::NodeAlt(id) => {
-                stack::overlay::power_on(ctx.core, now, id);
+                stack::power_on(ctx.core, &mut ctx.stacks[id.index()], now);
                 ctx.core
                     .obs_record(now, Severity::Info, "crash", || format!("{id} restarted"));
-                stack::resched_timer(ctx.core, now, id);
+                ctx.stacks[id.index()].rearm(ctx.core, now);
             }
             SubEvent::Tick => {}
         }

@@ -23,7 +23,7 @@ impl Subsystem for SmallWorldSampler {
 
     fn handle(&mut self, ctx: &mut SubCtx<'_>, now: SimTime, ev: SubEvent) {
         let SubEvent::Tick = ev else { return };
-        let graph = ctx.core.overlay_graph();
+        let graph = ctx.core.overlay_graph(ctx.stacks);
         if let Some(sw) = small_world(&graph) {
             ctx.core.smallworld.push((now.as_secs_f64(), sw));
         }

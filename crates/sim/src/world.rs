@@ -4,9 +4,9 @@
 //! One [`World`] is one replication. Since the layered refactor it is a
 //! thin composition root: the crate-private `Engine` (`crate::engine`)
 //! owns the clock and future-event list, every node's protocol stack
-//! (mobility → phy → AODV → overlay → query engine) lives in a
-//! `NodeStack` (`crate::stack`) whose layers talk through typed verbs,
-//! and every cross-cutting process (mobility epochs, churn, the fault
+//! above the phy layer (AODV → overlay → query engine) is a
+//! [`StackMachine`] hosted by the core (`crate::stack`), and every
+//! cross-cutting process (mobility epochs, churn, the fault
 //! plan, samplers) is a registered `Subsystem` (`crate::subsystems`)
 //! with its own event namespace. `WorldCore` is the shared state those
 //! parts operate on.
@@ -34,7 +34,7 @@ use manet_obs::{
 use manet_radio::{EnergyMeter, LinkFaults, Medium, PhyStats, TxScratch};
 use p2p_content::{CompletedQuery, QueryEngine};
 use p2p_core::{build_algo, Role};
-use p2p_stack::{TraceEvent, TraceLog};
+use p2p_stack::{FrameUp, StackMachine, TraceLog};
 
 use std::path::{Path, PathBuf};
 use std::time::Instant;
@@ -43,9 +43,8 @@ use crate::engine::{Engine, Event, SubCtx, Subsystem, SubsystemId};
 use crate::errors::ScenarioError;
 use crate::oracle::HopOracle;
 use crate::scenario::{MobilityKind, Scenario};
-use crate::stack::{FrameUp, MemberState, NodeStack, OverlayLayer, PhyLayer, RoutingLayer};
+use crate::stack::PhyLayer;
 use crate::subsystems;
-use manet_aodv::Aodv;
 
 /// RNG stream labels (see DESIGN.md's determinism note).
 pub(crate) mod labels {
@@ -365,27 +364,34 @@ impl RunResult {
     }
 }
 
-/// The shared simulation state every layer adapter and subsystem operates
-/// on: the engine, the node stacks, the medium, metrics accumulators and
-/// the optional observability sink. Kept separate from [`World`] so a
-/// subsystem (borrowed from `World::subsystems`) and the core can be
-/// borrowed mutably at the same time.
+/// The shared simulation state every subsystem operates on and every
+/// node's [`StackMachine`] runs against as its host: the engine, per-node
+/// phy state, the medium, metrics accumulators and the optional
+/// observability sink. Kept separate from [`World`] so a subsystem
+/// (borrowed from `World::subsystems`) or a machine (borrowed from
+/// `World::stacks`) and the core can be borrowed mutably at the same time.
 pub(crate) struct WorldCore {
     pub(crate) scenario: Scenario,
     pub(crate) engine: Engine,
     pub(crate) grid: SpatialGrid,
     pub(crate) medium: Medium,
     pub(crate) radio_rng: Rng,
-    pub(crate) nodes: Vec<NodeStack>,
-    /// SoA hot per-node state: the mobility process, its RNG stream, and
-    /// the administrative radio liveness, indexed by node id. Split out
-    /// of [`NodeStack`] so the position/liveness reads the radio hot path
-    /// makes stay in a few dense arrays.
+    /// Per-node radio accounting, indexed by node id.
+    pub(crate) phy: Vec<PhyLayer>,
+    /// Earliest scheduled `NodeTimer` per node (MAX = none) — avoids
+    /// event storms.
+    pub(crate) timer_at: Vec<SimTime>,
+    /// `(algorithm seed, qualifier)` per member, indexed by node id: what
+    /// a member's algorithm is rebuilt from after churn or a crash.
+    pub(crate) algo_seeds: Vec<(u64, u32)>,
+    /// SoA hot per-node state: the mobility process and its RNG stream,
+    /// indexed by node id, so the position reads the radio hot path makes
+    /// stay in a few dense arrays.
     pub(crate) mobility: Vec<AnyMobility>,
     pub(crate) mob_rngs: Vec<Rng>,
-    /// Administrative up/down per node, mirroring `phy.up` exactly
-    /// (churn, crashes *and* battery depletion). The distance oracle, the
-    /// connectivity graph and unicast planning read it.
+    /// Radio on/off per node (churn, crashes *and* battery depletion).
+    /// Frame arrival, transmission, timers, the distance oracle and the
+    /// connectivity graph all read it.
     pub(crate) hot_up: Vec<bool>,
     pub(crate) members: Vec<NodeId>,
     pub(crate) holders_by_file: Vec<Vec<NodeId>>,
@@ -438,7 +444,7 @@ impl WorldCore {
     /// Mirror the world's always-on counters into the registry, fold the
     /// hot-path slabs, and (when `push_series`) append a time-series
     /// sample at `now`.
-    pub(crate) fn obs_sample(&mut self, now: SimTime, push_series: bool) {
+    pub(crate) fn obs_sample(&mut self, stacks: &[StackMachine], now: SimTime, push_series: bool) {
         let ObsSink::On(mut obs) = std::mem::replace(&mut self.obs, ObsSink::Off) else {
             return;
         };
@@ -456,8 +462,8 @@ impl WorldCore {
             .set(obs.c_tx_planned, self.scratch.planned_total);
         obs.registry.set(obs.c_tx_lost, self.scratch.lost_total);
         let (mut rreq_orig, mut rreq_dup, mut flood_dup) = (0u64, 0u64, 0u64);
-        for node in &self.nodes {
-            let st = node.routing.aodv.stats();
+        for stack in stacks {
+            let st = stack.aodv().stats();
             rreq_orig += st.rreqs_originated;
             rreq_dup += st.rreq_dup_dropped;
             flood_dup += st.flood_dup_dropped;
@@ -467,8 +473,8 @@ impl WorldCore {
         obs.registry.set(obs.c_flood_dup, flood_dup);
         let mut queries = 0u64;
         for &id in &self.members {
-            if let Some(m) = &self.nodes[id.index()].overlay.member {
-                queries += m.engine.stats().issued;
+            if let Some(q) = stacks[id.index()].query_stats() {
+                queries += q.issued;
             }
         }
         obs.registry.set(obs.c_queries, queries);
@@ -482,7 +488,7 @@ impl WorldCore {
     /// Take a cadence-due series sample at `now`, advancing the cadence.
     /// Called after every observed event.
     #[inline]
-    fn obs_series_tick(&mut self, now: SimTime) {
+    fn obs_series_tick(&mut self, stacks: &[StackMachine], now: SimTime) {
         let due = match &mut self.obs {
             ObsSink::On(o) => {
                 if o.series_due(now) {
@@ -495,20 +501,20 @@ impl WorldCore {
             ObsSink::Off => false,
         };
         if due {
-            self.obs_sample(now, true);
+            self.obs_sample(stacks, now, true);
         }
     }
 
     /// The final at-horizon sample every enabled sink gets, so counter
     /// totals in the report match the run's end state even with series
     /// sampling off.
-    pub(crate) fn obs_final_sample(&mut self) {
+    pub(crate) fn obs_final_sample(&mut self, stacks: &[StackMachine]) {
         let push = match &self.obs {
             ObsSink::On(o) => !o.sample_period.is_zero(),
             ObsSink::Off => return,
         };
         let horizon = self.horizon();
-        self.obs_sample(horizon, push);
+        self.obs_sample(stacks, horizon, push);
     }
 
     /// Append a flight-recorder entry. The message closure only runs when
@@ -566,7 +572,7 @@ impl WorldCore {
 
     /// The instantaneous radio connectivity graph over all (up) nodes.
     pub(crate) fn connectivity_graph(&self) -> Graph {
-        let n = self.nodes.len();
+        let n = self.hot_up.len();
         let mut g = Graph::new(n);
         let range = self.medium.cfg().range_m;
         let mut buf = Vec::new();
@@ -586,12 +592,12 @@ impl WorldCore {
 
     /// The current overlay graph over members (established references,
     /// symmetric closure).
-    pub(crate) fn overlay_graph(&self) -> Graph {
+    pub(crate) fn overlay_graph(&self, stacks: &[StackMachine]) -> Graph {
         let n = self.members.len();
         let mut g = Graph::new(n);
         for (slot, &id) in self.members.iter().enumerate() {
-            if let Some(m) = &self.nodes[id.index()].overlay.member {
-                for nb in m.algo.neighbors() {
+            if let Some(algo) = stacks[id.index()].algo() {
+                for nb in algo.neighbors() {
                     let other = nb.index();
                     if other < n && other != slot {
                         g.add_edge(slot as u32, nb.0);
@@ -602,47 +608,16 @@ impl WorldCore {
         g
     }
 
-    /// Emit ConnUp/ConnDown/RoleChange trace events from the member's
-    /// state delta since the last observation. No-op when tracing is off.
-    pub(crate) fn trace_member_delta(&mut self, now: SimTime, id: NodeId) {
-        if !self.trace.enabled() {
-            return;
-        }
-        let Some(m) = self.nodes[id.index()].overlay.member.as_mut() else {
-            return;
-        };
-        let neighbors = m.algo.neighbors();
-        let role = m.algo.role();
-        let old = std::mem::replace(&mut m.last_neighbors, neighbors.clone());
-        let old_role = std::mem::replace(&mut m.last_role, role);
-        for &nb in &neighbors {
-            if !old.contains(&nb) {
-                self.trace
-                    .record(now, TraceEvent::ConnUp { node: id, peer: nb });
-            }
-        }
-        for &nb in &old {
-            if !neighbors.contains(&nb) {
-                self.trace
-                    .record(now, TraceEvent::ConnDown { node: id, peer: nb });
-            }
-        }
-        if role != old_role {
-            self.trace
-                .record(now, TraceEvent::RoleChange { node: id, role });
-        }
-    }
-
     /// Structural sanity of the live world at time `now`; see
     /// [`World::check_invariants`].
-    fn check_invariants(&self, now: SimTime) -> Vec<String> {
+    fn check_invariants(&self, stacks: &[StackMachine], now: SimTime) -> Vec<String> {
         let mut v = Vec::new();
-        let n = self.nodes.len();
+        let n = stacks.len();
 
         // Routing-table sanity.
-        for (i, node) in self.nodes.iter().enumerate() {
+        for (i, stack) in stacks.iter().enumerate() {
             let id = NodeId(i as u32);
-            for (dst, entry) in node.routing.aodv.table().iter() {
+            for (dst, entry) in stack.aodv().table().iter() {
                 if *dst == id {
                     v.push(format!("node {i}: routing-table entry for itself"));
                 }
@@ -668,14 +643,9 @@ impl WorldCore {
         let capacity = self.scenario.overlay.max_conn + self.scenario.overlay.max_slaves;
         let mut neighbor_sets: Vec<Option<Vec<NodeId>>> = vec![None; n];
         for &id in &self.members {
-            let node = &self.nodes[id.index()];
-            if !node.phy.up {
-                continue;
-            }
-            if let Some(m) = &node.overlay.member {
-                if m.joined {
-                    neighbor_sets[id.index()] = Some(m.algo.neighbors());
-                }
+            let stack = &stacks[id.index()];
+            if self.hot_up[id.index()] && stack.is_joined() {
+                neighbor_sets[id.index()] = Some(stack.neighbors());
             }
         }
         let mut directed = 0usize;
@@ -718,7 +688,7 @@ impl WorldCore {
     }
 
     /// Consume the core and assemble the [`RunResult`].
-    fn finish_result(self) -> RunResult {
+    fn finish_result(self, stacks: &[StackMachine]) -> RunResult {
         let obs = match self.obs {
             ObsSink::On(o) => ObsReport {
                 registry: o.registry,
@@ -733,13 +703,13 @@ impl WorldCore {
         let mut closed = 0;
         let mut conn_count = 0usize;
         let mut phy_total = PhyStats::default();
-        let mut energy = Vec::with_capacity(self.nodes.len());
+        let mut energy = Vec::with_capacity(self.phy.len());
         let mut queries = 0;
-        for node in &self.nodes {
-            phy_total.merge(&node.phy.stats);
-            energy.push(node.phy.energy.spent_mj());
-            if let Some(m) = &node.overlay.member {
-                let idx = match m.algo.role() {
+        for (phy, stack) in self.phy.iter().zip(stacks) {
+            phy_total.merge(&phy.stats);
+            energy.push(phy.energy.spent_mj());
+            if let Some(algo) = stack.algo() {
+                let idx = match algo.role() {
                     Role::Servent => 0,
                     Role::Initial => 1,
                     Role::Reserved => 2,
@@ -747,11 +717,11 @@ impl WorldCore {
                     Role::Slave => 4,
                 };
                 roles[idx] += 1;
-                let st = m.algo.conn_stats();
+                let st = algo.conn_stats();
                 established += st.established;
                 closed += st.closed_total();
-                conn_count += m.algo.neighbors().len();
-                queries += m.engine.stats().issued;
+                conn_count += algo.neighbors().len();
+                queries += stack.query_stats().map_or(0, |q| q.issued);
             }
         }
         let avg_connections = if self.members.is_empty() {
@@ -780,10 +750,14 @@ impl WorldCore {
     }
 }
 
-/// One replication of a [`Scenario`]: the shared crate-private core plus
-/// the registered subsystems and the post-dispatch tap list.
+/// One replication of a [`Scenario`]: the shared crate-private core, one
+/// protocol machine per node, the registered subsystems and the
+/// post-dispatch tap list.
 pub struct World {
     pub(crate) core: WorldCore,
+    /// One [`StackMachine`] per node, indexed by id, run with the core as
+    /// its host.
+    pub(crate) stacks: Vec<StackMachine>,
     pub(crate) subsystems: Vec<Box<dyn Subsystem>>,
     /// Indices of subsystems that opted into the post-dispatch tap.
     post_hooks: Vec<SubsystemId>,
@@ -845,7 +819,9 @@ impl World {
         let mut qual_rng = master.fork(labels::QUALIFIERS);
         let mut placement_rng = master.fork(labels::PLACEMENT);
 
-        let mut nodes = Vec::with_capacity(n);
+        let mut stacks = Vec::with_capacity(n);
+        let mut phy = Vec::with_capacity(n);
+        let mut algo_seeds = Vec::with_capacity(n_members);
         let mut mobility_soa = Vec::with_capacity(n);
         let mut mob_rngs = Vec::with_capacity(n);
         // Indexed loop: `i` names the node id and (for members) its slot in
@@ -912,7 +888,7 @@ impl World {
             };
             grid.upsert(id.0, mobility.position(SimTime::ZERO));
 
-            let member = if (i as u32) < n_members as u32 {
+            let stack = if (i as u32) < n_members as u32 {
                 let qualifier = qual_rng.range_u64(
                     scenario.qualifier_range.0 as u64,
                     scenario.qualifier_range.1 as u64,
@@ -932,36 +908,21 @@ impl World {
                     holdings[i].clone(),
                     master.fork(labels::ENGINE_BASE + i as u64),
                 );
-                Some(MemberState {
-                    algo,
-                    engine,
-                    joined: false,
-                    algo_seed,
-                    qualifier,
-                    last_neighbors: Vec::new(),
-                    last_role: Role::Servent,
-                })
+                algo_seeds.push((algo_seed, qualifier));
+                StackMachine::new(id, scenario.aodv, algo, engine)
             } else {
-                None
+                StackMachine::relay(id, scenario.aodv)
             };
 
             mobility_soa.push(mobility);
             mob_rngs.push(mob_rng);
-            nodes.push(NodeStack {
-                phy: PhyLayer {
-                    stats: PhyStats::default(),
-                    energy: match scenario.battery_mj {
-                        Some(mj) => EnergyMeter::new(mj),
-                        None => EnergyMeter::unlimited(),
-                    },
-                    up: true,
+            stacks.push(stack);
+            phy.push(PhyLayer {
+                stats: PhyStats::default(),
+                energy: match scenario.battery_mj {
+                    Some(mj) => EnergyMeter::new(mj),
+                    None => EnergyMeter::unlimited(),
                 },
-                routing: RoutingLayer {
-                    aodv: Aodv::new(id, scenario.aodv),
-                    timer_at: SimTime::MAX,
-                },
-                overlay: OverlayLayer { member },
-                adversary: None,
             });
         }
 
@@ -969,7 +930,7 @@ impl World {
         // state assignment: no RNG draws, no events, so honest scenarios
         // and honest nodes are untouched.
         for a in &scenario.adversaries {
-            nodes[a.node.index()].adversary = Some(crate::stack::AdversaryState::new(a.role));
+            stacks[a.node.index()].set_adversary(a.role);
         }
 
         let mut subsystems = subsystems::build(&scenario, &master);
@@ -992,7 +953,9 @@ impl World {
             mobility: mobility_soa,
             mob_rngs,
             hot_up: vec![true; n],
-            nodes,
+            phy,
+            timer_at: vec![SimTime::MAX; n],
+            algo_seeds,
             members,
             holders_by_file,
             answers_received: 0,
@@ -1017,12 +980,13 @@ impl World {
                 sub.seed_node(
                     &mut SubCtx {
                         core: &mut core,
+                        stacks: &mut stacks,
                         owner: k as SubsystemId,
                     },
                     id,
                 );
             }
-            if core.nodes[i].overlay.member.is_some() {
+            if stacks[i].is_member() {
                 let at =
                     SimTime::from_ticks(join_rng.below(core.scenario.join_window.ticks().max(1)));
                 core.engine.schedule(at, Event::Join(id));
@@ -1031,12 +995,14 @@ impl World {
         for (k, sub) in subsystems.iter_mut().enumerate() {
             sub.init(&mut SubCtx {
                 core: &mut core,
+                stacks: &mut stacks,
                 owner: k as SubsystemId,
             });
         }
 
         Ok(World {
             core,
+            stacks,
             subsystems,
             post_hooks,
         })
@@ -1085,19 +1051,19 @@ impl World {
             obs.spans
                 .add_weighted(obs.s_dispatch, dispatch_elapsed, SPAN_STRIDE);
             self.run_post_hooks(now);
-            self.core.obs_series_tick(now);
+            self.core.obs_series_tick(&self.stacks, now);
             Some(now)
         } else {
             let (now, event) = self.core.engine.pop_before(horizon)?;
             self.dispatch(now, event);
             self.run_post_hooks(now);
-            self.core.obs_series_tick(now);
+            self.core.obs_series_tick(&self.stacks, now);
             Some(now)
         }
     }
 
-    /// Route one event: node-stack traffic to the layer adapters,
-    /// namespaced events to their owning subsystem.
+    /// Route one event: node traffic to the node's machine through the
+    /// DES host, namespaced events to their owning subsystem.
     fn dispatch(&mut self, now: SimTime, event: Event) {
         if let ObsSink::On(obs) = &mut self.core.obs {
             let slot = match &event {
@@ -1108,15 +1074,22 @@ impl World {
             };
             obs.slab.bump(slot, 1);
         }
+        let core = &mut self.core;
         match event {
-            Event::Deliver { to, from, msg } => {
-                crate::stack::phy::frame_arrival(&mut self.core, now, to, FrameUp { from, msg })
+            Event::Deliver { to, from, msg } => crate::stack::phy::frame_arrival(
+                core,
+                &mut self.stacks[to.index()],
+                now,
+                FrameUp { from, msg },
+            ),
+            Event::NodeTimer(id) => {
+                crate::stack::node_timer(core, &mut self.stacks[id.index()], now)
             }
-            Event::NodeTimer(id) => crate::stack::node_timer(&mut self.core, now, id),
-            Event::Join(id) => crate::stack::overlay::join(&mut self.core, now, id),
+            Event::Join(id) => crate::stack::join(core, &mut self.stacks[id.index()], now),
             Event::Sub(key) => self.subsystems[key.owner() as usize].handle(
                 &mut SubCtx {
-                    core: &mut self.core,
+                    core,
+                    stacks: &mut self.stacks,
                     owner: key.owner(),
                 },
                 now,
@@ -1197,7 +1170,7 @@ impl World {
     pub fn dump_obs(&mut self, dir: &Path, label: &str, violations: &[String]) -> Option<PathBuf> {
         self.core.obs.get()?;
         let now = self.core.engine.now();
-        self.core.obs_sample(now, true);
+        self.core.obs_sample(&self.stacks, now, true);
         let o = self.core.obs.get().expect("sink enabled");
         let report = ObsReport {
             registry: o.registry.clone(),
@@ -1215,8 +1188,8 @@ impl World {
         for sub in &mut self.subsystems {
             sub.on_finish(&mut self.core);
         }
-        self.core.obs_final_sample();
-        self.core.finish_result()
+        self.core.obs_final_sample(&self.stacks);
+        self.core.finish_result(&self.stacks)
     }
 
     /// Structural sanity of the live world at time `now`: routing tables
@@ -1228,7 +1201,7 @@ impl World {
     /// Connect/Accept/Confirm handshake leaves edges one-sided for a
     /// message round-trip, so only a mostly-asymmetric overlay is flagged.
     pub fn check_invariants(&self, now: SimTime) -> Vec<String> {
-        self.core.check_invariants(now)
+        self.core.check_invariants(&self.stacks, now)
     }
 
     /// The instantaneous radio connectivity graph over all (up) nodes.
@@ -1239,7 +1212,7 @@ impl World {
     /// The current overlay graph over members (established references,
     /// symmetric closure).
     pub fn overlay_graph(&self) -> Graph {
-        self.core.overlay_graph()
+        self.core.overlay_graph(&self.stacks)
     }
 }
 

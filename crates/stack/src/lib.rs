@@ -2,48 +2,45 @@
 //!
 //! Everything a per-node protocol stack is, minus any opinion about what
 //! executes it. The same types and the same machine run on both of the
-//! workspace's substrates (see [`manet_des::Substrate`]):
+//! workspace's substrates, each of which implements [`StackHost`]:
 //!
 //! * the DES (`manet-sim`), where frames travel as in-memory structs over
 //!   a modelled radio and "now" is virtual;
 //! * the real-time driver (`manet-rt`), where frames are UDP datagrams
 //!   and "now" is elapsed wall-clock microseconds.
 //!
-//! Seven pieces:
+//! Six pieces:
 //!
 //! * [`payload`] — [`AppMsg`], the union of overlay and content messages
 //!   the routing layer carries;
-//! * [`verbs`] — the five typed verbs ([`FrameUp`], [`SendDown`],
-//!   [`DeliverUp`], [`OverlayDown`], [`TimerReq`]) that are the *only*
-//!   boundary either substrate may cross;
+//! * [`verbs`] — the typed inter-layer verbs: [`FrameUp`], [`SendDown`]
+//!   and [`TimerReq`] cross the [`StackHost`] boundary, [`OverlayDown`]
+//!   injects traffic above routing, and `DeliverUp` stays inside the
+//!   machine;
 //! * [`wire`] — the byte-exact frame codec turning a [`FrameUp`] into a
 //!   datagram and back;
 //! * [`machine`] — [`StackMachine`], the AODV + reconfigurator + query
-//!   engine composition, pure over `(now, verb)`;
+//!   engine composition with adversarial interception, and
+//!   [`StackHost`], the trait a substrate implements to run it;
 //! * [`trace`] — [`TraceLog`], the bounded causal/milestone event trace
 //!   both substrates record into;
-//! * [`obs`] — [`ObsSink`], the optional observability seam a hosting
-//!   substrate can arm on the machine (slab counters, causal spans, a
-//!   flight recorder);
 //! * [`telemetry`] — the length-prefixed frame that ships one node's
 //!   `ObsReport` + [`TraceLog`] across a process boundary, plus the
 //!   clock-offset estimator that stitches per-process traces into one
 //!   timeline.
 
 pub mod machine;
-pub mod obs;
 pub mod payload;
 pub mod telemetry;
 pub mod trace;
 pub mod verbs;
 pub mod wire;
 
-pub use machine::{StackMachine, StackOutput};
-pub use obs::{ObsSink, StackObs};
+pub use machine::{trace_send, StackHost, StackMachine};
 pub use payload::AppMsg;
 pub use telemetry::{
     decode_telemetry, encode_telemetry, from_hex, stitch_clocks, to_hex, Telemetry,
 };
 pub use trace::{node_id_base, TraceEvent, TraceLog};
-pub use verbs::{DeliverUp, FrameUp, OverlayDown, SendDown, TimerReq};
+pub use verbs::{FrameUp, OverlayDown, SendDown, TimerReq};
 pub use wire::{decode_frame, encode_frame};

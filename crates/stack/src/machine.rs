@@ -1,98 +1,206 @@
-//! The substrate-neutral protocol machine: one node's routing + overlay
-//! + query layers composed behind the verb boundary.
+//! The protocol machine: one node's routing + overlay + query layers
+//! composed behind the verb boundary, and the [`StackHost`] trait every
+//! substrate implements to run it.
 //!
-//! [`StackMachine`] is what a substrate hosts. It owns the AODV instance,
-//! the (re)configuration algorithm and the query engine, and exposes
-//! exactly four entry points — [`join`](StackMachine::join),
-//! [`on_frame`](StackMachine::on_frame), [`tick`](StackMachine::tick) and
-//! [`timer_request`](StackMachine::timer_request) — all pure over
-//! `(now, input)`. Each entry point runs the same depth-first action
-//! cascade the DES adapters run (an AODV delivery feeds the overlay,
-//! whose replies feed back into AODV, until the cascade bottoms out in
-//! frames) and returns everything that escaped the node as a
-//! [`StackOutput`]: frames for the phy to transmit, deliveries and
-//! completed queries for observation.
+//! [`StackMachine`] is the only code that executes a node's AODV →
+//! overlay → query cascade. It owns the AODV instance and, on overlay
+//! members, the (re)configuration algorithm and the query engine; pure
+//! relays carry neither. Its entry points — [`join`](StackMachine::join),
+//! [`on_frame`](StackMachine::on_frame), [`tick`](StackMachine::tick),
+//! [`restart`](StackMachine::restart) and
+//! [`overlay_down`](StackMachine::overlay_down) — run the cascade
+//! depth-first: an AODV delivery feeds the overlay, whose replies feed
+//! back into AODV, until the cascade bottoms out in frames. Each action
+//! completes (including every transmission it causes) before the next one
+//! of its batch runs.
 //!
-//! The DES keeps its own specialized adapters (`manet-sim`'s stack
-//! module) because it interleaves tracing, observability counters and
-//! adversarial interception at every hop of the cascade; this machine is
-//! the clean-room composition the real-time substrate hosts, built from
-//! the *same* protocol crates and the same verbs.
+//! The machine calls its host in the middle of that cascade, never after
+//! it: frames go on the air as they are produced, a failed unicast's
+//! repair runs before the rest of its batch, and the node timer is re-armed
+//! after every delivery. On the DES this order *is* the event-insertion
+//! order and the radio-RNG draw order, so it is part of the deterministic
+//! contract.
+//!
+//! Adversarial roles ([`AdversaryRole`]) are intercepted here too, at the
+//! layer each one subverts: black-holes, grey-holes and RREQ amplifiers
+//! rewrite each AODV action batch, selfish members swallow incoming
+//! queries and fetch requests. A host only assigns a role
+//! ([`set_adversary`](StackMachine::set_adversary)); the misbehaviour
+//! itself needs no code in the host.
 
-use manet_aodv::{Action, Aodv, AodvCfg, AodvStats, Msg};
+use manet_aodv::{Action, Aodv, AodvCfg, Msg};
 use manet_des::{NodeId, SimTime, TraceCtx};
 use p2p_content::{CSend, CompletedQuery, ContentMsg, QueryEngine, QueryStats};
-use p2p_core::{BoxedAlgo, OvAction, Role};
+use p2p_core::{AdversaryRole, BoxedAlgo, OvAction, Reconfigurator, Role};
 
-use crate::obs::ObsSink;
 use crate::payload::AppMsg;
-use crate::trace::TraceEvent;
+use crate::trace::{TraceEvent, TraceLog};
 use crate::verbs::{DeliverUp, FrameUp, OverlayDown, SendDown, TimerReq};
 
-/// Everything one entry point caused to leave (or surface at) the node.
-#[derive(Default)]
-pub struct StackOutput {
-    /// Frames for the phy layer to transmit, in cascade order.
-    pub frames: Vec<SendDown>,
-    /// Payloads that reached this node's overlay, for observation.
-    pub delivered: Vec<DeliverUp>,
-    /// Queries whose response window closed during this entry point.
-    pub completed: Vec<CompletedQuery>,
-    /// Destinations the routing layer gave up reaching.
-    pub unreachable: Vec<NodeId>,
+/// What a substrate provides to the machines it hosts. Every call
+/// happens in the middle of a cascade, in cascade order.
+pub trait StackHost {
+    /// Put `frame` on the air at node `from`. A unicast whose next hop
+    /// cannot be reached is handed back, and the machine reports the
+    /// broken link to AODV before it runs the rest of the batch. Every
+    /// other frame returns `None`.
+    fn send(&mut self, now: SimTime, from: NodeId, frame: SendDown) -> Option<Msg<AppMsg>>;
+
+    /// `payload` reached joined member `at` after `hops` ad-hoc hops.
+    fn delivered(&mut self, at: NodeId, payload: &AppMsg, hops: u8);
+
+    /// A query `requirer` issued closed its response window.
+    fn query_completed(&mut self, requirer: NodeId, done: &CompletedQuery);
+
+    /// Node `node` asks, at `now`, for its combined timer to fire at
+    /// `req.at`. The host may keep an earlier pending wake instead.
+    fn arm_timer(&mut self, now: SimTime, node: NodeId, req: TimerReq);
+
+    /// The log the machine records causal spans and milestones into.
+    fn trace(&mut self) -> &mut TraceLog;
+}
+
+/// Record the `Send` span of a frame leaving `node` and stamp it onto the
+/// frame, so every reception chains off this transmission. A no-op unless
+/// the log is on and the frame carries an active causal context. Hosts
+/// call it from [`StackHost::send`] when they commit to transmitting,
+/// before the outcome is known: a unicast handed back as unreachable
+/// carries the stamp, so its repair chains off this attempt.
+pub fn trace_send(
+    trace: &mut TraceLog,
+    now: SimTime,
+    node: NodeId,
+    to: Option<NodeId>,
+    msg: &mut Msg<AppMsg>,
+) {
+    if trace.enabled() && msg.ctx().is_active() {
+        let send = msg.ctx().child(trace.alloc_span());
+        trace.record(
+            now,
+            TraceEvent::Send {
+                node,
+                ctx: send,
+                to,
+                frame: msg.kind(),
+                bytes: msg.wire_size(),
+            },
+        );
+        msg.set_ctx(send);
+    }
+}
+
+/// An overlay member's layers above routing.
+struct Member {
+    algo: BoxedAlgo,
+    engine: QueryEngine,
+    joined: bool,
+    /// Neighbour set and role at the last trace delta, for the
+    /// ConnUp/ConnDown/RoleChange milestones.
+    last_neighbors: Vec<NodeId>,
+    last_role: Role,
+}
+
+/// A misbehaving node's role plus the grey-hole's drop counter.
+struct Adversary {
+    role: AdversaryRole,
+    /// Foreign payload frames seen so far (the grey-hole drops every
+    /// `drop_nth`-th one).
+    fwd_seen: u64,
+}
+
+/// Does this action forward a payload *on behalf of someone else* — the
+/// traffic a black/grey-hole swallows? Routed data originated elsewhere,
+/// or a flood relay. The node's own originations always pass, so the
+/// adversary keeps attracting routes instead of looking dead.
+fn forwards_foreign_payload(action: &Action<AppMsg>, at: NodeId) -> bool {
+    match action {
+        Action::Unicast {
+            msg: Msg::Data(d), ..
+        } => d.src != at,
+        Action::Broadcast(Msg::Data(d)) => d.src != at,
+        Action::Broadcast(Msg::Flood(fl)) => fl.origin != at,
+        _ => false,
+    }
+}
+
+impl Adversary {
+    /// Rewrite an honest AODV action batch at node `at` through this role.
+    /// Deterministic and RNG-free.
+    fn subvert(&mut self, at: NodeId, actions: Vec<Action<AppMsg>>) -> Vec<Action<AppMsg>> {
+        match self.role {
+            AdversaryRole::BlackHole => actions
+                .into_iter()
+                .filter(|a| !forwards_foreign_payload(a, at))
+                .collect(),
+            AdversaryRole::GreyHole { drop_nth } => actions
+                .into_iter()
+                .filter(|a| {
+                    if forwards_foreign_payload(a, at) {
+                        self.fwd_seen += 1;
+                        !self.fwd_seen.is_multiple_of(drop_nth as u64)
+                    } else {
+                        true
+                    }
+                })
+                .collect(),
+            AdversaryRole::RreqAmplifier { factor } => {
+                let mut out = Vec::with_capacity(actions.len());
+                for a in actions {
+                    if matches!(&a, Action::Broadcast(Msg::Rreq(_))) {
+                        for _ in 1..factor {
+                            out.push(a.clone());
+                        }
+                    }
+                    out.push(a);
+                }
+                out
+            }
+            // These roles act at the content layer (or in the DES's
+            // query-flooder subsystem), not on routing actions.
+            AdversaryRole::QueryFlooder { .. } | AdversaryRole::Selfish => actions,
+        }
+    }
 }
 
 /// One node's full protocol stack above the phy layer.
 pub struct StackMachine {
     id: NodeId,
     aodv: Aodv<AppMsg>,
-    algo: BoxedAlgo,
-    engine: QueryEngine,
-    joined: bool,
-    /// The observability seam (off by default — see [`crate::obs`]).
-    obs: ObsSink,
+    /// `None` on pure relays: no algorithm, no query engine.
+    member: Option<Member>,
+    /// `None` on honest nodes, which keeps their path free of any
+    /// interception.
+    adversary: Option<Adversary>,
 }
 
 impl StackMachine {
-    /// A stack for node `id`. The algorithm and engine arrive
-    /// pre-seeded; nothing runs until [`join`](StackMachine::join).
+    /// An overlay member. The algorithm and engine arrive pre-seeded;
+    /// nothing above routing runs until [`join`](StackMachine::join).
     pub fn new(id: NodeId, aodv: AodvCfg, algo: BoxedAlgo, engine: QueryEngine) -> Self {
-        StackMachine {
-            id,
-            aodv: Aodv::new(id, aodv),
+        let mut m = StackMachine::relay(id, aodv);
+        m.member = Some(Member {
             algo,
             engine,
             joined: false,
-            obs: ObsSink::Off,
+            last_neighbors: Vec::new(),
+            last_role: Role::Servent,
+        });
+        m
+    }
+
+    /// A pure relay: AODV only, no overlay presence.
+    pub fn relay(id: NodeId, aodv: AodvCfg) -> Self {
+        StackMachine {
+            id,
+            aodv: Aodv::new(id, aodv),
+            member: None,
+            adversary: None,
         }
     }
 
-    /// Arm (or disarm) the observability seam. Arming changes nothing
-    /// about what the machine sends or delivers — only what it records.
-    pub fn set_obs(&mut self, obs: ObsSink) {
-        self.obs = obs;
-    }
-
-    /// The observability sink (read side).
-    pub fn obs(&self) -> &ObsSink {
-        &self.obs
-    }
-
-    /// The observability sink, mutable — the hosting substrate records
-    /// its own counters/spans and drains reports through this.
-    pub fn obs_mut(&mut self) -> &mut ObsSink {
-        &mut self.obs
-    }
-
-    /// Mirror the protocol layers' running totals into the armed sink's
-    /// registry (no-op when off). Substrates call this before taking a
-    /// telemetry snapshot so mirrored counters are current.
-    pub fn sync_obs(&mut self) {
-        let q = *self.engine.stats();
-        let a = *self.aodv.stats();
-        if let Some(obs) = self.obs.on_mut() {
-            obs.mirror_stats(&q, &a);
-        }
+    /// Make this node misbehave as `role`.
+    pub fn set_adversary(&mut self, role: AdversaryRole) {
+        self.adversary = Some(Adversary { role, fwd_seen: 0 });
     }
 
     /// This node's id.
@@ -100,344 +208,148 @@ impl StackMachine {
         self.id
     }
 
-    /// Whether [`join`](StackMachine::join) has run.
+    /// The routing layer (route table and counters).
+    pub fn aodv(&self) -> &Aodv<AppMsg> {
+        &self.aodv
+    }
+
+    /// Whether this node is an overlay member (joined or not).
+    pub fn is_member(&self) -> bool {
+        self.member.is_some()
+    }
+
+    /// Whether this member currently participates in the overlay.
     pub fn is_joined(&self) -> bool {
-        self.joined
+        self.member.as_ref().is_some_and(|m| m.joined)
     }
 
-    /// Current overlay reference list (sorted by node id).
+    /// The member's (re)configuration algorithm.
+    pub fn algo(&self) -> Option<&(dyn Reconfigurator + Send)> {
+        self.member.as_ref().map(|m| &*m.algo)
+    }
+
+    /// Current overlay reference list (sorted by node id; empty on relays).
     pub fn neighbors(&self) -> Vec<NodeId> {
-        self.algo.neighbors()
+        self.algo().map_or_else(Vec::new, |a| a.neighbors())
     }
 
-    /// The node's current overlay role.
-    pub fn role(&self) -> Role {
-        self.algo.role()
+    /// The member's query-layer counters.
+    pub fn query_stats(&self) -> Option<&QueryStats> {
+        self.member.as_ref().map(|m| m.engine.stats())
     }
 
-    /// Query-layer counters.
-    pub fn query_stats(&self) -> &QueryStats {
-        self.engine.stats()
-    }
-
-    /// Routing-layer counters.
-    pub fn aodv_stats(&self) -> &AodvStats {
-        self.aodv.stats()
-    }
-
-    /// The earliest wake any layer needs, as a typed [`TimerReq`].
-    /// Mirrors the DES stack's combined single timer per node.
-    pub fn timer_request(&self) -> TimerReq {
-        let mut wake = self.aodv.next_wake();
-        if self.joined {
-            wake = wake.min(self.algo.next_wake()).min(self.engine.next_wake());
+    /// The earliest wake any layer needs: routing always, the overlay and
+    /// query layers while joined. With `attribute`, a wake owed to routing
+    /// names the query waiting on its route discovery.
+    fn timer_request(&self, attribute: bool) -> TimerReq {
+        let aodv_wake = self.aodv.next_wake();
+        let mut wake = aodv_wake;
+        if let Some(m) = self.member.as_ref().filter(|m| m.joined) {
+            wake = wake.min(m.algo.next_wake()).min(m.engine.next_wake());
         }
-        TimerReq {
-            at: wake,
-            ctx: TraceCtx::NONE,
+        let ctx = if attribute && wake == aodv_wake {
+            self.aodv.next_wake_ctx()
+        } else {
+            TraceCtx::NONE
+        };
+        TimerReq { at: wake, ctx }
+    }
+
+    /// Ask the host to re-arm this node's combined timer. Attribution
+    /// scans the pending discoveries, so it runs only while tracing.
+    pub fn rearm<H: StackHost>(&self, host: &mut H, now: SimTime) {
+        let req = self.timer_request(host.trace().enabled());
+        host.arm_timer(now, self.id, req);
+    }
+
+    /// The member joins the overlay: start the algorithm and the query
+    /// engine, then execute the first discovery traffic. No-op on relays.
+    pub fn join<H: StackHost>(&mut self, host: &mut H, now: SimTime) {
+        let Some(m) = self.member.as_mut() else {
+            return;
+        };
+        m.joined = true;
+        let actions = m.algo.start(now);
+        m.engine.start(now);
+        host.trace().record(now, TraceEvent::Join { node: self.id });
+        self.exec_overlay(host, now, actions, TraceCtx::NONE);
+        self.member_delta(host, now);
+        self.rearm(host, now);
+    }
+
+    /// The radio went off (churn, crash): the overlay presence dies with
+    /// it. Routing state survives; peers notice through failed pings.
+    pub fn power_off(&mut self) {
+        if let Some(m) = self.member.as_mut() {
+            m.joined = false;
         }
     }
 
-    /// The node joins the overlay: start the algorithm and the query
-    /// engine, then execute the first discovery traffic.
-    pub fn join(&mut self, now: SimTime) -> StackOutput {
-        let mut out = StackOutput::default();
-        self.joined = true;
-        let id = self.id;
-        if let Some(obs) = self.obs.on_mut() {
-            obs.record(now, TraceEvent::Join { node: id });
-            obs.flight(
-                now,
-                manet_obs::Severity::Info,
-                "join",
-                format!("{id} joined the overlay"),
-            );
-        }
-        let actions = self.algo.start(now);
-        self.engine.start(now);
-        self.exec_overlay(now, actions, TraceCtx::NONE, &mut out);
-        out
+    /// The radio came back: a member swaps in `algo` — rebuilt by the host
+    /// from the node's stable seed, so same identity and files with blank
+    /// protocol state — and rejoins at once. The host re-arms the timer
+    /// when it is ready to. No-op on relays.
+    pub fn restart<H: StackHost>(&mut self, host: &mut H, now: SimTime, algo: BoxedAlgo) {
+        let Some(m) = self.member.as_mut() else {
+            return;
+        };
+        m.algo = algo;
+        m.joined = true;
+        let actions = m.algo.start(now);
+        m.engine.start(now);
+        self.exec_overlay(host, now, actions, TraceCtx::NONE);
     }
 
     /// A frame arrived from the phy layer.
     ///
-    /// If the frame carries an active causal context and the sink is
-    /// armed, a `Recv` span is recorded and stamped back onto the frame
-    /// — the same chaining the DES routing adapter does — so every AODV
-    /// effect (forwarding, RREPs, deliveries) links under this node's
-    /// reception.
-    pub fn on_frame(&mut self, now: SimTime, frame: FrameUp) -> StackOutput {
-        let mut out = StackOutput::default();
+    /// If the frame carries an active causal context and tracing is on, a
+    /// `Recv` span is recorded and stamped back onto the frame, so every
+    /// AODV effect (forwarding, RREPs, deliveries) chains off this
+    /// node's reception.
+    pub fn on_frame<H: StackHost>(&mut self, host: &mut H, now: SimTime, frame: FrameUp) {
         let FrameUp { from, mut msg } = frame;
-        let id = self.id;
-        if let Some(obs) = self.obs.on_mut() {
-            if obs.trace.enabled() && msg.ctx().is_active() {
-                let recv = msg.ctx().child(obs.trace.alloc_span());
-                obs.record(
-                    now,
-                    TraceEvent::Recv {
-                        node: id,
-                        ctx: recv,
-                        from,
-                        frame: msg.kind(),
-                    },
-                );
-                msg.set_ctx(recv);
-            }
+        let trace = host.trace();
+        if trace.enabled() && msg.ctx().is_active() {
+            let recv = msg.ctx().child(trace.alloc_span());
+            trace.record(
+                now,
+                TraceEvent::Recv {
+                    node: self.id,
+                    ctx: recv,
+                    from,
+                    frame: msg.kind(),
+                },
+            );
+            msg.set_ctx(recv);
         }
         let actions = self.aodv.on_frame(now, from, msg);
-        self.exec(now, actions, &mut out);
-        out
+        self.exec(host, now, actions);
+        self.rearm(host, now);
     }
 
     /// The combined protocol timer fired: tick routing, then (once
-    /// joined) the overlay and query layers.
-    pub fn tick(&mut self, now: SimTime) -> StackOutput {
-        let mut out = StackOutput::default();
+    /// joined) the overlay and query layers, then re-arm.
+    pub fn tick<H: StackHost>(&mut self, host: &mut H, now: SimTime) {
         let actions = self.aodv.tick(now);
-        self.exec(now, actions, &mut out);
-        if self.joined {
-            let actions = self.algo.tick(now);
-            self.exec_overlay(now, actions, TraceCtx::NONE, &mut out);
-            let neighbors = self.algo.neighbors();
-            let (sends, completed) = self.engine.tick(now, &neighbors);
-            out.completed.extend(completed);
-            self.exec_content(now, sends, TraceCtx::NONE, &mut out);
-        }
-        out
-    }
-
-    /// Mint a fresh trace root for a spontaneous origination batch
-    /// (same policy as the DES overlay adapter): only when the sink is
-    /// armed with tracing on, the batch is non-empty, and there is no
-    /// active upstream cause. One trace covers the whole batch.
-    fn mint(
-        &mut self,
-        now: SimTime,
-        cause: TraceCtx,
-        label: &'static str,
-        nonempty: bool,
-    ) -> TraceCtx {
-        let id = self.id;
-        let Some(obs) = self.obs.on_mut() else {
-            return cause;
-        };
-        if cause.is_active() || !nonempty || !obs.trace.enabled() {
-            return cause;
-        }
-        let root = TraceCtx::root(obs.trace.alloc_trace(), obs.trace.alloc_span());
-        obs.record(
-            now,
-            TraceEvent::Origin {
-                node: id,
-                ctx: root,
-                label,
-            },
-        );
-        root
-    }
-
-    /// Record a `Send` span for a departing frame and stamp it onto the
-    /// frame (no-op unless the sink is armed and the frame is traced).
-    fn trace_send(&mut self, now: SimTime, msg: &mut Msg<AppMsg>, to: Option<NodeId>) {
-        let id = self.id;
-        if let Some(obs) = self.obs.on_mut() {
-            if obs.trace.enabled() && msg.ctx().is_active() {
-                let send = msg.ctx().child(obs.trace.alloc_span());
-                obs.record(
-                    now,
-                    TraceEvent::Send {
-                        node: id,
-                        ctx: send,
-                        to,
-                        frame: msg.kind(),
-                        bytes: msg.wire_size(),
-                    },
-                );
-                msg.set_ctx(send);
+        self.exec(host, now, actions);
+        if let Some(m) = self.member.as_mut().filter(|m| m.joined) {
+            let actions = m.algo.tick(now);
+            self.exec_overlay(host, now, actions, TraceCtx::NONE);
+            let m = self.member.as_mut().expect("joined member");
+            let neighbors = m.algo.neighbors();
+            let (sends, completed) = m.engine.tick(now, &neighbors);
+            if let Some(done) = completed {
+                host.query_completed(self.id, &done);
             }
+            self.exec_content(host, now, sends, TraceCtx::NONE);
+            self.member_delta(host, now);
         }
+        self.rearm(host, now);
     }
 
-    /// Depth-first AODV action cascade: each action completes (including
-    /// every overlay reaction it provokes) before the next one runs —
-    /// the same ordering contract the DES adapters keep.
-    fn exec(&mut self, now: SimTime, actions: Vec<Action<AppMsg>>, out: &mut StackOutput) {
-        for action in actions {
-            match action {
-                Action::Broadcast(mut msg) => {
-                    self.trace_send(now, &mut msg, None);
-                    out.frames.push(SendDown::Broadcast(msg))
-                }
-                Action::Unicast { to, mut msg } => {
-                    self.trace_send(now, &mut msg, Some(to));
-                    out.frames.push(SendDown::Unicast { to, msg })
-                }
-                Action::Deliver {
-                    src,
-                    hops,
-                    payload,
-                    ctx,
-                } => self.deliver(
-                    now,
-                    DeliverUp {
-                        src,
-                        hops,
-                        flood: false,
-                        payload,
-                        ctx,
-                    },
-                    out,
-                ),
-                Action::DeliverFlood {
-                    origin,
-                    hops,
-                    payload,
-                    ctx,
-                } => self.deliver(
-                    now,
-                    DeliverUp {
-                        src: origin,
-                        hops,
-                        flood: true,
-                        payload,
-                        ctx,
-                    },
-                    out,
-                ),
-                Action::Unreachable { dst, ctx, .. } => {
-                    let id = self.id;
-                    let mut cause = ctx;
-                    if let Some(obs) = self.obs.on_mut() {
-                        obs.on_unreachable();
-                        if obs.trace.enabled() && ctx.is_active() {
-                            cause = ctx.child(obs.trace.alloc_span());
-                            obs.record(
-                                now,
-                                TraceEvent::Unreachable {
-                                    node: id,
-                                    ctx: cause,
-                                    dst,
-                                },
-                            );
-                        }
-                    }
-                    out.unreachable.push(dst);
-                    if self.joined {
-                        let actions = self.algo.on_unreachable(now, dst);
-                        self.exec_overlay(now, actions, cause, out);
-                    }
-                }
-            }
-        }
-    }
-
-    /// A payload surfaced at this node: record it and hand it to the
-    /// overlay algorithm or the query engine. The delivery becomes the
-    /// causal parent of everything the overlay does in response.
-    fn deliver(&mut self, now: SimTime, verb: DeliverUp, out: &mut StackOutput) {
-        out.delivered.push(verb.clone());
-        if !self.joined {
-            return; // pure relays have no overlay presence
-        }
-        let DeliverUp {
-            src,
-            hops,
-            flood,
-            payload,
-            ctx,
-        } = verb;
-        let id = self.id;
-        let mut cause = TraceCtx::NONE;
-        if let Some(obs) = self.obs.on_mut() {
-            obs.on_delivered(hops);
-            if obs.trace.enabled() {
-                if ctx.is_active() {
-                    cause = ctx.child(obs.trace.alloc_span());
-                }
-                obs.record(
-                    now,
-                    TraceEvent::DeliverUp {
-                        node: id,
-                        from: src,
-                        kind: payload.kind(),
-                        hops,
-                        ctx: cause,
-                    },
-                );
-            }
-        }
-        match payload {
-            AppMsg::Overlay(msg) => {
-                let actions = if flood {
-                    self.algo.on_flood(now, src, hops, &msg)
-                } else {
-                    self.algo.on_msg(now, src, hops, &msg)
-                };
-                self.exec_overlay(now, actions, cause, out);
-            }
-            AppMsg::Content(msg) => {
-                let neighbors = self.algo.neighbors();
-                let sends = self.engine.on_msg(now, src, hops, &msg, &neighbors);
-                self.exec_content(now, sends, cause, out);
-            }
-        }
-    }
-
-    /// Push overlay actions down into AODV as [`OverlayDown`] verbs.
-    /// `cause` is the delivery (or unreachable report) that provoked the
-    /// batch; when inactive and the batch is non-empty, a fresh
-    /// "reconfig" trace is minted for it.
-    fn exec_overlay(
-        &mut self,
-        now: SimTime,
-        actions: Vec<OvAction>,
-        cause: TraceCtx,
-        out: &mut StackOutput,
-    ) {
-        let ctx = self.mint(now, cause, "reconfig", !actions.is_empty());
-        for action in actions {
-            let verb = match action {
-                OvAction::Flood { ttl, msg } => OverlayDown::Flood { ttl, msg, ctx },
-                OvAction::Send { to, msg } => OverlayDown::Send { to, msg, ctx },
-            };
-            self.overlay_down(now, verb, out);
-        }
-    }
-
-    /// Push content-layer sends down into AODV as [`OverlayDown`] verbs,
-    /// minting a trace named after the batch's leading message when
-    /// there is no upstream cause (a locally originated query).
-    fn exec_content(
-        &mut self,
-        now: SimTime,
-        sends: Vec<CSend>,
-        cause: TraceCtx,
-        out: &mut StackOutput,
-    ) {
-        let label = match sends.first().map(|s| &s.msg) {
-            Some(ContentMsg::Query { .. }) => "query",
-            Some(ContentMsg::QueryHit { .. }) => "query_hit",
-            Some(ContentMsg::FetchRequest { .. }) => "fetch",
-            Some(ContentMsg::FileTransfer { .. }) => "transfer",
-            None => "content",
-        };
-        let ctx = self.mint(now, cause, label, !sends.is_empty());
-        for send in sends {
-            self.overlay_down(
-                now,
-                OverlayDown::Content {
-                    to: send.to,
-                    msg: send.msg,
-                    ctx,
-                },
-                out,
-            );
-        }
-    }
-
-    /// Execute one [`OverlayDown`] verb (the routing adapter's core).
-    fn overlay_down(&mut self, now: SimTime, verb: OverlayDown, out: &mut StackOutput) {
+    /// Execute one [`OverlayDown`] verb: hand the payload to AODV and run
+    /// what it does. The query-flooder adversary injects through here.
+    pub fn overlay_down<H: StackHost>(&mut self, host: &mut H, now: SimTime, verb: OverlayDown) {
         let actions = match verb {
             OverlayDown::Flood { ttl, msg, ctx } => {
                 self.aodv.flood(now, ttl.max(1), AppMsg::Overlay(msg), ctx)
@@ -449,7 +361,260 @@ impl StackMachine {
                 self.aodv.send(now, to, AppMsg::Content(msg), ctx)
             }
         };
-        self.exec(now, actions, out);
+        self.exec(host, now, actions);
+    }
+
+    /// Mint a fresh trace root for a spontaneous origination batch: only
+    /// with tracing on, a non-empty batch, and no active upstream cause.
+    /// One trace covers the whole batch.
+    fn mint<H: StackHost>(
+        &self,
+        host: &mut H,
+        now: SimTime,
+        cause: TraceCtx,
+        label: &'static str,
+        nonempty: bool,
+    ) -> TraceCtx {
+        let trace = host.trace();
+        if cause.is_active() || !nonempty || !trace.enabled() {
+            return cause;
+        }
+        let root = TraceCtx::root(trace.alloc_trace(), trace.alloc_span());
+        trace.record(
+            now,
+            TraceEvent::Origin {
+                node: self.id,
+                ctx: root,
+                label,
+            },
+        );
+        root
+    }
+
+    /// Emit ConnUp/ConnDown/RoleChange milestones from the member's state
+    /// delta since the last observation. No-op unless tracing.
+    fn member_delta<H: StackHost>(&mut self, host: &mut H, now: SimTime) {
+        let trace = host.trace();
+        if !trace.enabled() {
+            return;
+        }
+        let Some(m) = self.member.as_mut() else {
+            return;
+        };
+        let id = self.id;
+        let neighbors = m.algo.neighbors();
+        let role = m.algo.role();
+        let old = std::mem::replace(&mut m.last_neighbors, neighbors.clone());
+        let old_role = std::mem::replace(&mut m.last_role, role);
+        for &nb in &neighbors {
+            if !old.contains(&nb) {
+                trace.record(now, TraceEvent::ConnUp { node: id, peer: nb });
+            }
+        }
+        for &nb in &old {
+            if !neighbors.contains(&nb) {
+                trace.record(now, TraceEvent::ConnDown { node: id, peer: nb });
+            }
+        }
+        if role != old_role {
+            trace.record(now, TraceEvent::RoleChange { node: id, role });
+        }
+    }
+
+    /// Run an AODV action batch, in order, depth-first, after the
+    /// node's adversarial role (if any) has rewritten it.
+    fn exec<H: StackHost>(&mut self, host: &mut H, now: SimTime, actions: Vec<Action<AppMsg>>) {
+        let id = self.id;
+        let actions = match self.adversary.as_mut() {
+            Some(adv) => adv.subvert(id, actions),
+            None => actions,
+        };
+        for action in actions {
+            match action {
+                Action::Broadcast(msg) => {
+                    host.send(now, id, SendDown::Broadcast(msg));
+                }
+                Action::Unicast { to, msg } => {
+                    if let Some(msg) = host.send(now, id, SendDown::Unicast { to, msg }) {
+                        let actions = self.aodv.on_unicast_failed(now, to, msg);
+                        self.exec(host, now, actions);
+                    }
+                }
+                Action::Deliver {
+                    src,
+                    hops,
+                    payload,
+                    ctx,
+                } => self.deliver(
+                    host,
+                    now,
+                    DeliverUp {
+                        src,
+                        hops,
+                        flood: false,
+                        payload,
+                        ctx,
+                    },
+                ),
+                Action::DeliverFlood {
+                    origin,
+                    hops,
+                    payload,
+                    ctx,
+                } => self.deliver(
+                    host,
+                    now,
+                    DeliverUp {
+                        src: origin,
+                        hops,
+                        flood: true,
+                        payload,
+                        ctx,
+                    },
+                ),
+                Action::Unreachable { dst, ctx, .. } => {
+                    let mut cause = ctx;
+                    let trace = host.trace();
+                    if trace.enabled() && ctx.is_active() {
+                        cause = ctx.child(trace.alloc_span());
+                        trace.record(
+                            now,
+                            TraceEvent::Unreachable {
+                                node: id,
+                                ctx: cause,
+                                dst,
+                            },
+                        );
+                    }
+                    if let Some(m) = self.member.as_mut().filter(|m| m.joined) {
+                        let actions = m.algo.on_unreachable(now, dst);
+                        self.exec_overlay(host, now, actions, cause);
+                    }
+                }
+            }
+        }
+    }
+
+    /// A payload surfaced at this node: count it, trace it, and hand it
+    /// to the overlay algorithm or the query engine. The delivery becomes
+    /// the causal parent of everything the overlay does in response.
+    /// Pure relays and members that are not joined drop it.
+    fn deliver<H: StackHost>(&mut self, host: &mut H, now: SimTime, verb: DeliverUp) {
+        if !self.is_joined() {
+            return;
+        }
+        let DeliverUp {
+            src,
+            hops,
+            flood,
+            payload,
+            ctx,
+        } = verb;
+        let id = self.id;
+        host.delivered(id, &payload, hops);
+        let mut cause = TraceCtx::NONE;
+        let trace = host.trace();
+        if trace.enabled() {
+            if ctx.is_active() {
+                cause = ctx.child(trace.alloc_span());
+            }
+            trace.record(
+                now,
+                TraceEvent::DeliverUp {
+                    node: id,
+                    from: src,
+                    kind: payload.kind(),
+                    hops,
+                    ctx: cause,
+                },
+            );
+        }
+        // A selfish member consumes service traffic without serving:
+        // incoming queries and fetch requests are counted and traced as
+        // delivered (the frame did arrive) but never reach the engine, so
+        // no hit or transfer is ever produced. Its own queries still work.
+        let selfish = self
+            .adversary
+            .as_ref()
+            .is_some_and(|a| a.role == AdversaryRole::Selfish);
+        if selfish
+            && matches!(
+                payload,
+                AppMsg::Content(ContentMsg::Query { .. } | ContentMsg::FetchRequest { .. })
+            )
+        {
+            return;
+        }
+        let m = self.member.as_mut().expect("joined member");
+        match payload {
+            AppMsg::Overlay(msg) => {
+                let actions = if flood {
+                    m.algo.on_flood(now, src, hops, &msg)
+                } else {
+                    m.algo.on_msg(now, src, hops, &msg)
+                };
+                self.exec_overlay(host, now, actions, cause);
+            }
+            AppMsg::Content(msg) => {
+                let neighbors = m.algo.neighbors();
+                let sends = m.engine.on_msg(now, src, hops, &msg, &neighbors);
+                self.exec_content(host, now, sends, cause);
+            }
+        }
+        self.member_delta(host, now);
+        self.rearm(host, now);
+    }
+
+    /// Push overlay actions down into AODV as [`OverlayDown`] verbs.
+    /// `cause` is the delivery (or unreachable report) that provoked the
+    /// batch; when inactive and the batch is non-empty, a fresh
+    /// "reconfig" trace is minted for it.
+    fn exec_overlay<H: StackHost>(
+        &mut self,
+        host: &mut H,
+        now: SimTime,
+        actions: Vec<OvAction>,
+        cause: TraceCtx,
+    ) {
+        let ctx = self.mint(host, now, cause, "reconfig", !actions.is_empty());
+        for action in actions {
+            let verb = match action {
+                OvAction::Flood { ttl, msg } => OverlayDown::Flood { ttl, msg, ctx },
+                OvAction::Send { to, msg } => OverlayDown::Send { to, msg, ctx },
+            };
+            self.overlay_down(host, now, verb);
+        }
+    }
+
+    /// Push content-layer sends down into AODV, minting a trace named
+    /// after the batch's leading message when there is no upstream cause
+    /// (a locally originated query).
+    fn exec_content<H: StackHost>(
+        &mut self,
+        host: &mut H,
+        now: SimTime,
+        sends: Vec<CSend>,
+        cause: TraceCtx,
+    ) {
+        let label = match sends.first().map(|s| &s.msg) {
+            Some(ContentMsg::Query { .. }) => "query",
+            Some(ContentMsg::QueryHit { .. }) => "query_hit",
+            Some(ContentMsg::FetchRequest { .. }) => "fetch",
+            Some(ContentMsg::FileTransfer { .. }) => "transfer",
+            None => "content",
+        };
+        let ctx = self.mint(host, now, cause, label, !sends.is_empty());
+        for send in sends {
+            self.overlay_down(
+                host,
+                now,
+                OverlayDown::Content {
+                    to: send.to,
+                    msg: send.msg,
+                    ctx,
+                },
+            );
+        }
     }
 }
 
@@ -457,90 +622,111 @@ impl StackMachine {
 mod tests {
     use super::*;
     use manet_des::{Rng, SimDuration};
-    use p2p_content::{Catalog, ContentMsg, FileId, QueryCfg};
+    use p2p_content::{Catalog, FileId, QueryCfg, QueryId};
     use p2p_core::{build_algo, AlgoKind, OverlayParams};
-    use std::collections::BTreeSet;
-    use std::collections::VecDeque;
+    use std::collections::{BTreeSet, VecDeque};
 
     /// A deliberately tiny in-memory substrate: a lossless full mesh
     /// where every node is one radio hop from every other — the same
-    /// topology the loopback swarm realizes with UDP sockets.
-    struct Mesh {
-        nodes: Vec<StackMachine>,
+    /// topology the loopback swarm realizes with UDP sockets. Frames
+    /// queue on the air and arrive after the sending cascade finishes.
+    #[derive(Default)]
+    struct Air {
+        n: usize,
+        in_flight: VecDeque<(NodeId, SendDown)>,
+        wakes: Vec<SimTime>,
         answered: usize,
         issued: usize,
+        /// `(node, query-layer message kind)` of every counted delivery.
+        delivered: Vec<(NodeId, manet_metrics::MsgKind)>,
+        /// Frames each node put on the air.
+        sent_by: Vec<usize>,
+        trace: TraceLog,
+    }
+
+    impl StackHost for Air {
+        fn send(&mut self, _now: SimTime, from: NodeId, frame: SendDown) -> Option<Msg<AppMsg>> {
+            self.sent_by[from.index()] += 1;
+            self.in_flight.push_back((from, frame));
+            None
+        }
+        fn delivered(&mut self, at: NodeId, payload: &AppMsg, _hops: u8) {
+            self.delivered.push((at, payload.kind()));
+        }
+        fn query_completed(&mut self, _requirer: NodeId, done: &CompletedQuery) {
+            self.issued += 1;
+            if !done.answers.is_empty() {
+                self.answered += 1;
+            }
+        }
+        fn arm_timer(&mut self, _now: SimTime, node: NodeId, req: TimerReq) {
+            self.wakes[node.index()] = req.at;
+        }
+        fn trace(&mut self) -> &mut TraceLog {
+            &mut self.trace
+        }
+    }
+
+    struct Mesh {
+        nodes: Vec<StackMachine>,
+        air: Air,
+    }
+
+    fn query_cfg() -> QueryCfg {
+        QueryCfg {
+            response_wait: SimDuration::from_secs(2),
+            think_min: SimDuration::from_millis(500),
+            think_max: SimDuration::from_millis(1500),
+            ..QueryCfg::default()
+        }
+    }
+
+    fn member(id: u32, files: Vec<u16>, query: QueryCfg) -> StackMachine {
+        let node = NodeId(id);
+        let algo = build_algo(
+            AlgoKind::Regular,
+            node,
+            OverlayParams::default(),
+            0,
+            Rng::new(100 + id as u64),
+        );
+        let engine = QueryEngine::new(
+            node,
+            query,
+            Catalog::default(),
+            files.into_iter().map(FileId).collect(),
+            Rng::new(200 + id as u64),
+        );
+        StackMachine::new(node, AodvCfg::default(), algo, engine)
     }
 
     impl Mesh {
         fn new(n: u32, files_of: impl Fn(u32) -> Vec<u16>) -> Mesh {
-            let query = QueryCfg {
-                response_wait: SimDuration::from_secs(2),
-                think_min: SimDuration::from_millis(500),
-                think_max: SimDuration::from_millis(1500),
-                ..QueryCfg::default()
-            };
-            let nodes = (0..n)
-                .map(|i| {
-                    let id = NodeId(i);
-                    let algo = build_algo(
-                        AlgoKind::Regular,
-                        id,
-                        OverlayParams::default(),
-                        0,
-                        Rng::new(100 + i as u64),
-                    );
-                    let engine = QueryEngine::new(
-                        id,
-                        query,
-                        Catalog::default(),
-                        files_of(i).into_iter().map(FileId).collect(),
-                        Rng::new(200 + i as u64),
-                    );
-                    StackMachine::new(id, AodvCfg::default(), algo, engine)
-                })
-                .collect();
-            Mesh {
-                nodes,
-                answered: 0,
-                issued: 0,
-            }
+            Mesh::of(
+                (0..n)
+                    .map(|i| member(i, files_of(i), query_cfg()))
+                    .collect(),
+            )
         }
 
-        /// Deliver every frame in `out` instantly, cascading.
-        fn route(&mut self, from: usize, out: StackOutput, now: SimTime) {
-            let mut pending: VecDeque<(usize, StackOutput)> = VecDeque::new();
-            pending.push_back((from, out));
-            while let Some((src, out)) = pending.pop_front() {
-                for done in &out.completed {
-                    self.issued += 1;
-                    if !done.answers.is_empty() {
-                        self.answered += 1;
-                    }
-                }
-                for frame in out.frames {
-                    match frame {
-                        SendDown::Broadcast(msg) => {
-                            for to in 0..self.nodes.len() {
-                                if to != src {
-                                    let up = FrameUp {
-                                        from: NodeId(src as u32),
-                                        msg: msg.clone(),
-                                    };
-                                    let o = self.nodes[to].on_frame(now, up);
-                                    pending.push_back((to, o));
-                                }
-                            }
-                        }
-                        SendDown::Unicast { to, msg } => {
-                            let to = to.0 as usize;
-                            let up = FrameUp {
-                                from: NodeId(src as u32),
-                                msg,
-                            };
-                            let o = self.nodes[to].on_frame(now, up);
-                            pending.push_back((to, o));
-                        }
-                    }
+        fn of(nodes: Vec<StackMachine>) -> Mesh {
+            let air = air(nodes.len());
+            Mesh { nodes, air }
+        }
+
+        /// Deliver every frame on the air instantly, cascading.
+        fn settle(&mut self, now: SimTime) {
+            while let Some((src, frame)) = self.air.in_flight.pop_front() {
+                let (targets, msg) = match frame {
+                    SendDown::Broadcast(msg) => ((0..self.air.n).collect::<Vec<_>>(), msg),
+                    SendDown::Unicast { to, msg } => (vec![to.index()], msg),
+                };
+                for to in targets.into_iter().filter(|&to| to != src.index()) {
+                    let up = FrameUp {
+                        from: src,
+                        msg: msg.clone(),
+                    };
+                    self.nodes[to].on_frame(&mut self.air, now, up);
                 }
             }
         }
@@ -548,20 +734,21 @@ mod tests {
         fn run(&mut self, until: SimTime) {
             let mut now = SimTime::ZERO;
             for i in 0..self.nodes.len() {
-                let out = self.nodes[i].join(now);
-                self.route(i, out, now);
+                self.nodes[i].join(&mut self.air, now);
+                self.settle(now);
             }
             loop {
                 let (i, at) = (0..self.nodes.len())
-                    .map(|i| (i, self.nodes[i].timer_request().at))
+                    .map(|i| (i, self.air.wakes[i]))
                     .min_by_key(|&(_, at)| at)
                     .expect("nonempty");
                 if at > until {
                     break;
                 }
                 now = at.max(now);
-                let out = self.nodes[i].tick(now);
-                self.route(i, out, now);
+                self.air.wakes[i] = SimTime::MAX;
+                self.nodes[i].tick(&mut self.air, now);
+                self.settle(now);
             }
         }
     }
@@ -579,89 +766,162 @@ mod tests {
             mesh.nodes.iter().any(|n| !n.neighbors().is_empty()),
             "overlay never formed"
         );
-        assert!(mesh.issued > 0, "no query ever issued");
+        assert!(mesh.air.issued > 0, "no query ever issued");
         assert!(
-            mesh.answered > 0,
+            mesh.air.answered > 0,
             "no query answered (issued {})",
-            mesh.issued
+            mesh.air.issued
         );
     }
 
-    /// Frames reaching a node that never joined are relayed by AODV but
-    /// surface no overlay traffic — the DES's "pure relay" semantics.
-    #[test]
-    fn unjoined_node_is_a_pure_relay() {
-        let mut m = {
-            let id = NodeId(9);
-            let algo = build_algo(
-                AlgoKind::Regular,
-                id,
-                OverlayParams::default(),
-                0,
-                Rng::new(1),
-            );
-            let engine = QueryEngine::new(
-                id,
-                QueryCfg::default(),
-                Catalog::default(),
-                BTreeSet::new(),
-                Rng::new(2),
-            );
-            StackMachine::new(id, AodvCfg::default(), algo, engine)
-        };
-        assert!(!m.is_joined());
-        let msg = manet_aodv::Msg::Data(manet_aodv::Data {
-            src: NodeId(1),
-            dst: NodeId(9),
+    /// A data frame from `src` to `dst`, one hop in.
+    fn data(src: u32, dst: u32) -> Msg<AppMsg> {
+        Msg::Data(manet_aodv::Data {
+            src: NodeId(src),
+            dst: NodeId(dst),
             hops: 1,
             payload: AppMsg::Content(ContentMsg::QueryHit {
-                id: p2p_content::QueryId {
-                    origin: NodeId(9),
+                id: QueryId {
+                    origin: NodeId(dst),
                     seq: 0,
                 },
                 file: FileId(0),
                 p2p_hops: 1,
             }),
             ctx: TraceCtx::NONE,
-        });
-        let out = m.on_frame(
-            SimTime::from_secs(1),
-            FrameUp {
-                from: NodeId(1),
-                msg,
-            },
-        );
-        assert_eq!(out.delivered.len(), 1, "delivery still surfaces");
-        assert!(out.frames.is_empty(), "no overlay reaction");
+        })
     }
 
-    /// The combined timer is the min over all three layers, exactly as
-    /// the DES stack computes it.
+    fn air(n: usize) -> Air {
+        Air {
+            n,
+            wakes: vec![SimTime::MAX; n],
+            sent_by: vec![0; n],
+            ..Air::default()
+        }
+    }
+
+    /// Adversaries are intercepted inside the machine, so any host runs
+    /// them. A black-hole relay swallows a data frame an honest relay
+    /// forwards while its own originations still go out, and in a full
+    /// mesh a selfish holder never answers a query.
     #[test]
-    fn timer_is_combined_min() {
-        let id = NodeId(0);
-        let algo = build_algo(
-            AlgoKind::Regular,
-            id,
-            OverlayParams::default(),
-            0,
-            Rng::new(3),
+    fn black_hole_and_selfish_member_misbehave_on_any_host() {
+        let now = SimTime::from_secs(1);
+        let frame = |from: u32, msg| FrameUp {
+            from: NodeId(from),
+            msg,
+        };
+        // Node 1 first hears node 0 (learning a one-hop route to it), then
+        // is asked to forward node 3's data to node 0.
+        let mut forwarded = Vec::new();
+        for adversary in [None, Some(AdversaryRole::BlackHole)] {
+            let mut relay = StackMachine::relay(NodeId(1), AodvCfg::default());
+            if let Some(role) = adversary {
+                relay.set_adversary(role);
+            }
+            let mut air = air(4);
+            relay.on_frame(&mut air, now, frame(0, data(0, 1)));
+            relay.on_frame(&mut air, now, frame(3, data(3, 0)));
+            forwarded.push(air.sent_by[1]);
+            if adversary.is_some() {
+                relay.overlay_down(
+                    &mut air,
+                    now,
+                    OverlayDown::Content {
+                        to: NodeId(0),
+                        msg: ContentMsg::FetchRequest {
+                            id: QueryId {
+                                origin: NodeId(1),
+                                seq: 0,
+                            },
+                            file: FileId(0),
+                        },
+                        ctx: TraceCtx::NONE,
+                    },
+                );
+                assert_eq!(air.sent_by[1], 1, "own origination withheld");
+            }
+        }
+        assert_eq!(
+            forwarded,
+            [1, 0],
+            "honest relay forwards, black hole swallows"
         );
+
+        // Node 3, the only holder, is selfish: queries reach it, but no
+        // query is ever answered.
+        let query = query_cfg();
+        let mut nodes: Vec<_> = (0..4)
+            .map(|i| member(i, if i == 3 { (0..20).collect() } else { vec![] }, query))
+            .collect();
+        nodes[3].set_adversary(AdversaryRole::Selfish);
+        let mut mesh = Mesh::of(nodes);
+        mesh.run(SimTime::from_secs(20));
+        let queries_at_3 = mesh
+            .air
+            .delivered
+            .iter()
+            .filter(|&&(at, kind)| at == NodeId(3) && kind == manet_metrics::MsgKind::Query)
+            .count();
+        assert!(queries_at_3 > 0, "no query reached the selfish holder");
+        assert!(mesh.air.issued > 0, "no query ever issued");
+        assert_eq!(mesh.air.answered, 0, "a selfish holder answered");
+    }
+
+    /// Frames reaching a node that never joined are relayed by AODV but
+    /// surface no overlay traffic — the "pure relay" semantics.
+    #[test]
+    fn unjoined_node_is_a_pure_relay() {
+        let id = NodeId(9);
         let engine = QueryEngine::new(
             id,
             QueryCfg::default(),
             Catalog::default(),
             BTreeSet::new(),
-            Rng::new(4),
+            Rng::new(2),
+        );
+        let algo = build_algo(
+            AlgoKind::Regular,
+            id,
+            OverlayParams::default(),
+            0,
+            Rng::new(1),
         );
         let mut m = StackMachine::new(id, AodvCfg::default(), algo, engine);
-        let before = m.timer_request().at;
-        let _ = m.join(SimTime::ZERO);
-        let after = m.timer_request().at;
+        assert!(!m.is_joined());
+        let mut air = air(10);
+        let now = SimTime::from_secs(1);
+        m.on_frame(
+            &mut air,
+            now,
+            FrameUp {
+                from: NodeId(1),
+                msg: data(1, 9),
+            },
+        );
+        assert_eq!(
+            m.aodv().route_hops(NodeId(1), now),
+            Some(1),
+            "AODV took the frame and learned its sender"
+        );
+        assert!(air.delivered.is_empty(), "no overlay delivery counted");
+        assert!(air.in_flight.is_empty(), "no overlay reaction");
+    }
+
+    /// The combined timer is the min over all three layers.
+    #[test]
+    fn timer_is_combined_min() {
+        let mut m = member(0, vec![], QueryCfg::default());
+        let mut air = air(1);
+        let before = m.timer_request(false).at;
+        m.join(&mut air, SimTime::ZERO);
+        let after = m.timer_request(false).at;
         assert!(after < SimTime::MAX, "join arms discovery/query timers");
         assert!(
             after <= before,
             "combined timer folds the overlay/query wakes in: {after:?} vs {before:?}"
         );
+        assert_eq!(air.wakes[0], after, "join re-arms the host timer");
     }
 }

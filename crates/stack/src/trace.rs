@@ -2,10 +2,10 @@
 //!
 //! Debugging a distributed protocol is miserable without a record of
 //! *who did what, when*. [`TraceLog`] keeps the last `capacity`
-//! interesting events in a ring buffer; DES worlds record into it when
-//! the scenario's trace capacity is non-zero, and the real-time
-//! substrate records into the same type through the machine's
-//! observability sink. Rendering is plain text, one event per line,
+//! interesting events in a ring buffer. Each substrate lends its log to
+//! the protocol machine ([`crate::StackHost::trace`]): DES worlds record
+//! when the scenario's trace capacity is non-zero, a real-time node once
+//! its observability is armed. Rendering is plain text, one event per line,
 //! suitable for diffing two runs.
 //!
 //! Beyond milestones (joins, connections, role changes), the log records

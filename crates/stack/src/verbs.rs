@@ -1,4 +1,4 @@
-//! The five inter-layer verbs — the only boundary a substrate may cross.
+//! The typed inter-layer verbs.
 //!
 //! ```text
 //!   overlay   Reconfigurator + QueryEngine
@@ -9,11 +9,14 @@
 //! ```
 //!
 //! Layers communicate exclusively through these typed verbs; no layer
-//! reaches into another's fields. The DES executes them against its
-//! modelled radio and future-event list, the real-time driver against a
-//! socket and an epoll deadline — everything above the phy layer is
-//! shared, so "the same stack on both substrates" is a type-level fact,
-//! not a convention.
+//! reaches into another's fields. The substrate boundary is
+//! [`StackHost`](crate::StackHost): a host hands each arriving frame to
+//! the machine as a [`FrameUp`], and the machine hands back [`SendDown`]
+//! frames and [`TimerReq`] wakes through the host's methods.
+//! [`OverlayDown`] is also the entry point for traffic injected above
+//! routing ([`StackMachine::overlay_down`](crate::StackMachine::overlay_down)).
+//! `DeliverUp` never leaves the machine: it carries an AODV delivery to
+//! the overlay inside one cascade.
 
 use manet_aodv::Msg;
 use manet_des::{NodeId, SimTime, TraceCtx};
@@ -52,17 +55,17 @@ pub enum SendDown {
 
 /// routing → overlay: an application payload reached its destination.
 #[derive(Clone, Debug)]
-pub struct DeliverUp {
+pub(crate) struct DeliverUp {
     /// Originator of the payload.
-    pub src: NodeId,
+    pub(crate) src: NodeId,
     /// Ad-hoc hops travelled.
-    pub hops: u8,
+    pub(crate) hops: u8,
     /// Arrived via a hop-limited flood (true) or a routed unicast.
-    pub flood: bool,
+    pub(crate) flood: bool,
     /// The payload itself.
-    pub payload: AppMsg,
+    pub(crate) payload: AppMsg,
     /// Causal context the payload travelled with.
-    pub ctx: TraceCtx,
+    pub(crate) ctx: TraceCtx,
 }
 
 /// overlay → routing: send an application payload across the MANET under

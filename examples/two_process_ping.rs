@@ -24,7 +24,7 @@ use p2p_adhoc::aodv::AodvCfg;
 use p2p_adhoc::content::QueryEngine;
 use p2p_adhoc::core::build_algo;
 use p2p_adhoc::prelude::*;
-use p2p_adhoc::rt::{FaultShim, RtNode};
+use p2p_adhoc::rt::RtNode;
 use p2p_adhoc::stack::StackMachine;
 
 /// Wall-clock run length; comfortably two handshake + query rounds.
@@ -82,7 +82,6 @@ fn child_main() {
         machine(1, (0..20).collect(), 7),
         socket,
         vec![(NodeId(0), parent)],
-        FaultShim::new(&FaultPlan::default(), 7),
     )
     .expect("child node");
     let report = node
@@ -125,13 +124,8 @@ fn main() {
 
     // The parent holds nothing, so every query it issues must cross the
     // wire to the child and back.
-    let mut node = RtNode::new(
-        machine(0, vec![], 3),
-        socket,
-        vec![(NodeId(1), child_addr)],
-        FaultShim::new(&FaultPlan::default(), 3),
-    )
-    .expect("parent node");
+    let mut node = RtNode::new(machine(0, vec![], 3), socket, vec![(NodeId(1), child_addr)])
+        .expect("parent node");
     let report = node.run(RUN, Duration::ZERO).expect("parent run");
 
     let status = child.wait().expect("wait child");
