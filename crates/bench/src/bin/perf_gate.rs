@@ -11,8 +11,9 @@
 //! 2. **Obs tax** — events/sec with the sink *on* must stay within
 //!    `PERF_GATE_OBS_TOL` (default 3%) of the disabled run measured in
 //!    the same interleaved pair. This is the gate that lets observability
-//!    default to on: counters are slab bumps, span timing is
-//!    stride-sampled, trace capture is reservoir-sampled.
+//!    default to on: a counter bump is one indexed add on a pre-resolved
+//!    registry id, span timing is stride-sampled, trace capture is
+//!    reservoir-sampled.
 //! 3. **Scale rung** — once a pair passes, a 2,000-node world at Table 2
 //!    density (632 m side, sink on, 120 simulated seconds) must reach at
 //!    least [`SCALE_MIN_RATIO`] of that pair's enabled-sink events/sec.

@@ -64,12 +64,6 @@ struct Bucket {
 }
 
 impl Bucket {
-    /// The still-pending tail, in ascending `(at, seq)` order.
-    #[inline]
-    fn live(&self) -> &[Item] {
-        &self.v[self.head..]
-    }
-
     /// First pending item, if any — the bucket's `(at, seq)` minimum.
     #[inline]
     fn front(&self) -> Option<&Item> {
@@ -95,7 +89,7 @@ impl Bucket {
             self.v.drain(..self.head);
             self.head = 0;
         }
-        // Search only the live region: the consumed prefix still holds
+        // Search only the pending region: the consumed prefix still holds
         // stale copies of taken items (head only advances), and a re-insert
         // of the same key (an unpop) must not land among them.
         let key = (item.at, item.seq);
@@ -117,7 +111,7 @@ pub(crate) struct CalendarQueue {
     /// Current window number: the cursor is at bucket `window % buckets`,
     /// and an item is *due* there iff `item.at / width == window`.
     window: u64,
-    /// Total items stored, live and lazily-cancelled alike.
+    /// Total items stored.
     items: usize,
     /// Time (ticks) of the most recently popped item. Pops are globally
     /// sorted, so this is the popped-time high-water mark.
@@ -156,10 +150,6 @@ impl CalendarQueue {
     #[inline]
     fn bucket_of(&self, ticks: u64) -> usize {
         ((ticks / self.width) as usize) & self.mask()
-    }
-
-    pub(crate) fn len(&self) -> usize {
-        self.items
     }
 
     pub(crate) fn push(&mut self, item: Item) {
@@ -237,39 +227,6 @@ impl CalendarQueue {
         self.push(item);
     }
 
-    /// Rewind the cursor to the window containing `now_ticks`.
-    ///
-    /// Needed when a scan consumed trailing lazily-cancelled items (moving
-    /// the cursor to their windows) without yielding a live event: a later
-    /// `push` between the cancelled items' times and `now` must not land
-    /// behind the cursor. Rewinding below the true minimum is always safe —
-    /// it only costs extra empty-bucket scanning.
-    pub(crate) fn reset_cursor(&mut self, now_ticks: u64) {
-        self.window = now_ticks / self.width;
-    }
-
-    /// Drop items failing the predicate (lazy-cancellation sweep).
-    pub(crate) fn retain(&mut self, mut keep: impl FnMut(&Item) -> bool) {
-        let mut removed = 0usize;
-        for bucket in &mut self.buckets {
-            if bucket.head > 0 {
-                bucket.v.drain(..bucket.head);
-                bucket.head = 0;
-            }
-            bucket.v.retain(|item| {
-                let k = keep(item);
-                if !k {
-                    removed += 1;
-                }
-                k
-            });
-        }
-        self.items -= removed;
-        if self.items < self.buckets.len() / 4 && self.buckets.len() > MIN_BUCKETS {
-            self.rebuild(self.buckets.len() / 2);
-        }
-    }
-
     /// Lifetime diagnostics: `[pops, window_visits, fallback_scans,
     /// rebuilds, width, buckets, items]`. For tuning probes and tests.
     pub(crate) fn stats(&self) -> [u64; 7] {
@@ -283,11 +240,6 @@ impl CalendarQueue {
             self.buckets.len() as u64,
             self.items as u64,
         ]
-    }
-
-    /// Iterate over all stored items in arbitrary order.
-    pub(crate) fn iter(&self) -> impl Iterator<Item = &Item> + '_ {
-        self.buckets.iter().flat_map(Bucket::live)
     }
 
     /// Is bucket `b`'s front item due in `window`?
@@ -421,7 +373,7 @@ mod tests {
         c.push(item(9_000_000, 3));
         let order: Vec<u64> = std::iter::from_fn(|| c.take_min()).map(|i| i.seq).collect();
         assert_eq!(order, vec![1, 2, 0, 3]);
-        assert_eq!(c.len(), 0);
+        assert_eq!(c.items, 0);
     }
 
     #[test]
@@ -455,19 +407,6 @@ mod tests {
         }
         assert_eq!(n, 10_000);
         assert_eq!(c.buckets.len(), MIN_BUCKETS, "wheel should shrink back");
-    }
-
-    #[test]
-    fn retain_drops_and_recounts() {
-        let mut c = CalendarQueue::new();
-        for i in 0..100u64 {
-            c.push(item(i * 10, i));
-        }
-        c.retain(|it| it.seq % 2 == 0);
-        assert_eq!(c.len(), 50);
-        let seqs: Vec<u64> = std::iter::from_fn(|| c.take_min()).map(|i| i.seq).collect();
-        assert!(seqs.iter().all(|s| s % 2 == 0));
-        assert_eq!(seqs.len(), 50);
     }
 
     #[test]

@@ -10,6 +10,10 @@
 //! timing wheel that is the default). Both pop the exact same
 //! `(time, seq)` sequence, so the choice is a pure performance knob —
 //! property-tested for equivalence in `crate::properties`.
+//!
+//! Backends order small `Copy` items; payloads wait in a slot store on the
+//! queue and are moved out when their item pops. There is no cancellation:
+//! every scheduled event pops.
 
 use std::cmp::Ordering;
 use std::collections::BinaryHeap;
@@ -17,23 +21,10 @@ use std::collections::BinaryHeap;
 use crate::calendar::CalendarQueue;
 use crate::time::SimTime;
 
-/// Opaque handle identifying a scheduled event, used for cancellation.
-///
-/// Internally carries the entry slot so cancellation is O(1); slot reuse is
-/// guarded by the sequence number, so stale ids are harmless. Slot numbers
-/// are an allocation detail: they may differ between scheduler backends even
-/// though the observable pop sequence is identical.
-#[derive(Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Debug)]
-pub struct EventId {
-    seq: u64,
-    slot: usize,
-}
-
 /// Which future-event-list implementation an [`EventQueue`] runs on.
 #[derive(Clone, Copy, PartialEq, Eq, Hash, Debug, Default)]
 pub enum SchedulerKind {
-    /// Lazy-deletion binary heap: O(log n) schedule/pop. The reference
-    /// implementation.
+    /// Binary heap: O(log n) schedule/pop. The reference implementation.
     Heap,
     /// Calendar queue (bucketed timing wheel): amortized O(1) schedule/pop
     /// under simulation-like workloads. Bit-identical pop order to `Heap`.
@@ -41,14 +32,8 @@ pub enum SchedulerKind {
     Calendar,
 }
 
-struct Entry<E> {
-    seq: u64,
-    cancelled: bool,
-    payload: Option<E>,
-}
-
 /// One scheduled occurrence as stored inside a backend: timestamp, global
-/// insertion sequence, and the slot of its payload entry.
+/// insertion sequence, and the slot of its payload.
 #[derive(Clone, Copy, Debug)]
 pub(crate) struct Item {
     pub(crate) at: SimTime,
@@ -94,7 +79,7 @@ impl Backend {
         }
     }
 
-    /// Remove and return the minimal `(at, seq)` item, live or stale.
+    /// Remove and return the minimal `(at, seq)` item.
     fn take_min(&mut self) -> Option<Item> {
         match self {
             Backend::Heap(h) => h.pop().map(|h| h.0),
@@ -110,63 +95,22 @@ impl Backend {
             Backend::Calendar(c) => c.unpop(item, now_ticks),
         }
     }
-
-    /// Restore any cursor state to the caller's clock `now_ticks` after a
-    /// scan that removed items without yielding a live event.
-    fn reset_cursor(&mut self, now_ticks: u64) {
-        match self {
-            Backend::Heap(_) => {}
-            Backend::Calendar(c) => c.reset_cursor(now_ticks),
-        }
-    }
-
-    fn retain(&mut self, mut keep: impl FnMut(&Item) -> bool) {
-        match self {
-            Backend::Heap(h) => {
-                let mut v = std::mem::take(h).into_vec();
-                v.retain(|hi| keep(&hi.0));
-                *h = BinaryHeap::from(v);
-            }
-            Backend::Calendar(c) => c.retain(keep),
-        }
-    }
-
-    fn stored(&self) -> usize {
-        match self {
-            Backend::Heap(h) => h.len(),
-            Backend::Calendar(c) => c.len(),
-        }
-    }
-
-    fn iter(&self) -> Box<dyn Iterator<Item = &Item> + '_> {
-        match self {
-            Backend::Heap(h) => Box::new(h.iter().map(|hi| &hi.0)),
-            Backend::Calendar(c) => Box::new(c.iter()),
-        }
-    }
 }
-
-/// Stale items must outnumber this floor before a compaction sweep runs, so
-/// small queues never pay the O(n) rebuild.
-const COMPACT_FLOOR: usize = 64;
 
 /// A deterministic future-event list.
 ///
-/// `E` is the simulation's event payload type. Supports O(1) cancellation
-/// (lazy removal) and — on the default calendar-queue backend — amortized
-/// O(1) schedule and pop. Popping never returns an event earlier than the
-/// last popped time, so causality is monotone. When lazily-cancelled items
-/// come to outnumber half the live count the queue compacts itself, so
-/// churn-heavy workloads cannot grow the backlog without bound.
+/// `E` is the simulation's event payload type. On the default
+/// calendar-queue backend, schedule and pop are amortized O(1). Popping
+/// never returns an event earlier than the last popped time, so causality
+/// is monotone.
 pub struct EventQueue<E> {
     backend: Backend,
-    entries: Vec<Entry<E>>,
+    /// Payloads of pending events, indexed by their item's `slot`; `None`
+    /// in the slots listed in `free`.
+    slots: Vec<Option<E>>,
     free: Vec<usize>,
     next_seq: u64,
     now: SimTime,
-    live: usize,
-    /// Cancelled items still sitting in the backend awaiting lazy removal.
-    dead: usize,
 }
 
 impl<E> Default for EventQueue<E> {
@@ -191,12 +135,10 @@ impl<E> EventQueue<E> {
         };
         EventQueue {
             backend,
-            entries: Vec::new(),
+            slots: Vec::new(),
             free: Vec::new(),
             next_seq: 0,
             now: SimTime::ZERO,
-            live: 0,
-            dead: 0,
         }
     }
 
@@ -214,20 +156,20 @@ impl<E> EventQueue<E> {
         self.now
     }
 
-    /// Number of pending (non-cancelled) events.
+    /// Number of pending events.
     #[inline]
     pub fn len(&self) -> usize {
-        self.live
+        self.slots.len() - self.free.len()
     }
 
     /// True if no events are pending.
     #[inline]
     pub fn is_empty(&self) -> bool {
-        self.live == 0
+        self.len() == 0
     }
 
     /// Total events ever scheduled on this queue (the insertion-sequence
-    /// high-water mark; includes popped and cancelled events).
+    /// high-water mark; includes popped events).
     #[inline]
     pub fn scheduled_total(&self) -> u64 {
         self.next_seq
@@ -237,7 +179,7 @@ impl<E> EventQueue<E> {
     ///
     /// Panics if `at` is earlier than the current time (scheduling into the
     /// past would break causality).
-    pub fn schedule(&mut self, at: SimTime, payload: E) -> EventId {
+    pub fn schedule(&mut self, at: SimTime, payload: E) {
         assert!(
             at >= self.now,
             "cannot schedule into the past: at={:?} now={:?}",
@@ -246,71 +188,17 @@ impl<E> EventQueue<E> {
         );
         let seq = self.next_seq;
         self.next_seq += 1;
-        let entry = Entry {
-            seq,
-            cancelled: false,
-            payload: Some(payload),
-        };
         let slot = match self.free.pop() {
             Some(slot) => {
-                self.entries[slot] = entry;
+                self.slots[slot] = Some(payload);
                 slot
             }
             None => {
-                self.entries.push(entry);
-                self.entries.len() - 1
+                self.slots.push(Some(payload));
+                self.slots.len() - 1
             }
         };
         self.backend.push(Item { at, seq, slot });
-        self.live += 1;
-        EventId { seq, slot }
-    }
-
-    /// Cancel a previously scheduled event.
-    ///
-    /// Returns `true` if the event was pending and is now cancelled, `false`
-    /// if it had already fired or been cancelled. O(1): the backend item is
-    /// removed lazily when it reaches the front — or eagerly by the
-    /// compaction sweep once stale items exceed half the live count.
-    pub fn cancel(&mut self, id: EventId) -> bool {
-        match self.entries.get_mut(id.slot) {
-            Some(entry) if entry.seq == id.seq && !entry.cancelled && entry.payload.is_some() => {
-                entry.cancelled = true;
-                entry.payload = None;
-                self.live -= 1;
-                self.dead += 1;
-                if self.dead >= COMPACT_FLOOR && self.dead * 2 > self.live {
-                    self.compact();
-                }
-                true
-            }
-            _ => false,
-        }
-    }
-
-    /// Eagerly sweep lazily-cancelled items out of the backend, reclaiming
-    /// their payload slots. O(stored items). Runs automatically from
-    /// [`cancel`](Self::cancel) once stale items exceed half the live count
-    /// (and a small floor), so long churn-heavy runs cannot accumulate an
-    /// unbounded backlog of tombstones.
-    pub fn compact(&mut self) {
-        let entries = &self.entries;
-        let free = &mut self.free;
-        self.backend.retain(|item| {
-            let e = &entries[item.slot];
-            let live = e.seq == item.seq && !e.cancelled;
-            if !live && e.seq == item.seq {
-                free.push(item.slot);
-            }
-            live
-        });
-        self.dead = 0;
-    }
-
-    /// Number of items physically stored in the backend, including
-    /// lazily-cancelled tombstones. Exposed for tests and benches.
-    pub fn stored(&self) -> usize {
-        self.backend.stored()
     }
 
     /// Remove and return the earliest pending event, advancing the clock.
@@ -322,37 +210,21 @@ impl<E> EventQueue<E> {
     /// `<= limit`; otherwise leave the queue untouched and return `None`.
     ///
     /// This is the horizon-bounded variant the simulation loop uses: one
-    /// amortized O(1)/O(log n) operation instead of a peek-scan followed by
-    /// a pop. The clock only advances when an event is actually returned.
+    /// amortized O(1)/O(log n) operation per step. The clock only advances
+    /// when an event is actually returned.
     pub fn pop_before(&mut self, limit: SimTime) -> Option<(SimTime, E)> {
-        loop {
-            let Some(item) = self.backend.take_min() else {
-                // The scan may have consumed trailing cancelled items and
-                // left the cursor at their (future) windows; rewind it so
-                // later schedules cannot land behind it.
-                self.backend.reset_cursor(self.now.ticks());
-                return None;
-            };
-            let entry = &mut self.entries[item.slot];
-            // Stale items (recycled slot or cancelled event) are skipped.
-            if entry.seq != item.seq || entry.cancelled {
-                if entry.seq == item.seq {
-                    self.free.push(item.slot);
-                    self.dead -= 1;
-                }
-                continue;
-            }
-            if item.at > limit {
-                self.backend.unpop(item, self.now.ticks());
-                return None;
-            }
-            let payload = entry.payload.take().expect("live entry has payload");
-            self.free.push(item.slot);
-            self.live -= 1;
-            debug_assert!(item.at >= self.now, "event queue time went backwards");
-            self.now = item.at;
-            return Some((item.at, payload));
+        let item = self.backend.take_min()?;
+        if item.at > limit {
+            self.backend.unpop(item, self.now.ticks());
+            return None;
         }
+        let payload = self.slots[item.slot]
+            .take()
+            .expect("pending item has a payload");
+        self.free.push(item.slot);
+        debug_assert!(item.at >= self.now, "event queue time went backwards");
+        self.now = item.at;
+        Some((item.at, payload))
     }
 
     /// Calendar-backend diagnostics (`[pops, window_visits, fallback_scans,
@@ -363,21 +235,6 @@ impl<E> EventQueue<E> {
             Backend::Heap(_) => None,
             Backend::Calendar(c) => Some(c.stats()),
         }
-    }
-
-    /// Timestamp of the earliest pending event, if any, without popping it.
-    ///
-    /// O(n): scans the backend without mutating. Use
-    /// [`pop_before`](Self::pop_before) on hot paths.
-    pub fn peek_time(&self) -> Option<SimTime> {
-        self.backend
-            .iter()
-            .filter(|item| {
-                let e = &self.entries[item.slot];
-                e.seq == item.seq && !e.cancelled && e.payload.is_some()
-            })
-            .map(|item| item.at)
-            .min()
     }
 }
 
@@ -448,49 +305,6 @@ mod tests {
     }
 
     #[test]
-    fn cancel_removes_event() {
-        on_both(|mut q| {
-            let a = q.schedule(t(1), "a");
-            q.schedule(t(2), "b");
-            assert!(q.cancel(a));
-            assert!(!q.cancel(a), "double cancel reports false");
-            assert_eq!(q.len(), 1);
-            assert_eq!(q.pop(), Some((t(2), "b")));
-        });
-    }
-
-    #[test]
-    fn cancel_after_fire_is_noop() {
-        on_both(|mut q| {
-            let a = q.schedule(t(1), "a");
-            q.pop();
-            assert!(!q.cancel(a));
-        });
-    }
-
-    #[test]
-    fn slot_recycling_does_not_confuse_ids() {
-        on_both(|mut q| {
-            let a = q.schedule(t(1), "x");
-            q.pop(); // frees slot 0
-            let b = q.schedule(t(2), "y"); // reuses slot 0
-            assert!(!q.cancel(a), "stale id must not cancel the new event");
-            assert!(q.cancel(b));
-            assert!(q.is_empty());
-        });
-    }
-
-    #[test]
-    fn peek_time_skips_cancelled() {
-        on_both(|mut q| {
-            let a = q.schedule(t(1), "x");
-            q.schedule(t(2), "y");
-            q.cancel(a);
-            assert_eq!(q.peek_time(), Some(t(2)));
-        });
-    }
-
-    #[test]
     fn pop_before_respects_the_limit() {
         on_both(|mut q| {
             q.schedule(t(1), "a");
@@ -500,36 +314,6 @@ mod tests {
             assert_eq!(q.len(), 1, "over-limit event stays queued");
             assert_eq!(q.now(), t(1), "clock must not advance past the limit");
             assert_eq!(q.pop_before(t(5)), Some((t(5), "b")));
-        });
-    }
-
-    #[test]
-    fn pop_before_discards_stale_items_without_advancing() {
-        on_both(|mut q| {
-            let a = q.schedule(t(1), "a");
-            q.schedule(t(9), "z");
-            q.cancel(a);
-            assert_eq!(q.pop_before(t(3)), None);
-            assert_eq!(q.len(), 1);
-            assert_eq!(q.pop(), Some((t(9), "z")));
-        });
-    }
-
-    #[test]
-    fn schedule_behind_a_discarded_cancelled_future_event() {
-        // Regression: draining a cancelled far-future event must not leave
-        // the calendar cursor ahead of the clock, or an event scheduled
-        // between `now` and the cancelled time would be missed or reordered.
-        on_both(|mut q| {
-            q.schedule(t(1), "first");
-            let far = q.schedule(t(100), "cancelled");
-            assert_eq!(q.pop(), Some((t(1), "first"))); // now = 1s
-            q.cancel(far);
-            assert_eq!(q.pop(), None, "only a cancelled event remains");
-            q.schedule(t(2), "early");
-            q.schedule(t(50), "late");
-            assert_eq!(q.pop(), Some((t(2), "early")));
-            assert_eq!(q.pop(), Some((t(50), "late")));
         });
     }
 
@@ -565,45 +349,6 @@ mod tests {
     }
 
     #[test]
-    fn compaction_bounds_stale_backlog() {
-        for kind in [SchedulerKind::Heap, SchedulerKind::Calendar] {
-            let mut q = EventQueue::with_scheduler(kind);
-            let mut ids = Vec::new();
-            for i in 0..(COMPACT_FLOOR as u64 * 4) {
-                ids.push(q.schedule(SimTime::from_ticks(1000 + i), i));
-            }
-            // Cancel everything but the last few: compaction must kick in.
-            let keep = 8;
-            for id in &ids[..ids.len() - keep] {
-                assert!(q.cancel(*id));
-            }
-            assert_eq!(q.len(), keep);
-            assert!(
-                q.stored() <= q.len() + COMPACT_FLOOR,
-                "{kind:?}: stored {} items for {} live",
-                q.stored(),
-                q.len()
-            );
-            // Survivors still pop in order.
-            let survivors: Vec<u64> = std::iter::from_fn(|| q.pop().map(|(_, v)| v)).collect();
-            let expect: Vec<u64> = (ids.len() as u64 - keep as u64..ids.len() as u64).collect();
-            assert_eq!(survivors, expect);
-        }
-    }
-
-    #[test]
-    fn explicit_compact_reclaims_slots() {
-        let mut q = EventQueue::with_scheduler(SchedulerKind::Heap);
-        let a = q.schedule(t(1), 1);
-        q.schedule(t(2), 2);
-        q.cancel(a);
-        assert_eq!(q.stored(), 2);
-        q.compact();
-        assert_eq!(q.stored(), 1);
-        assert_eq!(q.pop(), Some((t(2), 2)));
-    }
-
-    #[test]
     fn large_volume_stays_sorted() {
         for kind in [SchedulerKind::Heap, SchedulerKind::Calendar] {
             let mut rng = crate::rng::Rng::new(99);
@@ -619,5 +364,55 @@ mod tests {
                 last = at;
             }
         }
+    }
+
+    #[test]
+    fn calendar_retunes_under_bursts_and_lulls_like_the_heap() {
+        // A hold model at constant size (pop one, schedule one) that
+        // alternates 5,000-step bursts (gaps of 0–3 ticks) with lulls (gaps
+        // of 0.1–5.1 s). No single bucket width serves both regimes, so the
+        // calendar falls back to direct scans and retunes on its
+        // sweep-effort trigger, which short random op streams never reach.
+        const SIZE: u64 = 2_000;
+        const STEPS: u64 = 200_000;
+        const PHASE: u64 = 5_000;
+        fn gap(rng: &mut crate::rng::Rng, step: u64) -> u64 {
+            if (step / PHASE).is_multiple_of(2) {
+                rng.range_u64(0, 3)
+            } else {
+                rng.range_u64(100_000, 5_100_000)
+            }
+        }
+        let mut heap = EventQueue::with_scheduler(SchedulerKind::Heap);
+        let mut cal = EventQueue::with_scheduler(SchedulerKind::Calendar);
+        let mut rng = crate::rng::Rng::new(0x7e7_c0de);
+        for i in 0..SIZE {
+            let at = SimTime::from_ticks(rng.below(SIZE));
+            heap.schedule(at, i);
+            cal.schedule(at, i);
+        }
+        let loaded = cal.calendar_stats().expect("calendar backend");
+        let mut next = SIZE;
+        for step in 0..STEPS {
+            let got = if step.is_multiple_of(7) {
+                let limit = SimTime::from_ticks(heap.now().ticks() + gap(&mut rng, step));
+                (heap.pop_before(limit), cal.pop_before(limit))
+            } else {
+                (heap.pop(), cal.pop())
+            };
+            assert_eq!(got.0, got.1, "step {step}: pop diverged");
+            if let Some((now, _)) = got.0 {
+                let at = SimTime::from_ticks(now.ticks() + gap(&mut rng, step));
+                heap.schedule(at, next);
+                cal.schedule(at, next);
+                next += 1;
+            }
+        }
+        let [_, _, fallbacks, rebuilds, _, buckets, _] = cal.calendar_stats().expect("calendar");
+        assert!(fallbacks > 0, "the lulls never forced a fallback scan");
+        assert!(rebuilds > loaded[3], "no rebuild after warm-up");
+        // At constant size the wheel neither grows nor shrinks, so only
+        // the effort trigger can have fired the rebuild.
+        assert_eq!(buckets, loaded[5], "bucket count changed");
     }
 }

@@ -18,8 +18,9 @@ use manet_obs::causal;
 use manet_obs::json::Value;
 
 /// Core counters a DES (simulated-substrate) run always exports.
-const CORE_COUNTERS: [&str; 5] = [
+const CORE_COUNTERS: [&str; 6] = [
     "des.events_popped",
+    "des.dispatch.deliver",
     "des.calendar.retunes",
     "radio.tx_planned",
     "aodv.rreq_dup_dropped",

@@ -1,9 +1,9 @@
 //! A tiny global string interner for decoded telemetry.
 //!
-//! The registry, slabs, spans and flight recorder all key their entries
-//! by `&'static str` — the right choice on the recording side, where
-//! every name is a literal and resolution happens once per run. A
-//! telemetry *decoder* is the one place names arrive as runtime bytes:
+//! The registry, spans and flight recorder all key their entries by
+//! `&'static str` — the right choice on the recording side, where every
+//! name is a literal and resolution happens once per run. A telemetry
+//! *decoder* is the one place names arrive as runtime bytes:
 //! the swarm parent reconstructs a child's `ObsReport` from a wire frame
 //! and needs `'static` names to feed the same registration APIs.
 //! [`intern`] leaks each distinct name exactly once and returns the same

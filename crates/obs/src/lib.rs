@@ -17,10 +17,6 @@
 //! radio transit vs. processing), and exports Chrome trace-event /
 //! Perfetto-loadable JSON artifacts.
 //!
-//! The [`slab`] module is the hot-path half of the registry: plain
-//! per-subsystem counter/histogram slabs whose per-event cost is a single
-//! unsynchronized slot bump, folded into the registry at sample points.
-//!
 //! [`ObsReport`] bundles the three for one finished run and merges
 //! deterministically across replications; [`ObsConfig`] is the switch the
 //! simulation layer consults — on by default, since the observed hot path
@@ -41,7 +37,6 @@ pub mod json;
 pub mod recorder;
 pub mod registry;
 pub mod report;
-pub mod slab;
 pub mod span;
 
 pub use causal::{CausalEvent, CausalKind, CausalTree, PathBreakdown, TraceSummary};
@@ -49,5 +44,4 @@ pub use intern::intern;
 pub use recorder::{FlightRecord, FlightRecorder, Severity};
 pub use registry::{CounterId, GaugeId, HistId, Histogram, Registry};
 pub use report::{ObsConfig, ObsReport};
-pub use slab::{HistSlab, HistSlotId, Slab, SlotId};
 pub use span::{SpanId, SpanProfile};

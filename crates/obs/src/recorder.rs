@@ -36,17 +36,6 @@ impl Severity {
             Severity::Error => "error",
         }
     }
-
-    /// The severity a [`name`](Self::name) maps back to (decode side).
-    pub fn from_name(name: &str) -> Option<Severity> {
-        match name {
-            "debug" => Some(Severity::Debug),
-            "info" => Some(Severity::Info),
-            "warn" => Some(Severity::Warn),
-            "error" => Some(Severity::Error),
-            _ => None,
-        }
-    }
 }
 
 /// One recorded occurrence.

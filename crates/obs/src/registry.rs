@@ -275,10 +275,9 @@ impl Registry {
         &self.hists[id.0]
     }
 
-    /// Overwrite a histogram with an externally maintained one (for
-    /// histograms accumulated in a hot-path slab — see [`crate::slab`] —
-    /// and folded into the registry at sample points; overwrite semantics
-    /// keep repeated folds idempotent).
+    /// Overwrite a histogram with one rebuilt elsewhere. Decode half of the
+    /// telemetry codec: a deserialized registry restores its histograms
+    /// through here.
     pub fn set_hist(&mut self, id: HistId, h: &Histogram) {
         self.hists[id.0] = h.clone();
     }

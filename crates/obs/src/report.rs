@@ -217,14 +217,6 @@ pub fn dump_failure(
     Ok(path)
 }
 
-/// The directory failure dumps default to: `$OBS_DUMP_DIR` when set, else
-/// `target/obs-dumps` relative to the current directory.
-pub fn default_dump_dir() -> PathBuf {
-    std::env::var_os("OBS_DUMP_DIR")
-        .map(PathBuf::from)
-        .unwrap_or_else(|| PathBuf::from("target/obs-dumps"))
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;

@@ -269,15 +269,6 @@ impl Engine {
         Some((at, Event::Deliver { to, from, msg }))
     }
 
-    /// Timestamp of the earliest pending event, if any.
-    #[cfg(test)]
-    fn next_time(&self) -> Option<SimTime> {
-        match &self.in_flight {
-            Some(fl) => Some(fl.at),
-            None => self.q.peek_time(),
-        }
-    }
-
     /// The current virtual time (time of the last popped event).
     pub(crate) fn now(&self) -> SimTime {
         self.q.now()
@@ -317,12 +308,7 @@ impl Engine {
 /// 2. [`init`](Subsystem::init) — once after all nodes exist, in
 ///    registration order;
 /// 3. [`handle`](Subsystem::handle) — for every popped event the subsystem
-///    scheduled;
-/// 4. [`after_event`](Subsystem::after_event) — after every dispatched
-///    event, only when [`wants_post_hook`](Subsystem::wants_post_hook) —
-///    a passive tap that must not schedule events or draw randomness;
-/// 5. [`on_finish`](Subsystem::on_finish) — once when the world is
-///    finished, before the result is assembled.
+///    scheduled.
 ///
 /// `Send` keeps [`World`](crate::World) `Send`, so a world built on one
 /// thread can run on another.
@@ -338,28 +324,7 @@ pub(crate) trait Subsystem: Send {
     }
 
     /// Handle an event this subsystem scheduled.
-    fn handle(&mut self, ctx: &mut SubCtx<'_>, now: SimTime, ev: SubEvent) {
-        let _ = (ctx, now, ev);
-    }
-
-    /// Opt into the per-event post-dispatch tap. Checked once at world
-    /// construction, so passive observers cost nothing when absent.
-    fn wants_post_hook(&self) -> bool {
-        false
-    }
-
-    /// Passive post-dispatch tap (see [`Subsystem::wants_post_hook`]).
-    /// Must only read simulation state —
-    /// never schedule events or draw randomness — so instrumented and bare
-    /// runs stay bit-identical.
-    fn after_event(&mut self, core: &mut WorldCore, now: SimTime) {
-        let _ = (core, now);
-    }
-
-    /// End-of-run hook, called before the result is assembled.
-    fn on_finish(&mut self, core: &mut WorldCore) {
-        let _ = core;
-    }
+    fn handle(&mut self, ctx: &mut SubCtx<'_>, now: SimTime, ev: SubEvent);
 }
 
 /// What a [`Subsystem`] sees of the world: the shared core plus its own
@@ -521,11 +486,6 @@ mod fanout_equivalence {
                 "scheduled_total"
             );
             assert_eq!(self.eng.now(), self.reference.now(), "now");
-            assert_eq!(
-                self.eng.next_time(),
-                self.reference.peek_time(),
-                "next_time"
-            );
         }
 
         fn drain(&mut self) {

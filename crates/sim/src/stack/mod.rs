@@ -52,7 +52,7 @@ impl StackHost for WorldCore {
     fn delivered(&mut self, at: NodeId, payload: &AppMsg, hops: u8) {
         self.counters.record(at, payload.kind());
         if let Some(obs) = self.obs.on_mut() {
-            obs.hists.observe(obs.hs_hops, hops as u64);
+            obs.registry.observe(obs.h_hops, hops as u64);
         }
     }
 

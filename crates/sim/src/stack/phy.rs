@@ -95,7 +95,7 @@ pub(crate) fn broadcast(core: &mut WorldCore, now: SimTime, from: NodeId, mut ms
     let elapsed = t0.map(|t0| t0.elapsed());
     let fanout = core.scratch.receptions.len() as u64;
     if let Some(obs) = core.obs.on_mut() {
-        obs.hists.observe(obs.hs_fanout, fanout);
+        obs.registry.observe(obs.h_fanout, fanout);
         if let Some(elapsed) = elapsed {
             obs.spans.add_weighted(obs.s_plan, elapsed, SPAN_STRIDE);
         }

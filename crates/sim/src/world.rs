@@ -28,8 +28,7 @@ use manet_mobility::{
     RandomWaypointCfg, Rpgm, RpgmCfg, Stationary,
 };
 use manet_obs::{
-    CounterId, FlightRecorder, GaugeId, HistSlab, HistSlotId, ObsReport, Registry, Severity, Slab,
-    SlotId, SpanId, SpanProfile,
+    CounterId, FlightRecorder, GaugeId, HistId, ObsReport, Registry, Severity, SpanId, SpanProfile,
 };
 use manet_radio::{EnergyMeter, LinkFaults, Medium, PhyStats, TxScratch};
 use p2p_content::{CompletedQuery, QueryEngine};
@@ -70,8 +69,7 @@ pub(crate) mod labels {
 pub(crate) const SPAN_STRIDE: u64 = 64;
 
 /// Observability sink state for one world: the metrics registry with its
-/// pre-resolved metric ids, the hot-path slabs, the span profile and the
-/// flight recorder.
+/// pre-resolved metric ids, the span profile and the flight recorder.
 ///
 /// Lives inside [`ObsSink`] on [`WorldCore`]; the disabled sink is the
 /// precomputed [`ObsSink::Off`] variant, so toggling costs one
@@ -85,18 +83,6 @@ pub(crate) struct ObsState {
     pub(crate) registry: Registry,
     pub(crate) spans: SpanProfile,
     pub(crate) recorder: FlightRecorder,
-    /// Per-event-class dispatch counters: the hot half of the registry, a
-    /// plain slot bump per event, folded at sample points.
-    slab: Slab,
-    sl_deliver: SlotId,
-    sl_timer: SlotId,
-    sl_join: SlotId,
-    sl_sub: SlotId,
-    /// Hot-path histograms (broadcast fan-out, delivery hops), likewise
-    /// folded at sample points.
-    pub(crate) hists: HistSlab,
-    pub(crate) hs_fanout: HistSlotId,
-    pub(crate) hs_hops: HistSlotId,
     /// Series cadence (zero disables series sampling; the final
     /// at-horizon counter mirror still happens).
     sample_period: SimDuration,
@@ -116,7 +102,15 @@ pub(crate) struct ObsState {
     c_flood_dup: CounterId,
     c_queries: CounterId,
     c_answers: CounterId,
+    /// Per-event-class dispatch counters, bumped once per event.
+    c_deliver: CounterId,
+    c_timer: CounterId,
+    c_join: CounterId,
+    c_sub: CounterId,
     g_queue: GaugeId,
+    /// Receptions per planned broadcast and ad-hoc hops per delivery.
+    pub(crate) h_fanout: HistId,
+    pub(crate) h_hops: HistId,
     s_pop: SpanId,
     s_dispatch: SpanId,
     pub(crate) s_plan: SpanId,
@@ -126,13 +120,9 @@ impl ObsState {
     fn new(cfg: manet_obs::ObsConfig) -> Self {
         let mut registry = Registry::default();
         let mut spans = SpanProfile::new();
-        let mut slab = Slab::new();
-        let mut hists = HistSlab::new();
-        // Histogram names are registered up front so the registry's
-        // registration order (part of the report format) does not depend
-        // on when the first fold happens.
-        registry.hist("radio.broadcast_fanout");
-        registry.hist("sim.deliver_hops");
+        // Registration order is part of the report format.
+        let h_fanout = registry.hist("radio.broadcast_fanout");
+        let h_hops = registry.hist("sim.deliver_hops");
         let period = SimDuration::from_secs_f64(cfg.sample_period_secs.max(0.0));
         ObsState {
             c_events: registry.counter("des.events_popped"),
@@ -145,24 +135,22 @@ impl ObsState {
             c_flood_dup: registry.counter("aodv.flood_dup_dropped"),
             c_queries: registry.counter("sim.queries_issued"),
             c_answers: registry.counter("sim.answers_received"),
+            c_deliver: registry.counter("des.dispatch.deliver"),
+            c_timer: registry.counter("des.dispatch.node_timer"),
+            c_join: registry.counter("des.dispatch.join"),
+            c_sub: registry.counter("des.dispatch.sub"),
             g_queue: registry.gauge("des.queue_depth"),
+            h_fanout,
+            h_hops,
             s_pop: spans.register("des.pop"),
             s_dispatch: spans.register("sim.dispatch"),
             s_plan: spans.register("radio.plan_broadcast"),
-            sl_deliver: slab.slot("des.dispatch.deliver"),
-            sl_timer: slab.slot("des.dispatch.node_timer"),
-            sl_join: slab.slot("des.dispatch.join"),
-            sl_sub: slab.slot("des.dispatch.sub"),
-            hs_fanout: hists.slot("radio.broadcast_fanout"),
-            hs_hops: hists.slot("sim.deliver_hops"),
             sample_period: period,
             next_sample: SimTime::ZERO + period,
             pop_stride_left: 0,
             plan_stride_left: 0,
             registry,
             spans,
-            slab,
-            hists,
             recorder: FlightRecorder::new(cfg.recorder_capacity),
         }
     }
@@ -441,15 +429,12 @@ impl WorldCore {
         f
     }
 
-    /// Mirror the world's always-on counters into the registry, fold the
-    /// hot-path slabs, and (when `push_series`) append a time-series
-    /// sample at `now`.
+    /// Mirror the world's always-on counters into the registry and (when
+    /// `push_series`) append a time-series sample at `now`.
     pub(crate) fn obs_sample(&mut self, stacks: &[StackMachine], now: SimTime, push_series: bool) {
         let ObsSink::On(mut obs) = std::mem::replace(&mut self.obs, ObsSink::Off) else {
             return;
         };
-        obs.slab.fold_into(&mut obs.registry);
-        obs.hists.fold_into(&mut obs.registry);
         obs.registry.set(obs.c_events, self.engine.events);
         obs.registry
             .set(obs.c_scheduled, self.engine.scheduled_total());
@@ -751,16 +736,13 @@ impl WorldCore {
 }
 
 /// One replication of a [`Scenario`]: the shared crate-private core, one
-/// protocol machine per node, the registered subsystems and the
-/// post-dispatch tap list.
+/// protocol machine per node and the registered subsystems.
 pub struct World {
     pub(crate) core: WorldCore,
     /// One [`StackMachine`] per node, indexed by id, run with the core as
     /// its host.
     pub(crate) stacks: Vec<StackMachine>,
     pub(crate) subsystems: Vec<Box<dyn Subsystem>>,
-    /// Indices of subsystems that opted into the post-dispatch tap.
-    post_hooks: Vec<SubsystemId>,
 }
 
 impl World {
@@ -934,12 +916,6 @@ impl World {
         }
 
         let mut subsystems = subsystems::build(&scenario, &master);
-        let post_hooks: Vec<SubsystemId> = subsystems
-            .iter()
-            .enumerate()
-            .filter(|(_, s)| s.wants_post_hook())
-            .map(|(k, _)| k as SubsystemId)
-            .collect();
 
         let mut core = WorldCore {
             counters: NodeCounters::new(n),
@@ -1004,7 +980,6 @@ impl World {
             core,
             stacks,
             subsystems,
-            post_hooks,
         })
     }
 
@@ -1021,7 +996,6 @@ impl World {
         }
         let (now, event) = self.core.engine.pop_before(horizon)?;
         self.dispatch(now, event);
-        self.run_post_hooks(now);
         Some(now)
     }
 
@@ -1050,13 +1024,11 @@ impl World {
             obs.spans.add_weighted(obs.s_pop, pop_elapsed, SPAN_STRIDE);
             obs.spans
                 .add_weighted(obs.s_dispatch, dispatch_elapsed, SPAN_STRIDE);
-            self.run_post_hooks(now);
             self.core.obs_series_tick(&self.stacks, now);
             Some(now)
         } else {
             let (now, event) = self.core.engine.pop_before(horizon)?;
             self.dispatch(now, event);
-            self.run_post_hooks(now);
             self.core.obs_series_tick(&self.stacks, now);
             Some(now)
         }
@@ -1066,13 +1038,13 @@ impl World {
     /// DES host, namespaced events to their owning subsystem.
     fn dispatch(&mut self, now: SimTime, event: Event) {
         if let ObsSink::On(obs) = &mut self.core.obs {
-            let slot = match &event {
-                Event::Deliver { .. } => obs.sl_deliver,
-                Event::NodeTimer(_) => obs.sl_timer,
-                Event::Join(_) => obs.sl_join,
-                Event::Sub(_) => obs.sl_sub,
+            let class = match &event {
+                Event::Deliver { .. } => obs.c_deliver,
+                Event::NodeTimer(_) => obs.c_timer,
+                Event::Join(_) => obs.c_join,
+                Event::Sub(_) => obs.c_sub,
             };
-            obs.slab.bump(slot, 1);
+            obs.registry.inc(class, 1);
         }
         let core = &mut self.core;
         match event {
@@ -1095,12 +1067,6 @@ impl World {
                 now,
                 key.event(),
             ),
-        }
-    }
-
-    fn run_post_hooks(&mut self, now: SimTime) {
-        for &k in &self.post_hooks {
-            self.subsystems[k as usize].after_event(&mut self.core, now);
         }
     }
 
@@ -1182,12 +1148,9 @@ impl World {
     }
 
     /// Consume the world and report. Harnesses driving [`step`](World::step)
-    /// themselves call this once `step` returns `None`. Subsystem finish
-    /// hooks run first, then the sink's final at-horizon sample.
+    /// themselves call this once `step` returns `None`. The sink takes its
+    /// final at-horizon sample first.
     pub fn finish(mut self) -> RunResult {
-        for sub in &mut self.subsystems {
-            sub.on_finish(&mut self.core);
-        }
         self.core.obs_final_sample(&self.stacks);
         self.core.finish_result(&self.stacks)
     }

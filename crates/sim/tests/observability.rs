@@ -2,6 +2,7 @@
 //! merged reports are thread-count invariant, and failure dumps are
 //! well-formed JSONL.
 
+use manet_metrics::MsgKind;
 use manet_obs::json::Value;
 use manet_sim::{aggregate, check_result_dumping, run_replications, ObsConfig, Scenario, World};
 use p2p_core::AlgoKind;
@@ -24,7 +25,7 @@ fn scratch_dir(tag: &str) -> std::path::PathBuf {
 
 #[test]
 fn observed_runs_are_bit_identical_to_unobserved() {
-    for algo in [AlgoKind::Basic, AlgoKind::Regular] {
+    for algo in AlgoKind::ALL {
         // Obs is on by default; the bare baseline is the one that opts out.
         let s = Scenario::quick(20, algo, 200);
         let plain = World::new(unobserved(s.clone()), 17).run();
@@ -48,6 +49,34 @@ fn observed_runs_are_bit_identical_to_unobserved() {
         );
         let planned = reg.counter_by_name("radio.tx_planned").unwrap_or(0);
         assert!(planned > 0, "{algo}: broadcasts must have been planned");
+
+        // The hot-path instruments each have a single feeding site, so
+        // they reconcile exactly with the run's own totals.
+        let dispatched: u64 = ["deliver", "node_timer", "join", "sub"]
+            .iter()
+            .map(|class| {
+                reg.counter_by_name(&format!("des.dispatch.{class}"))
+                    .unwrap_or_else(|| panic!("{algo}: des.dispatch.{class} missing"))
+            })
+            .sum();
+        assert_eq!(dispatched, seen.events, "{algo}: dispatch classes");
+        let hist = |name: &str| {
+            reg.hists()
+                .find(|(n, _)| *n == name)
+                .map(|(_, h)| h.clone())
+                .unwrap_or_else(|| panic!("{algo}: {name} missing"))
+        };
+        assert_eq!(
+            hist("radio.broadcast_fanout").sum(),
+            planned,
+            "{algo}: every planned reception is in the fan-out histogram"
+        );
+        let delivered: u64 = MsgKind::ALL.iter().map(|&k| seen.counters.total(k)).sum();
+        assert_eq!(
+            hist("sim.deliver_hops").count(),
+            delivered,
+            "{algo}: one hop observation per counted delivery"
+        );
     }
 }
 

@@ -37,8 +37,10 @@ fn fingerprints_are_reproducible_and_seed_sensitive() {
 
 #[test]
 fn equivalence_holds_under_churn_and_faults() {
-    // Churn cancels and reschedules timers heavily — the workload that
-    // exercises lazy cancellation, compaction and cursor rewinds hardest.
+    // Churn cancels nothing: it switches members off and on. A down
+    // member's pending timer still pops (and is ignored), and a member
+    // coming back arms a fresh one, so the queue sees bursts of
+    // reschedules mixed with far-future up/down events.
     let mut s = Scenario::quick(24, AlgoKind::Hybrid, 300);
     s.churn = Some(manet_sim::ChurnCfg {
         mean_uptime: 60.0,
