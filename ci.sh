@@ -111,12 +111,12 @@ cargo run --release -q --offline -p manet-rt --bin swarm -- \
     --min-answered 1 --retries 2 \
     | grep -q "SWARM OK" \
     || { echo "swarm smoke: no answered query or unclean exit"; exit 1; }
-# The same swarm with observability on: every child ships telemetry frames
-# over stdout, the parent merges them into one ObsReport (counters must
-# reconcile exactly with the RESULT lines — the swarm bin asserts that) and
-# one clock-stitched Perfetto artifact with at least one causal tree
-# spanning two or more OS processes. obs_check then validates the merged
-# artifacts like any other obs output directory.
+# The same swarm with observability on: every child ships one telemetry
+# frame over stdout at shutdown, the parent merges them into one ObsReport
+# (counters must reconcile exactly with the RESULT lines — the swarm bin
+# asserts that) and one clock-stitched Perfetto artifact with at least one
+# causal tree spanning two or more OS processes. obs_check then validates
+# the merged artifacts like any other obs output directory.
 SWARM_OBS_DIR="target/obs_swarm"
 rm -rf "$SWARM_OBS_DIR"
 cargo run --release -q --offline -p manet-rt --bin swarm -- \
@@ -125,6 +125,13 @@ cargo run --release -q --offline -p manet-rt --bin swarm -- \
     | grep -q "SWARM OK" \
     || { echo "swarm smoke (obs): merge, reconcile, or stitch failed"; exit 1; }
 cargo run --release -q --offline -p manet-obs --bin obs_check -- "$SWARM_OBS_DIR"
+# trace_query re-reads the merged artifact (names interned on parse) and
+# summarises cross-process trees, as the trace smoke does for the DES.
+cargo run --release -q --offline -p manet-obs --bin trace_query -- \
+    "$SWARM_OBS_DIR/swarm.trace.json" > target/swarm_trace_summary.txt
+head -n 5 target/swarm_trace_summary.txt
+grep -q "route_discovery" target/swarm_trace_summary.txt \
+    || { echo "trace_query produced no latency decomposition for the swarm"; exit 1; }
 
 stage "perf gate (obs tax)"
 # Three throughput gates. Two run on the 200-node 900 s Regular hot-path

@@ -20,24 +20,30 @@
 //! Timestamps are simulation ticks, which are microseconds — exactly the
 //! unit the trace-event `ts` field wants, so no conversion happens
 //! anywhere.
+//!
+//! Every name an event carries is a `&'static str`: recording sites pass
+//! literals, and readers of runtime bytes (the artifact parser here, the
+//! telemetry decoder) [`intern`](crate::intern()) them. So a
+//! [`CausalEvent`] is `Copy`, and recording one allocates nothing.
 
 use std::collections::HashMap;
 
+use crate::intern;
 use crate::json::Value;
 
 /// What happened at one recorded point.
-#[derive(Clone, Debug, PartialEq)]
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum CausalKind {
     /// A trace was minted: a query or reconfiguration round originated.
     Origin {
         /// What kind of activity this trace is (e.g. `"query"`,
         /// `"reconfig"`).
-        label: String,
+        label: &'static str,
     },
     /// A frame left a node's radio.
     Send {
         /// Frame kind (`"rreq"`, `"rrep"`, `"rerr"`, `"data"`, `"flood"`).
-        frame: String,
+        frame: &'static str,
         /// Unicast receiver, or `None` for a broadcast.
         to: Option<u32>,
         /// Frame size on the air.
@@ -46,14 +52,14 @@ pub enum CausalKind {
     /// A frame arrived at a node's radio.
     Recv {
         /// Frame kind, mirroring the parent send.
-        frame: String,
+        frame: &'static str,
         /// The transmitting node.
         from: u32,
     },
     /// An overlay/content payload was handed up to a member.
     Deliver {
         /// The figure category of the payload (e.g. `"query"`, `"reply"`).
-        kind: String,
+        kind: &'static str,
         /// Ad-hoc hops the payload travelled.
         hops: u8,
     },
@@ -85,7 +91,7 @@ impl CausalKind {
 }
 
 /// One recorded causal event.
-#[derive(Clone, Debug, PartialEq)]
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub struct CausalEvent {
     /// The trace this event belongs to (non-zero).
     pub trace_id: u64,
@@ -145,7 +151,7 @@ pub struct TraceSummary {
     pub trace_id: u64,
     /// The origin label (`"query"`, `"reconfig"`, …); empty if the origin
     /// event was evicted.
-    pub label: String,
+    pub label: &'static str,
     /// When the trace was minted, in ticks.
     pub origin_t: u64,
     /// Frames transmitted on behalf of this trace.
@@ -194,7 +200,7 @@ pub fn build_trees(events: &[CausalEvent]) -> Vec<CausalTree> {
         let idx = tree.events.len();
         tree.by_span.insert(e.span, idx);
         tree.children.entry(e.parent).or_default().push(idx);
-        tree.events.push(e.clone());
+        tree.events.push(*e);
     }
     let mut out: Vec<CausalTree> = Vec::with_capacity(order.len());
     for id in order {
@@ -225,10 +231,10 @@ impl CausalTree {
             ..TraceSummary::default()
         };
         for e in &self.events {
-            match &e.kind {
+            match e.kind {
                 CausalKind::Origin { label } => {
                     if s.label.is_empty() {
-                        s.label = label.clone();
+                        s.label = label;
                         s.origin_t = e.t;
                     }
                 }
@@ -245,7 +251,7 @@ impl CausalTree {
                 }
                 CausalKind::Recv { .. } => s.recvs += 1,
                 CausalKind::Deliver { hops, .. } => {
-                    s.deliveries.push(self.breakdown(e, *hops));
+                    s.deliveries.push(self.breakdown(e, hops));
                 }
                 CausalKind::Unreachable { .. } => s.unreachable += 1,
                 CausalKind::TimerArm { .. } => {}
@@ -267,9 +273,9 @@ impl CausalTree {
                 break; // truncated chain: attribute what we saw
             };
             let gap = cur.t.saturating_sub(parent.t);
-            match &cur.kind {
+            match cur.kind {
                 CausalKind::Recv { .. } => b.transit += gap,
-                CausalKind::Send { frame, .. } if frame == "data" => b.discovery += gap,
+                CausalKind::Send { frame: "data", .. } => b.discovery += gap,
                 _ => b.processing += gap,
             }
             b.total += gap;
@@ -299,30 +305,30 @@ fn event_to_span_value(e: &CausalEvent) -> Value {
         ("node".to_string(), num(e.node as u64)),
         ("kind".to_string(), Value::Str(e.kind.name().into())),
     ];
-    match &e.kind {
+    match e.kind {
         CausalKind::Origin { label } => {
-            fields.push(("label".into(), Value::Str(label.clone())));
+            fields.push(("label".into(), Value::Str(label.into())));
         }
         CausalKind::Send { frame, to, bytes } => {
-            fields.push(("frame".into(), Value::Str(frame.clone())));
+            fields.push(("frame".into(), Value::Str(frame.into())));
             if let Some(to) = to {
-                fields.push(("to".into(), num(*to as u64)));
+                fields.push(("to".into(), num(to as u64)));
             }
-            fields.push(("bytes".into(), num(*bytes as u64)));
+            fields.push(("bytes".into(), num(bytes as u64)));
         }
         CausalKind::Recv { frame, from } => {
-            fields.push(("frame".into(), Value::Str(frame.clone())));
-            fields.push(("from".into(), num(*from as u64)));
+            fields.push(("frame".into(), Value::Str(frame.into())));
+            fields.push(("from".into(), num(from as u64)));
         }
         CausalKind::Deliver { kind, hops } => {
-            fields.push(("msg".into(), Value::Str(kind.clone())));
-            fields.push(("hops".into(), num(*hops as u64)));
+            fields.push(("msg".into(), Value::Str(kind.into())));
+            fields.push(("hops".into(), num(hops as u64)));
         }
         CausalKind::Unreachable { dst } => {
-            fields.push(("dst".into(), num(*dst as u64)));
+            fields.push(("dst".into(), num(dst as u64)));
         }
         CausalKind::TimerArm { at } => {
-            fields.push(("at".into(), num(*at)));
+            fields.push(("at".into(), num(at)));
         }
     }
     Value::Obj(fields)
@@ -367,8 +373,8 @@ pub fn artifact(events: &[CausalEvent]) -> Value {
         let label = tree
             .events
             .iter()
-            .find_map(|e| match &e.kind {
-                CausalKind::Origin { label } => Some(label.as_str()),
+            .find_map(|e| match e.kind {
+                CausalKind::Origin { label } => Some(label),
                 _ => None,
             })
             .unwrap_or("trace");
@@ -388,7 +394,7 @@ pub fn artifact(events: &[CausalEvent]) -> Value {
         ));
         for e in &tree.events {
             spans.push(event_to_span_value(e));
-            match &e.kind {
+            match e.kind {
                 // Each reception becomes a complete ("X") slice on the
                 // sender's track spanning the frame's time on the air.
                 CausalKind::Recv { frame, from } => {
@@ -397,7 +403,7 @@ pub fn artifact(events: &[CausalEvent]) -> Value {
                         "X",
                         send_t,
                         e.trace_id,
-                        *from as u64,
+                        from as u64,
                         format!("{frame}→n{}", e.node),
                         vec![("dur".into(), num(e.t.saturating_sub(send_t)))],
                     ));
@@ -458,7 +464,8 @@ fn field_str<'a>(v: &'a Value, key: &str) -> Result<&'a str, String> {
         .ok_or_else(|| format!("missing string field '{key}'"))
 }
 
-/// Read the lossless `spans` array of an artifact back into events.
+/// Read the lossless `spans` array of an artifact back into events, with
+/// every name (label, frame kind, message kind) [`intern`](intern())ed.
 pub fn events_from_artifact(doc: &Value) -> Result<Vec<CausalEvent>, String> {
     if field_str(doc, "type")? != ARTIFACT_TYPE {
         return Err("not a causal_trace artifact".into());
@@ -470,21 +477,22 @@ pub fn events_from_artifact(doc: &Value) -> Result<Vec<CausalEvent>, String> {
     let mut out = Vec::with_capacity(spans.len());
     for (i, s) in spans.iter().enumerate() {
         let err = |e: String| format!("span {i}: {e}");
+        let name = |key: &str| field_str(s, key).map(intern).map_err(err);
         let kind = match field_str(s, "kind").map_err(err)? {
             "origin" => CausalKind::Origin {
-                label: field_str(s, "label").map_err(err)?.to_string(),
+                label: name("label")?,
             },
             "send" => CausalKind::Send {
-                frame: field_str(s, "frame").map_err(err)?.to_string(),
+                frame: name("frame")?,
                 to: s.get("to").and_then(Value::as_f64).map(|n| n as u32),
                 bytes: field_u64(s, "bytes").map_err(err)? as u32,
             },
             "recv" => CausalKind::Recv {
-                frame: field_str(s, "frame").map_err(err)?.to_string(),
+                frame: name("frame")?,
                 from: field_u64(s, "from").map_err(err)? as u32,
             },
             "deliver" => CausalKind::Deliver {
-                kind: field_str(s, "msg").map_err(err)?.to_string(),
+                kind: name("msg")?,
                 hops: field_u64(s, "hops").map_err(err)? as u8,
             },
             "unreachable" => CausalKind::Unreachable {
@@ -574,19 +582,16 @@ mod tests {
         }
     }
 
-    fn send(frame: &str) -> CausalKind {
+    fn send(frame: &'static str) -> CausalKind {
         CausalKind::Send {
-            frame: frame.into(),
+            frame,
             to: None,
             bytes: 40,
         }
     }
 
-    fn recv(frame: &str, from: u32) -> CausalKind {
-        CausalKind::Recv {
-            frame: frame.into(),
-            from,
-        }
+    fn recv(frame: &'static str, from: u32) -> CausalKind {
+        CausalKind::Recv { frame, from }
     }
 
     /// A query that waits 2000 ticks for route discovery, then travels
@@ -597,16 +602,7 @@ mod tests {
     ///                  ─ deliver(n2, t=2300)
     fn two_hop_query() -> Vec<CausalEvent> {
         vec![
-            ev(
-                1,
-                1,
-                0,
-                0,
-                0,
-                CausalKind::Origin {
-                    label: "query".into(),
-                },
-            ),
+            ev(1, 1, 0, 0, 0, CausalKind::Origin { label: "query" }),
             ev(1, 2, 1, 2000, 0, send("data")),
             ev(1, 3, 2, 2150, 1, recv("data", 0)),
             ev(1, 4, 3, 2150, 1, send("data")),
@@ -618,7 +614,7 @@ mod tests {
                 2300,
                 2,
                 CausalKind::Deliver {
-                    kind: "query".into(),
+                    kind: "query",
                     hops: 2,
                 },
             ),
@@ -648,16 +644,7 @@ mod tests {
     fn fanout_and_dead_branches() {
         // One broadcast heard by two nodes, plus one that nobody heard.
         let events = vec![
-            ev(
-                3,
-                1,
-                0,
-                0,
-                0,
-                CausalKind::Origin {
-                    label: "reconfig".into(),
-                },
-            ),
+            ev(3, 1, 0, 0, 0, CausalKind::Origin { label: "reconfig" }),
             ev(3, 2, 1, 10, 0, send("flood")),
             ev(3, 3, 2, 20, 1, recv("flood", 0)),
             ev(3, 4, 2, 25, 2, recv("flood", 0)),

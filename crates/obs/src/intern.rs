@@ -1,15 +1,17 @@
-//! A tiny global string interner for decoded telemetry.
+//! A tiny global string interner for names read back from bytes.
 //!
-//! The registry, spans and flight recorder all key their entries by
-//! `&'static str` — the right choice on the recording side, where every
-//! name is a literal and resolution happens once per run. A telemetry
-//! *decoder* is the one place names arrive as runtime bytes:
-//! the swarm parent reconstructs a child's `ObsReport` from a wire frame
-//! and needs `'static` names to feed the same registration APIs.
-//! [`intern`] leaks each distinct name exactly once and returns the same
-//! `'static` slice for every subsequent request, so a parent decoding
-//! thousands of frames allocates proportionally to the *metric schema*
-//! (a few dozen names), not to the frame count.
+//! The registry, spans, flight recorder and causal events all carry their
+//! names as `&'static str` — the right choice on the recording side, where
+//! every name is a literal and recording allocates nothing. Two readers
+//! see names arrive as runtime bytes: the telemetry decoder, which
+//! rebuilds a swarm child's `ObsReport` and causal trace from a wire
+//! frame, and [`events_from_artifact`](crate::causal::events_from_artifact),
+//! which parses a trace artifact's labels and frame kinds. Both need
+//! `'static` names to build the same types. [`intern`] leaks each distinct
+//! name exactly once and returns the same `'static` slice for every
+//! subsequent request, so a reader decoding thousands of frames or spans
+//! allocates proportionally to the *schema* (a few dozen metric, label
+//! and frame names), not to the input size.
 
 use std::collections::HashSet;
 use std::sync::{Mutex, OnceLock};
@@ -18,7 +20,7 @@ static INTERNED: OnceLock<Mutex<HashSet<&'static str>>> = OnceLock::new();
 
 /// The `'static` copy of `s`, allocated on first sight and shared
 /// forever after. Total leakage is bounded by the set of distinct names
-/// ever interned — for telemetry decoding, the metric schema.
+/// ever interned — for telemetry and artifacts, the schema.
 pub fn intern(s: &str) -> &'static str {
     let set = INTERNED.get_or_init(|| Mutex::new(HashSet::new()));
     let mut set = set.lock().unwrap_or_else(|e| e.into_inner());

@@ -21,15 +21,13 @@
 //! With `--obs` the swarm additionally runs the distributed
 //! observability pipeline end-to-end. Each child arms its node's
 //! observability ([`RtNode::arm_obs`]), so the event loop records the
-//! same counters, spans and causal traces the DES records; at a wall-clock
-//! cadence it ships a small `TELEM <hex>` heartbeat frame (running
-//! counters, no trace) on the same stdout the RESULT line uses, and at
-//! shutdown one full frame carrying the causal trace. The parent keeps
-//! the *last* frame per child (snapshots are running totals), merges the
-//! reports with [`manet_obs::ObsReport::merge`] and the traces with
+//! same counters, spans and causal traces the DES records, and at
+//! shutdown ships them as one `TELEM <hex>` frame on the same stdout the
+//! RESULT line uses. The parent merges the reports with
+//! [`manet_obs::ObsReport::merge`] and the traces with
 //! `TraceLog::merge_offset` (per-node id namespaces keep span ids
-//! disjoint; a frame whose trace claims another namespace is rejected),
-//! stitches per-process clocks
+//! disjoint; a frame whose trace header or any of whose spans lies
+//! outside the child's namespace is rejected), stitches per-process clocks
 //! ([`p2p_stack::stitch_clocks`]), and writes `swarm_report.jsonl` plus
 //! a Perfetto-loadable `swarm.trace.json` into `--obs-dir`. A child that
 //! panics or errors out dumps its flight recorder as `failure_*.jsonl`
@@ -65,9 +63,6 @@ const JOIN_STAGGER_MS: u64 = 150;
 /// Per-child causal-trace capacity (events). The merged log gets
 /// `nodes ×` this, so nothing a child retained is evicted by the merge.
 const TRACE_CAPACITY: usize = 4096;
-
-/// Wall-clock milliseconds between `TELEM` heartbeat frames.
-const TELEM_PERIOD_MS: u64 = 1_000;
 
 struct Opts {
     nodes: u32,
@@ -215,7 +210,6 @@ fn child_main(id: u32, opts: &Opts) -> std::io::Result<()> {
     let mut rt = RtNode::new(machine, socket, peers)?;
     if opts.obs {
         rt.arm_obs(&ObsConfig::default(), TRACE_CAPACITY, opts.seed);
-        rt.set_telemetry_period(Duration::from_millis(TELEM_PERIOD_MS));
     }
 
     // The flight recorder is armed around the event loop: a panic or an
@@ -243,9 +237,9 @@ fn child_main(id: u32, opts: &Opts) -> std::io::Result<()> {
         }
     };
 
-    // Final full-trace telemetry frame *before* RESULT: the parent keeps
-    // the last frame per child, and this one carries the causal trace.
-    if let Some(hex) = rt.telemetry_hex(true) {
+    // The telemetry frame goes out *before* RESULT, so the parent has it
+    // by the time the child's tally arrives.
+    if let Some(hex) = rt.telemetry_hex() {
         println!("TELEM {hex}");
     }
     println!(
@@ -354,18 +348,17 @@ fn run_swarm(opts: &Opts, attempt: u32) -> Result<(Totals, Option<ObsMerged>), S
             .map_err(|e| format!("send PEERS to child {id}: {e}"))?;
     }
 
-    // Harvest TELEM and RESULT lines plus exit statuses. Telemetry
-    // frames are running totals, so only the last one per child counts —
-    // a child that died mid-run leaves its last heartbeat as a partial
-    // post-mortem, which still merges.
+    // Harvest TELEM and RESULT lines plus exit statuses. Any child that
+    // exits non-zero fails the round before anything merges; its
+    // post-mortem is the failure dump it left in the obs directory.
     let mut totals = Totals::default();
-    let mut last_telem: Vec<Option<String>> = vec![None; opts.nodes as usize];
+    let mut telem: Vec<Option<String>> = vec![None; opts.nodes as usize];
     for (id, (mut child, mut reader)) in children.into_iter().zip(outs).enumerate() {
         let mut result_line = None;
         for line in (&mut reader).lines() {
             let line = line.map_err(|e| format!("read from child {id}: {e}"))?;
             if let Some(hex) = line.strip_prefix("TELEM ") {
-                last_telem[id] = Some(hex.to_string());
+                telem[id] = Some(hex.to_string());
             } else if line.starts_with("RESULT ") {
                 // Surface each child's own tally in the parent summary.
                 println!("{line}");
@@ -405,22 +398,22 @@ fn run_swarm(opts: &Opts, attempt: u32) -> Result<(Totals, Option<ObsMerged>), S
     if !opts.obs {
         return Ok((totals, None));
     }
-    let merged = merge_telemetry(opts, attempt, &last_telem, &totals)?;
+    let merged = merge_telemetry(opts, attempt, &telem, &totals)?;
     Ok((totals, Some(merged)))
 }
 
-/// Decode every child's last telemetry frame, fold reports and traces,
-/// stitch clocks, verify counter reconciliation, and write the merged
-/// artifacts into the obs directory.
+/// Decode every child's telemetry frame, fold reports and traces, stitch
+/// clocks, verify counter reconciliation, and write the merged artifacts
+/// into the obs directory.
 fn merge_telemetry(
     opts: &Opts,
     attempt: u32,
-    last_telem: &[Option<String>],
+    telem: &[Option<String>],
     totals: &Totals,
 ) -> Result<ObsMerged, String> {
     let mut report = ObsReport::default();
     let mut trace = TraceLog::new(TRACE_CAPACITY * opts.nodes as usize);
-    for (id, hex) in last_telem.iter().enumerate() {
+    for (id, hex) in telem.iter().enumerate() {
         let hex = hex
             .as_ref()
             .ok_or_else(|| format!("child {id} shipped no telemetry frame"))?;
@@ -430,10 +423,23 @@ fn merge_telemetry(
         if telem.node != id as u32 {
             return Err(format!("child {id} telemetry claims node {}", telem.node));
         }
-        if telem.trace.id_base() != node_id_base(id as u32) {
+        let (base, next_base) = (node_id_base(id as u32), node_id_base(id as u32 + 1));
+        if telem.trace.id_base() != base {
             return Err(format!(
                 "child {id} telemetry trace claims id base {:#x}",
                 telem.trace.id_base()
+            ));
+        }
+        // A child mints every span it records, so each one lies in its
+        // namespace; a foreign span would collide in the verbatim merge.
+        if let Some(e) = telem
+            .trace
+            .events()
+            .find(|e| e.span <= base || e.span >= next_base)
+        {
+            return Err(format!(
+                "child {id} telemetry trace carries span {:#x} outside its namespace",
+                e.span
             ));
         }
         report.merge(&telem.report);
@@ -594,6 +600,7 @@ fn main() {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use manet_des::SimTime;
     use p2p_stack::{encode_telemetry, to_hex};
 
     #[test]
@@ -610,11 +617,19 @@ mod tests {
             child_id: None,
         };
         // Child 0's frame carrying a trace from node 1's namespace.
-        let forged = TraceLog::with_id_base(8, 0, node_id_base(1));
-        let frame = to_hex(&encode_telemetry(0, &ObsReport::default(), &forged));
-        match merge_telemetry(&opts, 1, &[Some(frame)], &Totals::default()) {
-            Err(e) => assert!(e.contains("child 0") && e.contains("id base"), "{e}"),
-            Ok(_) => panic!("a frame from a foreign namespace was merged"),
+        let foreign = TraceLog::with_id_base(8, 0, node_id_base(1));
+        // Child 0's frame with its own header, but carrying a span node 1
+        // minted.
+        let mut mixed = TraceLog::with_id_base(8, 0, node_id_base(0));
+        let mut node1 = TraceLog::with_id_base(8, 0, node_id_base(1));
+        node1.origin(SimTime::from_secs(1), NodeId(1), "query");
+        mixed.merge_offset(&node1);
+        for (forged, why) in [(foreign, "id base"), (mixed, "span")] {
+            let frame = to_hex(&encode_telemetry(0, &ObsReport::default(), &forged));
+            match merge_telemetry(&opts, 1, &[Some(frame)], &Totals::default()) {
+                Err(e) => assert!(e.contains("child 0") && e.contains(why), "{e}"),
+                Ok(_) => panic!("a frame from a foreign namespace was merged ({why})"),
+            }
         }
     }
 }

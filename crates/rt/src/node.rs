@@ -150,10 +150,6 @@ pub struct RtNode {
     machine: StackMachine,
     poller: Poller,
     air: Air,
-    /// Wall-clock period between `TELEM` stdout frames (`None` disables
-    /// periodic telemetry; the final frame is always available through
-    /// [`RtNode::telemetry_hex`]).
-    telem_period: Option<Duration>,
 }
 
 impl RtNode {
@@ -179,7 +175,6 @@ impl RtNode {
                 obs: None,
                 trace: TraceLog::new(0),
             },
-            telem_period: None,
         })
     }
 
@@ -200,15 +195,6 @@ impl RtNode {
         self.air.socket.local_addr()
     }
 
-    /// Emit a `TELEM <hex>` line on stdout every `period` of wall time
-    /// while the loop runs. Periodic frames carry the running report but
-    /// an *empty* trace — they are the crash-forensics heartbeat (small
-    /// enough never to back up the parent's pipe mid-run); the full
-    /// trace ships once, in the final [`RtNode::telemetry_hex`] frame.
-    pub fn set_telemetry_period(&mut self, period: Duration) {
-        self.telem_period = Some(period);
-    }
-
     /// Mirror the protocol layers' running totals into the armed report.
     fn sync_obs(&mut self) {
         if let Some(o) = &mut self.air.obs {
@@ -217,18 +203,14 @@ impl RtNode {
         }
     }
 
-    /// Mirror the protocol totals and return the current telemetry frame
-    /// hex-armored for the stdio channel, if observability is armed. With
-    /// `full_trace` the frame carries the whole causal trace (the final,
-    /// at-shutdown snapshot); without it the trace section is empty (the
-    /// periodic heartbeat).
-    pub fn telemetry_hex(&mut self, full_trace: bool) -> Option<String> {
+    /// Mirror the protocol totals and return the node's telemetry frame
+    /// (report plus causal trace) hex-armored for the stdio channel, if
+    /// observability is armed.
+    pub fn telemetry_hex(&mut self) -> Option<String> {
         self.sync_obs();
         let obs = self.air.obs.as_ref()?;
-        let empty = TraceLog::new(0);
-        let trace = if full_trace { &self.air.trace } else { &empty };
-        let node = self.machine.id().0;
-        Some(to_hex(&encode_telemetry(node, &obs.report, trace)))
+        let frame = encode_telemetry(self.machine.id().0, &obs.report, &self.air.trace);
+        Some(to_hex(&frame))
     }
 
     /// The armed report (for failure dumps), synced first.
@@ -252,16 +234,11 @@ impl RtNode {
         let clock = Clock::start();
         let end = SimTime::from_ticks(duration.as_micros() as u64);
         let join_at = SimTime::from_ticks(join_delay.as_micros() as u64).min(end);
-        let telem_ticks = self
-            .telem_period
-            .filter(|_| self.air.obs.is_some())
-            .map(|p| (p.as_micros() as u64).max(1));
-        let mut next_telem = telem_ticks.map_or(SimTime::MAX, SimTime::from_ticks);
         let mut iters: u64 = 0;
         let mut join_pending = true;
 
         loop {
-            let mut deadline = self.air.wake.min(end).min(next_telem);
+            let mut deadline = self.air.wake.min(end);
             if join_pending {
                 deadline = deadline.min(join_at);
             }
@@ -307,16 +284,6 @@ impl RtNode {
                     o.report
                         .spans
                         .add_weighted(o.s_loop, t0.elapsed(), SPAN_STRIDE);
-                }
-            }
-            if now >= next_telem {
-                if let Some(period) = telem_ticks {
-                    while next_telem <= now {
-                        next_telem = SimTime::from_ticks(next_telem.ticks() + period);
-                    }
-                    if let Some(hex) = self.telemetry_hex(false) {
-                        println!("TELEM {hex}");
-                    }
                 }
             }
             if clock.now() >= end {
@@ -434,10 +401,7 @@ mod tests {
             node_a.obs_report().is_none(),
             "an unarmed node records nothing"
         );
-        assert!(
-            node_a.telemetry_hex(true).is_none(),
-            "and ships no telemetry"
-        );
+        assert!(node_a.telemetry_hex().is_none(), "and ships no telemetry");
         assert!(ra.frames_sent > 0 && rb.frames_sent > 0, "traffic flowed");
         assert_eq!(ra.decode_errors + rb.decode_errors, 0, "codec clean");
         assert!(
@@ -488,7 +452,8 @@ mod tests {
     /// and the final telemetry frame must round-trip through the codec.
     #[test]
     fn armed_node_counters_reconcile_with_its_report() {
-        use p2p_stack::{decode_telemetry, from_hex, TraceEvent};
+        use manet_obs::CausalKind;
+        use p2p_stack::{decode_telemetry, from_hex};
 
         let sock_a = UdpSocket::bind("127.0.0.1:0").expect("bind a");
         let sock_b = UdpSocket::bind("127.0.0.1:0").expect("bind b");
@@ -509,10 +474,10 @@ mod tests {
         let run = Duration::from_millis(2_000);
         let t = std::thread::spawn(move || {
             let r = node_b.run(run, Duration::from_millis(300)).expect("b runs");
-            (r, node_b.telemetry_hex(true).expect("armed"))
+            (r, node_b.telemetry_hex().expect("armed"))
         });
         let ra = node_a.run(run, Duration::ZERO).expect("a runs");
-        let hex_a = node_a.telemetry_hex(true).expect("armed");
+        let hex_a = node_a.telemetry_hex().expect("armed");
         let (rb, hex_b) = t.join().expect("join b");
 
         for (report, hex, node) in [(ra, hex_a, 0u32), (rb, hex_b, 1u32)] {
@@ -545,15 +510,17 @@ mod tests {
             let minted: Vec<u64> = telem
                 .trace
                 .events()
-                .filter_map(|(_, e)| match e {
-                    TraceEvent::Origin { ctx, .. } => Some(ctx.trace_id),
-                    _ => None,
-                })
+                .filter(|e| matches!(e.kind, CausalKind::Origin { .. }))
+                .map(|e| e.trace_id)
                 .collect();
             assert!(!minted.is_empty(), "node {node} originated a trace");
             assert!(
                 minted.iter().all(|id| namespace.contains(id)),
                 "every trace the node originates is minted in its namespace"
+            );
+            assert!(
+                telem.trace.events().all(|e| namespace.contains(&e.span)),
+                "every span the node records, foreign traces included, is its own"
             );
         }
     }

@@ -23,7 +23,7 @@ pub use invariants::{check_result, check_result_dumping};
 pub use manet_des::TraceCtx;
 pub use manet_obs::{ObsConfig, ObsReport};
 pub use p2p_core::AdversaryRole;
-pub use p2p_stack::{AppMsg, TraceEvent, TraceLog};
+pub use p2p_stack::{AppMsg, TraceLog};
 pub use runner::{aggregate, expect_of, measure_corpus, run_replications, Aggregate};
 pub use scenario::{Adversary, ChurnCfg, MobilityKind, Scenario};
 pub use scn::{parse_scn, render_expect, render_scn, Expect, ScnError, ScnErrorKind, ScnFile};

@@ -22,11 +22,11 @@ pub(crate) mod phy;
 
 use manet_aodv::Msg;
 use manet_des::{NodeId, Rng, SimTime};
-use manet_obs::Severity;
+use manet_obs::{CausalKind, Severity};
 use manet_radio::{EnergyMeter, PhyStats};
 use p2p_content::CompletedQuery;
 use p2p_core::build_algo;
-use p2p_stack::{AppMsg, SendDown, StackHost, StackMachine, TimerReq, TraceEvent, TraceLog};
+use p2p_stack::{AppMsg, SendDown, StackHost, StackMachine, TimerReq, TraceLog};
 
 use crate::engine::Event;
 use crate::world::WorldCore;
@@ -70,17 +70,8 @@ impl StackHost for WorldCore {
         let at = wake.max(now);
         self.engine.schedule(at, Event::NodeTimer(id));
         self.timer_at[id.index()] = at;
-        if ctx.is_active() {
-            let armed = ctx.child(self.trace.alloc_span());
-            self.trace.record(
-                now,
-                TraceEvent::TimerArm {
-                    node: id,
-                    ctx: armed,
-                    at,
-                },
-            );
-        }
+        self.trace
+            .child(now, id, ctx, || CausalKind::TimerArm { at: at.ticks() });
     }
 
     fn trace(&mut self) -> &mut TraceLog {
@@ -112,17 +103,9 @@ pub(crate) fn join(core: &mut WorldCore, stack: &mut StackMachine, now: SimTime)
 
 /// The node's radio switches off (churn, crash): the overlay presence
 /// dies with it. Peers discover via failed pings.
-pub(crate) fn power_off(core: &mut WorldCore, stack: &mut StackMachine, now: SimTime) {
-    let id = stack.id();
-    core.hot_up[id.index()] = false;
+pub(crate) fn power_off(core: &mut WorldCore, stack: &mut StackMachine) {
+    core.hot_up[stack.id().index()] = false;
     stack.power_off();
-    core.trace.record(
-        now,
-        TraceEvent::PowerChange {
-            node: id,
-            up: false,
-        },
-    );
 }
 
 /// The node's radio comes back (churn recovery, crash restart): a member
@@ -142,6 +125,4 @@ pub(crate) fn power_on(core: &mut WorldCore, stack: &mut StackMachine, now: SimT
         );
         stack.restart(core, now, algo);
     }
-    core.trace
-        .record(now, TraceEvent::PowerChange { node: id, up: true });
 }

@@ -36,7 +36,7 @@ impl Subsystem for ChurnDriver {
             SubEvent::Node(id) => {
                 // The overlay presence dies with the radio; peers discover
                 // via failed pings.
-                stack::power_off(ctx.core, &mut ctx.stacks[id.index()], now);
+                stack::power_off(ctx.core, &mut ctx.stacks[id.index()]);
                 ctx.core.obs_record(now, Severity::Warn, "churn", || {
                     format!("{id} churned down")
                 });

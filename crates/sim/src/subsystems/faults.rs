@@ -75,7 +75,7 @@ impl Subsystem for CrashPlan {
                     .iter()
                     .find(|c| c.node == id && c.at <= now)
                     .and_then(|c| c.restart_after);
-                stack::power_off(ctx.core, &mut ctx.stacks[id.index()], now);
+                stack::power_off(ctx.core, &mut ctx.stacks[id.index()]);
                 ctx.core
                     .obs_record(now, Severity::Warn, "crash", || format!("{id} crashed"));
                 if let Some(after) = restart_after {

@@ -22,8 +22,8 @@
 //! * [`machine`] — [`StackMachine`], the AODV + reconfigurator + query
 //!   engine composition with adversarial interception, and
 //!   [`StackHost`], the trait a substrate implements to run it;
-//! * [`trace`] — [`TraceLog`], the bounded causal/milestone event trace
-//!   both substrates record into;
+//! * [`trace`] — [`TraceLog`], the bounded causal trace both substrates
+//!   record into, as `manet_obs::CausalEvent`s;
 //! * [`telemetry`] — the length-prefixed frame that ships one node's
 //!   `ObsReport` + [`TraceLog`] across a process boundary, plus the
 //!   clock-offset estimator that stitches per-process traces into one
@@ -41,6 +41,6 @@ pub use payload::AppMsg;
 pub use telemetry::{
     decode_telemetry, encode_telemetry, from_hex, stitch_clocks, to_hex, Telemetry,
 };
-pub use trace::{node_id_base, TraceEvent, TraceLog};
+pub use trace::{node_id_base, TraceLog};
 pub use verbs::{FrameUp, OverlayDown, SendDown, TimerReq};
 pub use wire::{decode_frame, encode_frame};

@@ -30,11 +30,12 @@
 
 use manet_aodv::{Action, Aodv, AodvCfg, Msg};
 use manet_des::{NodeId, SimTime, TraceCtx};
+use manet_obs::CausalKind;
 use p2p_content::{CSend, CompletedQuery, ContentMsg, QueryEngine, QueryStats};
-use p2p_core::{AdversaryRole, BoxedAlgo, OvAction, Reconfigurator, Role};
+use p2p_core::{AdversaryRole, BoxedAlgo, OvAction, Reconfigurator};
 
 use crate::payload::AppMsg;
-use crate::trace::{TraceEvent, TraceLog};
+use crate::trace::TraceLog;
 use crate::verbs::{DeliverUp, FrameUp, OverlayDown, SendDown, TimerReq};
 
 /// What a substrate provides to the machines it hosts. Every call
@@ -56,7 +57,7 @@ pub trait StackHost {
     /// `req.at`. The host may keep an earlier pending wake instead.
     fn arm_timer(&mut self, now: SimTime, node: NodeId, req: TimerReq);
 
-    /// The log the machine records causal spans and milestones into.
+    /// The log the machine records causal spans into.
     fn trace(&mut self) -> &mut TraceLog;
 }
 
@@ -73,18 +74,13 @@ pub fn trace_send(
     to: Option<NodeId>,
     msg: &mut Msg<AppMsg>,
 ) {
-    if trace.enabled() && msg.ctx().is_active() {
-        let send = msg.ctx().child(trace.alloc_span());
-        trace.record(
-            now,
-            TraceEvent::Send {
-                node,
-                ctx: send,
-                to,
-                frame: msg.kind(),
-                bytes: msg.wire_size(),
-            },
-        );
+    let ctx = msg.ctx();
+    if ctx.is_active() {
+        let send = trace.child(now, node, ctx, || CausalKind::Send {
+            frame: msg.kind(),
+            to: to.map(|n| n.0),
+            bytes: msg.wire_size(),
+        });
         msg.set_ctx(send);
     }
 }
@@ -94,10 +90,6 @@ struct Member {
     algo: BoxedAlgo,
     engine: QueryEngine,
     joined: bool,
-    /// Neighbour set and role at the last trace delta, for the
-    /// ConnUp/ConnDown/RoleChange milestones.
-    last_neighbors: Vec<NodeId>,
-    last_role: Role,
 }
 
 /// A misbehaving node's role plus the grey-hole's drop counter.
@@ -182,8 +174,6 @@ impl StackMachine {
             algo,
             engine,
             joined: false,
-            last_neighbors: Vec::new(),
-            last_role: Role::Servent,
         });
         m
     }
@@ -271,9 +261,7 @@ impl StackMachine {
         m.joined = true;
         let actions = m.algo.start(now);
         m.engine.start(now);
-        host.trace().record(now, TraceEvent::Join { node: self.id });
         self.exec_overlay(host, now, actions, TraceCtx::NONE);
-        self.member_delta(host, now);
         self.rearm(host, now);
     }
 
@@ -308,18 +296,12 @@ impl StackMachine {
     /// node's reception.
     pub fn on_frame<H: StackHost>(&mut self, host: &mut H, now: SimTime, frame: FrameUp) {
         let FrameUp { from, mut msg } = frame;
-        let trace = host.trace();
-        if trace.enabled() && msg.ctx().is_active() {
-            let recv = msg.ctx().child(trace.alloc_span());
-            trace.record(
-                now,
-                TraceEvent::Recv {
-                    node: self.id,
-                    ctx: recv,
-                    from,
-                    frame: msg.kind(),
-                },
-            );
+        let ctx = msg.ctx();
+        if ctx.is_active() {
+            let recv = host.trace().child(now, self.id, ctx, || CausalKind::Recv {
+                frame: msg.kind(),
+                from: from.0,
+            });
             msg.set_ctx(recv);
         }
         let actions = self.aodv.on_frame(now, from, msg);
@@ -342,7 +324,6 @@ impl StackMachine {
                 host.query_completed(self.id, &done);
             }
             self.exec_content(host, now, sends, TraceCtx::NONE);
-            self.member_delta(host, now);
         }
         self.rearm(host, now);
     }
@@ -375,50 +356,10 @@ impl StackMachine {
         label: &'static str,
         nonempty: bool,
     ) -> TraceCtx {
-        let trace = host.trace();
-        if cause.is_active() || !nonempty || !trace.enabled() {
+        if cause.is_active() || !nonempty {
             return cause;
         }
-        let root = TraceCtx::root(trace.alloc_trace(), trace.alloc_span());
-        trace.record(
-            now,
-            TraceEvent::Origin {
-                node: self.id,
-                ctx: root,
-                label,
-            },
-        );
-        root
-    }
-
-    /// Emit ConnUp/ConnDown/RoleChange milestones from the member's state
-    /// delta since the last observation. No-op unless tracing.
-    fn member_delta<H: StackHost>(&mut self, host: &mut H, now: SimTime) {
-        let trace = host.trace();
-        if !trace.enabled() {
-            return;
-        }
-        let Some(m) = self.member.as_mut() else {
-            return;
-        };
-        let id = self.id;
-        let neighbors = m.algo.neighbors();
-        let role = m.algo.role();
-        let old = std::mem::replace(&mut m.last_neighbors, neighbors.clone());
-        let old_role = std::mem::replace(&mut m.last_role, role);
-        for &nb in &neighbors {
-            if !old.contains(&nb) {
-                trace.record(now, TraceEvent::ConnUp { node: id, peer: nb });
-            }
-        }
-        for &nb in &old {
-            if !neighbors.contains(&nb) {
-                trace.record(now, TraceEvent::ConnDown { node: id, peer: nb });
-            }
-        }
-        if role != old_role {
-            trace.record(now, TraceEvent::RoleChange { node: id, role });
-        }
+        host.trace().origin(now, self.id, label)
     }
 
     /// Run an AODV action batch, in order, depth-first, after the
@@ -473,19 +414,9 @@ impl StackMachine {
                     },
                 ),
                 Action::Unreachable { dst, ctx, .. } => {
-                    let mut cause = ctx;
-                    let trace = host.trace();
-                    if trace.enabled() && ctx.is_active() {
-                        cause = ctx.child(trace.alloc_span());
-                        trace.record(
-                            now,
-                            TraceEvent::Unreachable {
-                                node: id,
-                                ctx: cause,
-                                dst,
-                            },
-                        );
-                    }
+                    let cause = host
+                        .trace()
+                        .child(now, id, ctx, || CausalKind::Unreachable { dst: dst.0 });
                     if let Some(m) = self.member.as_mut().filter(|m| m.joined) {
                         let actions = m.algo.on_unreachable(now, dst);
                         self.exec_overlay(host, now, actions, cause);
@@ -512,23 +443,10 @@ impl StackMachine {
         } = verb;
         let id = self.id;
         host.delivered(id, &payload, hops);
-        let mut cause = TraceCtx::NONE;
-        let trace = host.trace();
-        if trace.enabled() {
-            if ctx.is_active() {
-                cause = ctx.child(trace.alloc_span());
-            }
-            trace.record(
-                now,
-                TraceEvent::DeliverUp {
-                    node: id,
-                    from: src,
-                    kind: payload.kind(),
-                    hops,
-                    ctx: cause,
-                },
-            );
-        }
+        let cause = host.trace().child(now, id, ctx, || CausalKind::Deliver {
+            kind: payload.kind().name(),
+            hops,
+        });
         // A selfish member consumes service traffic without serving:
         // incoming queries and fetch requests are counted and traced as
         // delivered (the frame did arrive) but never reach the engine, so
@@ -561,7 +479,6 @@ impl StackMachine {
                 self.exec_content(host, now, sends, cause);
             }
         }
-        self.member_delta(host, now);
         self.rearm(host, now);
     }
 

@@ -3,16 +3,16 @@
 //! per-process traces into one timeline.
 //!
 //! A swarm child records counters, spans, flight records and a causal
-//! [`TraceLog`] locally; at periodic cadence and at shutdown it encodes
-//! everything into one length-prefixed binary frame
-//! ([`encode_telemetry`]) and ships it to the parent over the existing
-//! stdio RESULT channel (hex-armored — see [`to_hex`]/[`from_hex`] —
-//! so the frame survives line-oriented transport). The parent decodes
-//! ([`decode_telemetry`]) with the same typed-[`WireError`] discipline
-//! as the datagram codec: truncation and corruption are expected inputs,
-//! never panics. Snapshots are *running totals*: the parent keeps only
-//! the latest frame per child, and a child that dies mid-run leaves its
-//! last cadence frame as a partial post-mortem.
+//! [`TraceLog`] locally; at shutdown it encodes everything into one
+//! length-prefixed binary frame ([`encode_telemetry`]) and ships it to the
+//! parent over the existing stdio RESULT channel (hex-armored — see
+//! [`to_hex`]/[`from_hex`] — so the frame survives line-oriented
+//! transport). The parent decodes ([`decode_telemetry`]) with the same
+//! typed-[`WireError`] discipline as the datagram codec: truncation and
+//! corruption are expected inputs, never panics. The trace travels as its
+//! [`CausalEvent`]s, one tag per [`CausalKind`]. A child that dies
+//! mid-run ships no frame; its post-mortem is the `failure_*.jsonl` dump
+//! it writes on the way out.
 //!
 //! Cross-process traces need one more step. Each node stamps span times
 //! from its own monotonic clock, and those clocks share no epoch — a
@@ -27,14 +27,14 @@
 
 use std::collections::HashMap;
 
-use manet_des::wire::{put_ctx, put_u16, put_u32, put_u64, put_u8, read_ctx};
-use manet_des::{NodeId, SimTime, WireError, WireReader};
-use manet_metrics::MsgKind;
+use manet_des::wire::{put_u16, put_u32, put_u64, put_u8};
+use manet_des::{WireError, WireReader};
 use manet_obs::registry::Histogram;
-use manet_obs::{intern, CausalEvent, FlightRecord, FlightRecorder, ObsReport, Severity};
-use p2p_core::Role;
+use manet_obs::{
+    intern, CausalEvent, CausalKind, FlightRecord, FlightRecorder, ObsReport, Severity,
+};
 
-use crate::trace::{TraceEvent, TraceLog};
+use crate::trace::TraceLog;
 
 /// Leading bytes of every telemetry frame (distinct from the datagram
 /// codec's `[0xAD, 0x0C]`, so a frame pasted into the wrong decoder is
@@ -42,7 +42,7 @@ use crate::trace::{TraceEvent, TraceLog};
 pub const TELEMETRY_MAGIC: [u8; 2] = [0xAD, 0x0B];
 
 /// Telemetry codec version; bumped on any layout change.
-pub const TELEMETRY_VERSION: u8 = 1;
+pub const TELEMETRY_VERSION: u8 = 2;
 
 /// One node's decoded telemetry snapshot.
 #[derive(Debug)]
@@ -51,7 +51,7 @@ pub struct Telemetry {
     pub node: u32,
     /// Counters, gauges, histograms, series, spans and flight records.
     pub report: ObsReport,
-    /// The node's causal/milestone trace. Reconstructed for *analysis*:
+    /// The node's causal trace. Reconstructed for *analysis*:
     /// events, totals and id watermarks round-trip exactly; the private
     /// reservoir-sampler state does not travel (the decoded log is
     /// merged and read, never recorded into).
@@ -114,203 +114,86 @@ fn severity_from(tag: u8) -> Result<Severity, WireError> {
     }
 }
 
-fn role_tag(r: Role) -> u8 {
-    match r {
-        Role::Servent => 0,
-        Role::Initial => 1,
-        Role::Reserved => 2,
-        Role::Master => 3,
-        Role::Slave => 4,
-    }
-}
+const EV_ORIGIN: u8 = 0;
+const EV_SEND: u8 = 1;
+const EV_RECV: u8 = 2;
+const EV_DELIVER: u8 = 3;
+const EV_UNREACHABLE: u8 = 4;
+const EV_TIMER: u8 = 5;
 
-fn role_from(tag: u8) -> Result<Role, WireError> {
-    match tag {
-        0 => Ok(Role::Servent),
-        1 => Ok(Role::Initial),
-        2 => Ok(Role::Reserved),
-        3 => Ok(Role::Master),
-        4 => Ok(Role::Slave),
-        tag => Err(WireError::BadTag { what: "role", tag }),
-    }
-}
-
-fn msg_kind_from(tag: u8) -> Result<MsgKind, WireError> {
-    MsgKind::ALL
-        .get(tag as usize)
-        .copied()
-        .ok_or(WireError::BadTag {
-            what: "msg kind",
-            tag,
-        })
-}
-
-const EV_JOIN: u8 = 0;
-const EV_DELIVER: u8 = 1;
-const EV_ORIGIN: u8 = 2;
-const EV_SEND: u8 = 3;
-const EV_RECV: u8 = 4;
-const EV_UNREACHABLE: u8 = 5;
-const EV_TIMER: u8 = 6;
-const EV_CONN_UP: u8 = 7;
-const EV_CONN_DOWN: u8 = 8;
-const EV_ROLE: u8 = 9;
-const EV_POWER: u8 = 10;
-
-fn put_event(buf: &mut Vec<u8>, at: SimTime, event: &TraceEvent) {
-    put_u64(buf, at.ticks());
-    match event {
-        TraceEvent::Join { node } => {
-            put_u8(buf, EV_JOIN);
-            put_u32(buf, node.0);
-        }
-        TraceEvent::DeliverUp {
-            node,
-            from,
-            kind,
-            hops,
-            ctx,
-        } => {
-            put_u8(buf, EV_DELIVER);
-            put_u32(buf, node.0);
-            put_u32(buf, from.0);
-            put_u8(buf, kind.index() as u8);
-            put_u8(buf, *hops);
-            put_ctx(buf, *ctx);
-        }
-        TraceEvent::Origin { node, ctx, label } => {
-            put_u8(buf, EV_ORIGIN);
-            put_u32(buf, node.0);
-            put_ctx(buf, *ctx);
-            put_str(buf, label);
-        }
-        TraceEvent::Send {
-            node,
-            ctx,
-            to,
-            frame,
-            bytes,
-        } => {
-            put_u8(buf, EV_SEND);
-            put_u32(buf, node.0);
-            put_ctx(buf, *ctx);
+fn put_event(buf: &mut Vec<u8>, e: &CausalEvent) {
+    put_u64(buf, e.t);
+    put_u8(
+        buf,
+        match e.kind {
+            CausalKind::Origin { .. } => EV_ORIGIN,
+            CausalKind::Send { .. } => EV_SEND,
+            CausalKind::Recv { .. } => EV_RECV,
+            CausalKind::Deliver { .. } => EV_DELIVER,
+            CausalKind::Unreachable { .. } => EV_UNREACHABLE,
+            CausalKind::TimerArm { .. } => EV_TIMER,
+        },
+    );
+    put_u32(buf, e.node);
+    put_u64(buf, e.trace_id);
+    put_u64(buf, e.span);
+    put_u64(buf, e.parent);
+    match e.kind {
+        CausalKind::Origin { label } => put_str(buf, label),
+        CausalKind::Send { frame, to, bytes } => {
             match to {
                 Some(to) => {
                     put_u8(buf, 1);
-                    put_u32(buf, to.0);
+                    put_u32(buf, to);
                 }
                 None => put_u8(buf, 0),
             }
             put_str(buf, frame);
-            put_u32(buf, *bytes);
+            put_u32(buf, bytes);
         }
-        TraceEvent::Recv {
-            node,
-            ctx,
-            from,
-            frame,
-        } => {
-            put_u8(buf, EV_RECV);
-            put_u32(buf, node.0);
-            put_ctx(buf, *ctx);
-            put_u32(buf, from.0);
+        CausalKind::Recv { frame, from } => {
+            put_u32(buf, from);
             put_str(buf, frame);
         }
-        TraceEvent::Unreachable { node, ctx, dst } => {
-            put_u8(buf, EV_UNREACHABLE);
-            put_u32(buf, node.0);
-            put_ctx(buf, *ctx);
-            put_u32(buf, dst.0);
+        CausalKind::Deliver { kind, hops } => {
+            put_str(buf, kind);
+            put_u8(buf, hops);
         }
-        TraceEvent::TimerArm { node, ctx, at } => {
-            put_u8(buf, EV_TIMER);
-            put_u32(buf, node.0);
-            put_ctx(buf, *ctx);
-            put_u64(buf, at.ticks());
-        }
-        TraceEvent::ConnUp { node, peer } => {
-            put_u8(buf, EV_CONN_UP);
-            put_u32(buf, node.0);
-            put_u32(buf, peer.0);
-        }
-        TraceEvent::ConnDown { node, peer } => {
-            put_u8(buf, EV_CONN_DOWN);
-            put_u32(buf, node.0);
-            put_u32(buf, peer.0);
-        }
-        TraceEvent::RoleChange { node, role } => {
-            put_u8(buf, EV_ROLE);
-            put_u32(buf, node.0);
-            put_u8(buf, role_tag(*role));
-        }
-        TraceEvent::PowerChange { node, up } => {
-            put_u8(buf, EV_POWER);
-            put_u32(buf, node.0);
-            put_u8(buf, u8::from(*up));
-        }
+        CausalKind::Unreachable { dst } => put_u32(buf, dst),
+        CausalKind::TimerArm { at } => put_u64(buf, at),
     }
 }
 
-fn read_event(r: &mut WireReader<'_>) -> Result<(SimTime, TraceEvent), WireError> {
-    let at = SimTime::from_ticks(r.u64()?);
-    let node = |r: &mut WireReader<'_>| -> Result<NodeId, WireError> { Ok(NodeId(r.u32()?)) };
-    let event = match r.u8()? {
-        EV_JOIN => TraceEvent::Join { node: node(r)? },
-        EV_DELIVER => TraceEvent::DeliverUp {
-            node: node(r)?,
-            from: node(r)?,
-            kind: msg_kind_from(r.u8()?)?,
-            hops: r.u8()?,
-            ctx: read_ctx(r)?,
-        },
-        EV_ORIGIN => TraceEvent::Origin {
-            node: node(r)?,
-            ctx: read_ctx(r)?,
+fn read_event(r: &mut WireReader<'_>) -> Result<CausalEvent, WireError> {
+    let t = r.u64()?;
+    let tag = r.u8()?;
+    let node = r.u32()?;
+    let trace_id = r.u64()?;
+    let span = r.u64()?;
+    let parent = r.u64()?;
+    let kind = match tag {
+        EV_ORIGIN => CausalKind::Origin {
             label: read_static_str(r)?,
         },
-        EV_SEND => TraceEvent::Send {
-            node: node(r)?,
-            ctx: read_ctx(r)?,
+        EV_SEND => CausalKind::Send {
             to: if r.flag("unicast receiver presence")? {
-                Some(node(r)?)
+                Some(r.u32()?)
             } else {
                 None
             },
             frame: read_static_str(r)?,
             bytes: r.u32()?,
         },
-        EV_RECV => TraceEvent::Recv {
-            node: node(r)?,
-            ctx: read_ctx(r)?,
-            from: node(r)?,
+        EV_RECV => CausalKind::Recv {
+            from: r.u32()?,
             frame: read_static_str(r)?,
         },
-        EV_UNREACHABLE => TraceEvent::Unreachable {
-            node: node(r)?,
-            ctx: read_ctx(r)?,
-            dst: node(r)?,
+        EV_DELIVER => CausalKind::Deliver {
+            kind: read_static_str(r)?,
+            hops: r.u8()?,
         },
-        EV_TIMER => TraceEvent::TimerArm {
-            node: node(r)?,
-            ctx: read_ctx(r)?,
-            at: SimTime::from_ticks(r.u64()?),
-        },
-        EV_CONN_UP => TraceEvent::ConnUp {
-            node: node(r)?,
-            peer: node(r)?,
-        },
-        EV_CONN_DOWN => TraceEvent::ConnDown {
-            node: node(r)?,
-            peer: node(r)?,
-        },
-        EV_ROLE => TraceEvent::RoleChange {
-            node: node(r)?,
-            role: role_from(r.u8()?)?,
-        },
-        EV_POWER => TraceEvent::PowerChange {
-            node: node(r)?,
-            up: r.flag("power state")?,
-        },
+        EV_UNREACHABLE => CausalKind::Unreachable { dst: r.u32()? },
+        EV_TIMER => CausalKind::TimerArm { at: r.u64()? },
         tag => {
             return Err(WireError::BadTag {
                 what: "trace event",
@@ -318,7 +201,14 @@ fn read_event(r: &mut WireReader<'_>) -> Result<(SimTime, TraceEvent), WireError
             })
         }
     };
-    Ok((at, event))
+    Ok(CausalEvent {
+        trace_id,
+        span,
+        parent,
+        t,
+        node,
+        kind,
+    })
 }
 
 /// Encode node `node`'s report and trace into one telemetry frame.
@@ -389,8 +279,8 @@ pub fn encode_telemetry(node: u32, report: &ObsReport, trace: &TraceLog) -> Vec<
     put_u64(&mut body, trace.next_trace);
     put_u64(&mut body, trace.next_span);
     put_u32(&mut body, trace.len() as u32);
-    for (at, event) in trace.events() {
-        put_event(&mut body, *at, event);
+    for event in trace.events() {
+        put_event(&mut body, event);
     }
 
     let mut buf = Vec::with_capacity(body.len() + 9);
@@ -579,8 +469,6 @@ pub fn from_hex(s: &str) -> Result<Vec<u8>, WireError> {
 /// re-emitted in per-trace topological order — parents first, siblings
 /// by time — which is exactly the order `causal::artifact` requires.
 pub fn stitch_clocks(events: Vec<CausalEvent>) -> Vec<CausalEvent> {
-    use manet_obs::CausalKind;
-
     // 1. Directed minimum one-way "delay" per (sender, receiver) pair.
     let send_at: HashMap<u64, (u32, u64)> = events
         .iter()
@@ -672,32 +560,7 @@ pub fn stitch_clocks(events: Vec<CausalEvent>) -> Vec<CausalEvent> {
         .enumerate()
         .map(|(i, e)| ((e.trace_id, e.span), i))
         .collect();
-    fn depth_of(
-        i: usize,
-        events: &[CausalEvent],
-        index: &HashMap<(u64, u64), usize>,
-        memo: &mut [i32],
-    ) -> i32 {
-        if memo[i] >= 0 {
-            return memo[i];
-        }
-        memo[i] = 0; // breaks cycles (malformed input) at depth 0
-        let e = &events[i];
-        let d = if e.parent == 0 {
-            0
-        } else {
-            match index.get(&(e.trace_id, e.parent)) {
-                Some(&p) => depth_of(p, events, index, memo) + 1,
-                None => 0, // orphan: artifact() will drop it anyway
-            }
-        };
-        memo[i] = d;
-        d
-    }
-    let mut memo = vec![-1i32; events.len()];
-    let depths: Vec<i32> = (0..events.len())
-        .map(|i| depth_of(i, &events, &index, &mut memo))
-        .collect();
+    let depths = parent_depths(&events, &index);
     let mut order: Vec<usize> = (0..events.len()).collect();
     order.sort_by_key(|&i| (depths[i], events[i].t, events[i].span));
     for &i in &order {
@@ -728,14 +591,49 @@ pub fn stitch_clocks(events: Vec<CausalEvent>) -> Vec<CausalEvent> {
             events[i].span,
         )
     });
-    final_order.into_iter().map(|i| events[i].clone()).collect()
+    final_order.into_iter().map(|i| events[i]).collect()
+}
+
+/// Each event's depth along its parent chain: roots and orphans (parent
+/// not in the stream) are 0, every other event one more than its parent.
+/// Iterative, so a chain of any length costs no stack: climb from an
+/// unresolved event, pushing the path, until a resolved event, a root or
+/// an orphan, then unwind. A path event reads as depth 0 while it is being
+/// resolved, so on malformed input a cycle is cut where the climb meets
+/// itself.
+fn parent_depths(events: &[CausalEvent], index: &HashMap<(u64, u64), usize>) -> Vec<i32> {
+    let parent_of = |i: usize| {
+        let e = &events[i];
+        if e.parent == 0 {
+            None
+        } else {
+            index.get(&(e.trace_id, e.parent)).copied()
+        }
+    };
+    const UNRESOLVED: i32 = -1;
+    let mut depth = vec![UNRESOLVED; events.len()];
+    let mut path = Vec::new();
+    for start in 0..events.len() {
+        let mut i = start;
+        while depth[i] == UNRESOLVED {
+            depth[i] = 0;
+            path.push(i);
+            match parent_of(i) {
+                Some(p) => i = p,
+                None => break,
+            }
+        }
+        while let Some(j) = path.pop() {
+            depth[j] = parent_of(j).map_or(0, |p| depth[p] + 1);
+        }
+    }
+    depth
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use manet_des::TraceCtx;
-    use manet_obs::CausalKind;
+    use manet_des::{NodeId, SimTime};
 
     fn t(s: u64) -> SimTime {
         SimTime::from_secs(s)
@@ -772,46 +670,24 @@ mod tests {
 
     fn sample_trace() -> TraceLog {
         let mut log = TraceLog::with_id_base(64, 9, crate::trace::node_id_base(1));
-        let trace = log.alloc_trace();
-        let root = TraceCtx::root(trace, log.alloc_span());
-        log.record(
-            t(1),
-            TraceEvent::Origin {
-                node: NodeId(1),
-                ctx: root,
-                label: "query",
-            },
-        );
-        let send = root.child(log.alloc_span());
-        log.record(
-            t(1),
-            TraceEvent::Send {
-                node: NodeId(1),
-                ctx: send,
-                to: Some(NodeId(2)),
-                frame: "data",
-                bytes: 64,
-            },
-        );
-        log.record(t(2), TraceEvent::Join { node: NodeId(1) });
-        log.record(
-            t(3),
-            TraceEvent::RoleChange {
-                node: NodeId(1),
-                role: Role::Master,
-            },
-        );
-        let deliver = send.child(log.alloc_span());
-        log.record(
-            t(4),
-            TraceEvent::DeliverUp {
-                node: NodeId(1),
-                from: NodeId(2),
-                kind: MsgKind::QueryHit,
-                hops: 2,
-                ctx: deliver,
-            },
-        );
+        let root = log.origin(t(1), NodeId(1), "query");
+        let send = log.child(t(1), NodeId(1), root, || CausalKind::Send {
+            frame: "data",
+            to: Some(2),
+            bytes: 64,
+        });
+        let recv = log.child(t(2), NodeId(1), send, || CausalKind::Recv {
+            frame: "data",
+            from: 2,
+        });
+        let unreachable = log.child(t(3), NodeId(1), recv, || CausalKind::Unreachable { dst: 5 });
+        log.child(t(3), NodeId(1), unreachable, || CausalKind::TimerArm {
+            at: t(4).ticks(),
+        });
+        log.child(t(4), NodeId(1), send, || CausalKind::Deliver {
+            kind: "query_hit",
+            hops: 2,
+        });
         log
     }
 
@@ -825,9 +701,7 @@ mod tests {
         assert_eq!(back.report, report, "report round-trips bit-exactly");
         // The trace's analytical content round-trips: events, totals,
         // namespaces, watermarks.
-        let a: Vec<_> = trace.events().cloned().collect();
-        let b: Vec<_> = back.trace.events().cloned().collect();
-        assert_eq!(a, b);
+        assert_eq!(back.trace.causal_events(), trace.causal_events());
         assert_eq!(back.trace.offered(), trace.offered());
         assert_eq!(back.trace.id_base(), trace.id_base());
         assert_eq!(back.trace.next_trace, trace.next_trace);
@@ -870,26 +744,6 @@ mod tests {
         }
     }
 
-    #[test]
-    fn snapshot_is_a_running_total_parent_keeps_last() {
-        // Two snapshots of one growing report: decoding the later one
-        // alone reflects the full totals (the periodic-cadence contract).
-        let mut report = ObsReport {
-            runs: 1,
-            ..ObsReport::default()
-        };
-        let trace = TraceLog::new(0);
-        let c = report.registry.counter("rt.dgram_rx");
-        report.registry.inc(c, 5);
-        let early = encode_telemetry(0, &report, &trace);
-        report.registry.inc(c, 5);
-        let late = encode_telemetry(0, &report, &trace);
-        let a = decode_telemetry(&early).unwrap();
-        let b = decode_telemetry(&late).unwrap();
-        assert_eq!(a.report.registry.counter_by_name("rt.dgram_rx"), Some(5));
-        assert_eq!(b.report.registry.counter_by_name("rt.dgram_rx"), Some(10));
-    }
-
     /// Decode a frame carrying `trace` and fold it into `acc` the way the
     /// swarm parent does.
     fn merge_forged(acc: &mut TraceLog, trace: &TraceLog, times: usize) {
@@ -905,7 +759,7 @@ mod tests {
         // A base-0 trace whose mint watermark claims 0 — below the
         // "first id is 1" floor every real log starts from.
         let mut forged = TraceLog::new(8);
-        forged.record(t(1), TraceEvent::Join { node: NodeId(0) });
+        forged.origin(t(1), NodeId(0), "query");
         forged.next_trace = 0;
         forged.next_span = 0;
         let mut acc = TraceLog::new(64);
@@ -954,7 +808,7 @@ mod tests {
             t,
             node,
             CausalKind::Send {
-                frame: "data".into(),
+                frame: "data",
                 to: None,
                 bytes: 64,
             },
@@ -969,7 +823,7 @@ mod tests {
             t,
             node,
             CausalKind::Recv {
-                frame: "data".into(),
+                frame: "data",
                 from,
             },
         )
@@ -980,29 +834,14 @@ mod tests {
         // Node 1's clock is 1000 ticks behind node 0's: its recvs appear
         // to precede the sends that caused them. Both directions of
         // exchange exist, so the NTP half-difference recovers the skew.
-        let origin = ev(
-            1,
-            1,
-            0,
-            100,
-            0,
-            CausalKind::Origin {
-                label: "query".into(),
-            },
-        );
+        let origin = ev(1, 1, 0, 100, 0, CausalKind::Origin { label: "query" });
         // 0 -> 1: sent at 100 (node 0 clock), received at real 110 which
         // node 1 stamps as -890 -> impossible unsigned; use bigger bases.
         let s01 = send(1, 2, 1, 10_100, 0);
         let r01 = recv(1, 3, 2, 9_110, 1, 0); // 10_110 real - 1000 skew
         let s10 = send(1, 4, 3, 9_120, 1); // real 10_120
         let r10 = recv(1, 5, 4, 10_130, 0, 1);
-        let out = stitch_clocks(vec![
-            origin.clone(),
-            s01.clone(),
-            r01.clone(),
-            s10.clone(),
-            r10.clone(),
-        ]);
+        let out = stitch_clocks(vec![origin, s01, r01, s10, r10]);
         assert_eq!(out.len(), 5);
         // Parent always precedes child in the stream, and times are
         // monotone along every parent link.
@@ -1023,16 +862,7 @@ mod tests {
 
     #[test]
     fn stitch_single_direction_pins_recv_at_send() {
-        let origin = ev(
-            1,
-            1,
-            0,
-            100,
-            0,
-            CausalKind::Origin {
-                label: "query".into(),
-            },
-        );
+        let origin = ev(1, 1, 0, 100, 0, CausalKind::Origin { label: "query" });
         let s = send(1, 2, 1, 200, 0);
         let r = recv(1, 3, 2, 50, 1, 0); // receiver clock far behind
         let out = stitch_clocks(vec![origin, s, r]);
@@ -1046,20 +876,53 @@ mod tests {
 
     #[test]
     fn stitch_without_cross_node_pairs_is_ordering_only() {
-        let origin = ev(
-            1,
-            1,
-            0,
-            100,
-            0,
-            CausalKind::Origin {
-                label: "query".into(),
-            },
-        );
+        let origin = ev(1, 1, 0, 100, 0, CausalKind::Origin { label: "query" });
         let s = send(1, 2, 1, 150, 0);
-        let out = stitch_clocks(vec![s.clone(), origin.clone()]);
+        let out = stitch_clocks(vec![s, origin]);
         assert_eq!(out[0].span, 1, "parent re-ordered before child");
         assert_eq!(out[0].t, 100, "no offsets applied");
         assert_eq!(out[1].t, 150);
+    }
+
+    #[test]
+    fn stitch_survives_a_long_chain_listed_child_first() {
+        // One trace whose events form a single parent chain, listed
+        // deepest first: depth resolution must not recurse per link.
+        const N: u64 = 204_800;
+        let chain: Vec<CausalEvent> = (1..=N)
+            .rev()
+            .map(|span| {
+                ev(
+                    1,
+                    span,
+                    span - 1,
+                    span,
+                    0,
+                    CausalKind::TimerArm { at: span },
+                )
+            })
+            .collect();
+        let out = stitch_clocks(chain);
+        assert_eq!(out.len(), N as usize);
+        assert!(
+            out.iter().zip(1..=N).all(|(e, span)| e.span == span),
+            "re-emitted root first, each parent before its child"
+        );
+    }
+
+    #[test]
+    fn stitch_cuts_a_parent_cycle() {
+        // Malformed input: span 1's parent is 3, 3's is 2, 2's is 1. The
+        // climb from span 1 meets itself there and reads it as depth 0:
+        // span 2 resolves to depth 1, span 3 to 2, and span 1, closing
+        // the loop, to 3. Nothing recurses forever and nothing is lost.
+        let cycle = vec![
+            send(1, 1, 3, 10, 0),
+            send(1, 2, 1, 20, 0),
+            send(1, 3, 2, 30, 0),
+        ];
+        let out = stitch_clocks(cycle);
+        let spans: Vec<u64> = out.iter().map(|e| e.span).collect();
+        assert_eq!(spans, vec![2, 3, 1]);
     }
 }

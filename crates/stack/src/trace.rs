@@ -1,23 +1,22 @@
-//! Event tracing: a bounded, zero-cost-when-off protocol trace.
+//! Causal tracing: a bounded, zero-cost-when-off record of
+//! [`CausalEvent`]s.
 //!
-//! Debugging a distributed protocol is miserable without a record of
-//! *who did what, when*. [`TraceLog`] keeps the last `capacity`
-//! interesting events in a ring buffer. Each substrate lends its log to
-//! the protocol machine ([`crate::StackHost::trace`]): DES worlds record
-//! when the scenario's trace capacity is non-zero, a real-time node once
-//! its observability is armed. Rendering is plain text, one event per line,
-//! suitable for diffing two runs.
+//! [`TraceLog`] keeps the last `capacity` events in a ring buffer. Each
+//! substrate lends its log to the protocol machine
+//! ([`crate::StackHost::trace`]): DES worlds record when the scenario's
+//! trace capacity is non-zero, a real-time node once its observability is
+//! armed.
 //!
-//! Beyond milestones (joins, connections, role changes), the log records
-//! *causal* events: every frame transmission/reception, delivery,
-//! unreachability verdict and traced timer arm carries a
-//! [`TraceCtx`] linking it to the query or reconfiguration round that
-//! caused it. [`TraceLog`] is also the span allocator —
-//! [`alloc_trace`](TraceLog::alloc_trace) / [`alloc_span`](TraceLog::alloc_span)
-//! hand out monotone non-zero ids with no simulation randomness, so a
-//! traced run stays bit-identical to an untraced one — and
-//! [`causal_events`](TraceLog::causal_events) converts the retained ring
-//! into the flat stream `manet_obs::causal` analyzes and exports.
+//! Every event is a position in a [`TraceCtx`] chain — its trace (the
+//! query or reconfiguration round that caused it), its own span and its
+//! parent's: the trace root ([`origin`](TraceLog::origin)), and every
+//! frame transmission/reception, delivery, unreachability verdict and
+//! traced timer arm after it ([`child`](TraceLog::child)). Those two entry
+//! points are also the span
+//! allocator: they hand out monotone non-zero ids with no simulation
+//! randomness, so a traced run stays bit-identical to an untraced one. The
+//! retained ring is already the flat stream `manet_obs::causal` analyzes
+//! and exports ([`causal_events`](TraceLog::causal_events)).
 //!
 //! Three mechanisms bound the cost of always-on capture:
 //!
@@ -31,8 +30,7 @@
 //!   whole traces (not individual spans) keeps every admitted causal tree
 //!   complete. The sampler RNG is private to the log — simulation streams
 //!   are never touched, so traced runs stay bit-identical to untraced
-//!   ones. Milestone events (joins, connections, role/power changes) have
-//!   no trace identity and are always recorded.
+//!   ones.
 //! * **Bounded admission state.** Reservoir membership is a fixed-size
 //!   slot vector plus a hash set sized to the reservoir — the log's
 //!   memory is `O(capacity)` however many traces a long run mints, not
@@ -49,112 +47,7 @@
 use std::collections::HashSet;
 
 use manet_des::{NodeId, SimTime, TraceCtx};
-use manet_metrics::MsgKind;
-use p2p_core::Role;
-
-/// One traced occurrence.
-#[derive(Clone, Debug, PartialEq)]
-pub enum TraceEvent {
-    /// A member joined the overlay.
-    Join {
-        /// The node.
-        node: NodeId,
-    },
-    /// An overlay/content message was delivered to a member.
-    DeliverUp {
-        /// The receiving member.
-        node: NodeId,
-        /// Who originated the message.
-        from: NodeId,
-        /// The figure category.
-        kind: MsgKind,
-        /// Ad-hoc hops travelled.
-        hops: u8,
-        /// Causal position ([`TraceCtx::NONE`] when causal tracing is not
-        /// active for this message).
-        ctx: TraceCtx,
-    },
-    /// A trace was minted: a query or reconfiguration round originated.
-    Origin {
-        /// The originating node.
-        node: NodeId,
-        /// The root context of the new trace.
-        ctx: TraceCtx,
-        /// What kind of activity this trace is (`"query"`, `"reconfig"`…).
-        label: &'static str,
-    },
-    /// A traced frame left a node's radio.
-    Send {
-        /// The transmitting node.
-        node: NodeId,
-        /// Causal position of this transmission.
-        ctx: TraceCtx,
-        /// Unicast receiver, or `None` for a broadcast.
-        to: Option<NodeId>,
-        /// Frame kind (`"rreq"`, `"data"`, `"flood"`, …).
-        frame: &'static str,
-        /// Frame size on the air.
-        bytes: u32,
-    },
-    /// A traced frame arrived at a node's radio.
-    Recv {
-        /// The receiving node.
-        node: NodeId,
-        /// Causal position of this reception.
-        ctx: TraceCtx,
-        /// The transmitting node.
-        from: NodeId,
-        /// Frame kind, mirroring the send.
-        frame: &'static str,
-    },
-    /// Route discovery gave up on a traced destination.
-    Unreachable {
-        /// The node whose discovery failed.
-        node: NodeId,
-        /// Causal position.
-        ctx: TraceCtx,
-        /// The destination that could not be reached.
-        dst: NodeId,
-    },
-    /// A node armed its protocol timer on behalf of a traced discovery.
-    TimerArm {
-        /// The node.
-        node: NodeId,
-        /// Causal position (the waiting discovery's context).
-        ctx: TraceCtx,
-        /// When the timer will fire.
-        at: SimTime,
-    },
-    /// An overlay connection reached the established state (recorded from
-    /// the neighbor-set delta, so both endpoints appear).
-    ConnUp {
-        /// The observing node.
-        node: NodeId,
-        /// The new neighbor.
-        peer: NodeId,
-    },
-    /// An overlay connection went away.
-    ConnDown {
-        /// The observing node.
-        node: NodeId,
-        /// The lost neighbor.
-        peer: NodeId,
-    },
-    /// A hybrid node changed role.
-    RoleChange {
-        /// The node.
-        node: NodeId,
-        /// Its new role.
-        role: Role,
-    },
-    /// Churn or battery exhaustion toggled a node.
-    PowerChange {
-        /// The node.
-        node: NodeId,
-        /// True = came up, false = went down.
-        up: bool,
-    },
-}
+use manet_obs::{CausalEvent, CausalKind};
 
 /// Reservoir slots per ring slot: a trace averages well over a handful of
 /// spans, so tying the trace budget to the ring capacity this way keeps
@@ -177,19 +70,19 @@ pub fn node_id_base(node: u32) -> u64 {
     (node as u64 + 1) << ID_NAMESPACE_BITS
 }
 
-/// A bounded event trace.
+/// A bounded causal trace.
 #[derive(Clone, Debug, Default)]
 pub struct TraceLog {
     /// The arena: a flat ring written round-robin once full. `head` is
     /// the oldest entry (and the next overwrite target) when the arena is
     /// at capacity; while filling, entries are in order from index 0.
-    pub(crate) arena: Vec<(SimTime, TraceEvent)>,
+    pub(crate) arena: Vec<CausalEvent>,
     pub(crate) head: usize,
     pub(crate) capacity: usize,
     /// Total events offered, including those evicted from the ring (but
     /// not spans skipped by the trace reservoir).
     pub(crate) offered: u64,
-    /// Events evicted to make room — a non-zero value means the rendered
+    /// Events evicted to make room — a non-zero value means the retained
     /// trace is a suffix of the run, not the whole story.
     pub(crate) dropped: u64,
     /// Spans skipped because their trace was not in the reservoir.
@@ -297,11 +190,8 @@ impl TraceLog {
     }
 
     /// Mint a fresh trace id (monotone, non-zero, no simulation
-    /// randomness) and decide its reservoir admission. Callers must only
-    /// allocate when [`enabled`](Self::enabled) — id allocation when
-    /// tracing is off would still be harmless to simulation results, but
-    /// the discipline keeps the disabled path branch-only.
-    pub fn alloc_trace(&mut self) -> u64 {
+    /// randomness) and decide its reservoir admission.
+    fn alloc_trace(&mut self) -> u64 {
         let id = self.id_base + self.next_trace;
         self.next_trace += 1;
         self.reserve(id);
@@ -309,7 +199,7 @@ impl TraceLog {
     }
 
     /// Allocate a fresh span id (monotone, non-zero, no randomness).
-    pub fn alloc_span(&mut self) -> u64 {
+    fn alloc_span(&mut self) -> u64 {
         let id = self.id_base + self.next_span;
         self.next_span += 1;
         id
@@ -318,24 +208,6 @@ impl TraceLog {
     /// Whether recording is enabled.
     pub fn enabled(&self) -> bool {
         self.capacity > 0
-    }
-
-    /// The trace an event belongs to (0 for milestones and untraced
-    /// events).
-    fn trace_of(event: &TraceEvent) -> u64 {
-        match event {
-            TraceEvent::DeliverUp { ctx, .. }
-            | TraceEvent::Origin { ctx, .. }
-            | TraceEvent::Send { ctx, .. }
-            | TraceEvent::Recv { ctx, .. }
-            | TraceEvent::Unreachable { ctx, .. }
-            | TraceEvent::TimerArm { ctx, .. } => ctx.trace_id,
-            TraceEvent::Join { .. }
-            | TraceEvent::ConnUp { .. }
-            | TraceEvent::ConnDown { .. }
-            | TraceEvent::RoleChange { .. }
-            | TraceEvent::PowerChange { .. } => 0,
-        }
     }
 
     /// Was `trace` minted by this log's own allocator (and therefore
@@ -347,15 +219,44 @@ impl TraceLog {
         trace > self.id_base && trace - self.id_base < self.next_trace
     }
 
-    /// Record an event (skips spans of non-admitted traces, overwrites
-    /// the oldest ring slot when full; no-op when disabled).
-    pub fn record(&mut self, at: SimTime, event: TraceEvent) {
-        if self.capacity == 0 {
-            return;
+    /// Mint a trace at `node` and record its root: a query or
+    /// reconfiguration round originated there. Returns the root context,
+    /// or [`TraceCtx::NONE`] (recording nothing, allocating no id) when
+    /// the log is off.
+    pub fn origin(&mut self, at: SimTime, node: NodeId, label: &'static str) -> TraceCtx {
+        if !self.enabled() {
+            return TraceCtx::NONE;
         }
-        let trace = Self::trace_of(&event);
-        if trace != 0
-            && self.reservoir_cap != 0
+        let root = TraceCtx::root(self.alloc_trace(), self.alloc_span());
+        self.push(at, node, root, CausalKind::Origin { label });
+        root
+    }
+
+    /// Record one step of `parent`'s trace at `node` and return its
+    /// context, for the caller to stamp onto whatever it forwards. When
+    /// the log is off or `parent` is untraced, returns `parent` and
+    /// records nothing; `kind` is only evaluated when the step is
+    /// recorded.
+    pub fn child(
+        &mut self,
+        at: SimTime,
+        node: NodeId,
+        parent: TraceCtx,
+        kind: impl FnOnce() -> CausalKind,
+    ) -> TraceCtx {
+        if !parent.is_active() || !self.enabled() {
+            return parent;
+        }
+        let ctx = parent.child(self.alloc_span());
+        self.push(at, node, ctx, kind());
+        ctx
+    }
+
+    /// Store one event of an enabled log (skips spans of non-admitted
+    /// traces, overwrites the oldest ring slot when full).
+    fn push(&mut self, at: SimTime, node: NodeId, ctx: TraceCtx, kind: CausalKind) {
+        let trace = ctx.trace_id;
+        if self.reservoir_cap != 0
             && self.is_locally_minted(trace)
             && !self.live_set.contains(&trace)
         {
@@ -363,17 +264,25 @@ impl TraceLog {
             return;
         }
         self.offered += 1;
+        let event = CausalEvent {
+            trace_id: trace,
+            span: ctx.span_seq,
+            parent: ctx.parent_id,
+            t: at.ticks(),
+            node: node.0,
+            kind,
+        };
         if self.arena.len() < self.capacity {
-            self.arena.push((at, event));
+            self.arena.push(event);
         } else {
-            self.arena[self.head] = (at, event);
+            self.arena[self.head] = event;
             self.head = (self.head + 1) % self.capacity;
             self.dropped += 1;
         }
     }
 
     /// Events currently retained, oldest first.
-    pub fn events(&self) -> impl Iterator<Item = &(SimTime, TraceEvent)> {
+    pub fn events(&self) -> impl Iterator<Item = &CausalEvent> {
         self.arena[self.head..]
             .iter()
             .chain(self.arena[..self.head].iter())
@@ -428,9 +337,9 @@ impl TraceLog {
     /// saturate, so a log decoded from untrusted bytes cannot overflow
     /// them.
     pub fn merge_offset(&mut self, other: &TraceLog) {
-        let mut all: Vec<(SimTime, TraceEvent)> = self.events().cloned().collect();
-        all.extend(other.events().cloned());
-        all.sort_by_key(|(at, _)| *at);
+        let mut all: Vec<CausalEvent> = self.events().copied().collect();
+        all.extend(other.events().copied());
+        all.sort_by_key(|e| e.t);
         self.capacity = self.capacity.max(other.capacity);
         self.offered = self.offered.saturating_add(other.offered);
         self.dropped = self.dropped.saturating_add(other.dropped);
@@ -444,170 +353,10 @@ impl TraceLog {
         self.head = 0;
     }
 
-    /// Render the retained events as text, one per line. A truncated trace
-    /// leads with a header stating how many events were evicted, so a
-    /// partial recording can never pass for a complete one.
-    pub fn render(&self) -> String {
-        let mut s = String::new();
-        if self.dropped > 0 {
-            s.push_str(&format!(
-                "# trace truncated: {} of {} events dropped (capacity {})\n",
-                self.dropped, self.offered, self.capacity
-            ));
-        }
-        for (at, e) in self.events() {
-            let line = match e {
-                TraceEvent::Join { node } => format!("{at} {node} JOIN"),
-                TraceEvent::DeliverUp {
-                    node,
-                    from,
-                    kind,
-                    hops,
-                    ctx,
-                } => {
-                    let tag = trace_tag(ctx);
-                    format!(
-                        "{at} {node} RX {} from {from} ({hops} hops){tag}",
-                        kind.name()
-                    )
-                }
-                TraceEvent::ConnUp { node, peer } => format!("{at} {node} CONN+ {peer}"),
-                TraceEvent::ConnDown { node, peer } => format!("{at} {node} CONN- {peer}"),
-                TraceEvent::RoleChange { node, role } => {
-                    format!("{at} {node} ROLE {role:?}")
-                }
-                TraceEvent::PowerChange { node, up } => {
-                    format!("{at} {node} {}", if *up { "UP" } else { "DOWN" })
-                }
-                TraceEvent::Origin { node, ctx, label } => {
-                    format!("{at} {node} ORIGIN {label}{}", trace_tag(ctx))
-                }
-                TraceEvent::Send {
-                    node,
-                    ctx,
-                    to,
-                    frame,
-                    bytes,
-                } => {
-                    let dest = match to {
-                        Some(to) => format!(" to {to}"),
-                        None => " bcast".to_string(),
-                    };
-                    format!("{at} {node} TX {frame}{dest} {bytes}B{}", trace_tag(ctx))
-                }
-                TraceEvent::Recv {
-                    node,
-                    ctx,
-                    from,
-                    frame,
-                } => format!("{at} {node} FRX {frame} from {from}{}", trace_tag(ctx)),
-                TraceEvent::Unreachable { node, ctx, dst } => {
-                    format!("{at} {node} UNREACHABLE {dst}{}", trace_tag(ctx))
-                }
-                TraceEvent::TimerArm { node, ctx, at: due } => {
-                    format!("{at} {node} TIMER at {due}{}", trace_tag(ctx))
-                }
-            };
-            s.push_str(&line);
-            s.push('\n');
-        }
-        s
-    }
-
-    /// The causal subset of the retained ring as the flat stream
-    /// `manet_obs::causal` analyzes: every event carrying an active
-    /// [`TraceCtx`], in recording order. Milestone events (joins,
-    /// connections, role/power changes) have no causal identity and are
-    /// skipped, as are untraced deliveries.
-    pub fn causal_events(&self) -> Vec<manet_obs::CausalEvent> {
-        use manet_obs::{CausalEvent, CausalKind};
-        let mut out = Vec::new();
-        for (at, e) in self.events() {
-            let (ctx, node, kind) = match e {
-                TraceEvent::Origin { node, ctx, label } => (
-                    ctx,
-                    node,
-                    CausalKind::Origin {
-                        label: (*label).to_string(),
-                    },
-                ),
-                TraceEvent::Send {
-                    node,
-                    ctx,
-                    to,
-                    frame,
-                    bytes,
-                } => (
-                    ctx,
-                    node,
-                    CausalKind::Send {
-                        frame: (*frame).to_string(),
-                        to: to.map(|n| n.0),
-                        bytes: *bytes,
-                    },
-                ),
-                TraceEvent::Recv {
-                    node,
-                    ctx,
-                    from,
-                    frame,
-                } => (
-                    ctx,
-                    node,
-                    CausalKind::Recv {
-                        frame: (*frame).to_string(),
-                        from: from.0,
-                    },
-                ),
-                TraceEvent::DeliverUp {
-                    node,
-                    kind,
-                    hops,
-                    ctx,
-                    ..
-                } => (
-                    ctx,
-                    node,
-                    CausalKind::Deliver {
-                        kind: kind.name().to_string(),
-                        hops: *hops,
-                    },
-                ),
-                TraceEvent::Unreachable { node, ctx, dst } => {
-                    (ctx, node, CausalKind::Unreachable { dst: dst.0 })
-                }
-                TraceEvent::TimerArm { node, ctx, at: due } => {
-                    (ctx, node, CausalKind::TimerArm { at: due.ticks() })
-                }
-                TraceEvent::Join { .. }
-                | TraceEvent::ConnUp { .. }
-                | TraceEvent::ConnDown { .. }
-                | TraceEvent::RoleChange { .. }
-                | TraceEvent::PowerChange { .. } => continue,
-            };
-            if !ctx.is_active() {
-                continue;
-            }
-            out.push(CausalEvent {
-                trace_id: ctx.trace_id,
-                span: ctx.span_seq,
-                parent: ctx.parent_id,
-                t: at.ticks(),
-                node: node.0,
-                kind,
-            });
-        }
-        out
-    }
-}
-
-/// Compact ` [trace/parent>span]` suffix for traced render lines; empty
-/// for untraced events so pre-existing trace text is unchanged.
-fn trace_tag(ctx: &TraceCtx) -> String {
-    if ctx.is_active() {
-        format!(" [{}/{}>{}]", ctx.trace_id, ctx.parent_id, ctx.span_seq)
-    } else {
-        String::new()
+    /// The retained ring as the flat stream `manet_obs::causal` analyzes,
+    /// oldest first.
+    pub fn causal_events(&self) -> Vec<CausalEvent> {
+        self.events().copied().collect()
     }
 }
 
@@ -619,90 +368,54 @@ mod tests {
         SimTime::from_secs(s)
     }
 
+    fn recv(from: u32) -> impl FnOnce() -> CausalKind {
+        move || CausalKind::Recv {
+            frame: "flood",
+            from,
+        }
+    }
+
     #[test]
     fn disabled_log_records_nothing() {
         let mut log = TraceLog::new(0);
-        log.record(t(1), TraceEvent::Join { node: NodeId(1) });
         assert!(!log.enabled());
+        assert_eq!(log.origin(t(1), NodeId(1), "query"), TraceCtx::NONE);
+        let foreign = TraceCtx::root(node_id_base(0) + 1, node_id_base(0) + 1);
+        assert_eq!(
+            log.child(t(2), NodeId(1), foreign, recv(0)),
+            foreign,
+            "a disabled log hands the parent back"
+        );
         assert!(log.is_empty());
         assert_eq!(log.offered(), 0);
+        assert_eq!((log.next_trace, log.next_span), (1, 1), "no id allocated");
+    }
+
+    #[test]
+    fn untraced_parents_record_nothing() {
+        let mut log = TraceLog::new(8);
+        let called = std::cell::Cell::new(false);
+        let ctx = log.child(t(1), NodeId(1), TraceCtx::NONE, || {
+            called.set(true);
+            CausalKind::Unreachable { dst: 2 }
+        });
+        assert_eq!(ctx, TraceCtx::NONE);
+        assert!(!called.get(), "the kind is built only for a recorded step");
+        assert!(log.is_empty());
+        assert_eq!(log.next_span, 1, "no span allocated");
     }
 
     #[test]
     fn ring_evicts_oldest() {
         let mut log = TraceLog::new(2);
         for k in 0..5u32 {
-            log.record(t(k as u64), TraceEvent::Join { node: NodeId(k) });
+            log.origin(t(k as u64), NodeId(k), "query");
         }
         assert_eq!(log.len(), 2);
         assert_eq!(log.offered(), 5);
         assert_eq!(log.dropped(), 3);
-        let text = log.render();
-        assert!(
-            text.starts_with("# trace truncated: 3 of 5 events dropped"),
-            "missing truncation header:\n{text}"
-        );
-        let kept: Vec<u32> = log
-            .events()
-            .map(|(_, e)| match e {
-                TraceEvent::Join { node } => node.0,
-                _ => unreachable!(),
-            })
-            .collect();
+        let kept: Vec<u32> = log.events().map(|e| e.node).collect();
         assert_eq!(kept, vec![3, 4], "newest survive");
-    }
-
-    #[test]
-    fn render_is_one_line_per_event() {
-        let mut log = TraceLog::new(8);
-        log.record(t(1), TraceEvent::Join { node: NodeId(3) });
-        log.record(
-            t(2),
-            TraceEvent::DeliverUp {
-                node: NodeId(3),
-                from: NodeId(5),
-                kind: MsgKind::Ping,
-                hops: 2,
-                ctx: TraceCtx::NONE,
-            },
-        );
-        log.record(
-            t(3),
-            TraceEvent::ConnUp {
-                node: NodeId(3),
-                peer: NodeId(5),
-            },
-        );
-        log.record(
-            t(4),
-            TraceEvent::ConnDown {
-                node: NodeId(3),
-                peer: NodeId(5),
-            },
-        );
-        log.record(
-            t(5),
-            TraceEvent::RoleChange {
-                node: NodeId(3),
-                role: Role::Master,
-            },
-        );
-        log.record(
-            t(6),
-            TraceEvent::PowerChange {
-                node: NodeId(3),
-                up: false,
-            },
-        );
-        let text = log.render();
-        assert_eq!(text.lines().count(), 6);
-        assert!(text.contains("JOIN"));
-        assert!(text.contains("RX ping from n5 (2 hops)"));
-        assert!(!text.contains('['), "untraced lines carry no trace tag");
-        assert!(text.contains("CONN+ n5"));
-        assert!(text.contains("CONN- n5"));
-        assert!(text.contains("ROLE Master"));
-        assert!(text.contains("n3 DOWN"));
     }
 
     #[test]
@@ -734,77 +447,33 @@ mod tests {
         let local = log.alloc_trace();
         let foreign = node_id_base(0) + 7; // as if minted by node 0
         for trace in [local, foreign] {
-            let ctx = TraceCtx::root(trace, log.alloc_span());
-            log.record(
-                t(1),
-                TraceEvent::Recv {
-                    node: NodeId(1),
-                    ctx,
-                    from: NodeId(0),
-                    frame: "flood",
-                },
-            );
+            let parent = TraceCtx::root(trace, node_id_base(0) + 1);
+            log.child(t(1), NodeId(1), parent, recv(0));
         }
         assert_eq!(log.len(), 2, "both local and foreign spans recorded");
         assert_eq!(log.sampled_out(), 0);
     }
 
     #[test]
-    fn causal_events_link_parents_and_skip_milestones() {
+    fn children_link_under_their_parents() {
         let mut log = TraceLog::new(16);
-        let trace = log.alloc_trace();
-        let root = TraceCtx::root(trace, log.alloc_span());
-        log.record(t(0), TraceEvent::Join { node: NodeId(0) });
-        log.record(
-            t(1),
-            TraceEvent::Origin {
-                node: NodeId(0),
-                ctx: root,
-                label: "query",
-            },
-        );
-        let send = root.child(log.alloc_span());
-        log.record(
-            t(1),
-            TraceEvent::Send {
-                node: NodeId(0),
-                ctx: send,
-                to: None,
-                frame: "flood",
-                bytes: 40,
-            },
-        );
-        let recv = send.child(log.alloc_span());
-        log.record(
-            t(2),
-            TraceEvent::Recv {
-                node: NodeId(1),
-                ctx: recv,
-                from: NodeId(0),
-                frame: "flood",
-            },
-        );
-        // An untraced delivery must not leak into the causal stream.
-        log.record(
-            t(3),
-            TraceEvent::DeliverUp {
-                node: NodeId(1),
-                from: NodeId(0),
-                kind: MsgKind::Ping,
-                hops: 1,
-                ctx: TraceCtx::NONE,
-            },
-        );
+        let root = log.origin(t(1), NodeId(0), "query");
+        let send = log.child(t(1), NodeId(0), root, || CausalKind::Send {
+            frame: "flood",
+            to: None,
+            bytes: 40,
+        });
+        let recv = log.child(t(2), NodeId(1), send, recv(0));
+        assert_eq!(send.parent_id, root.span_seq);
+        assert_eq!(recv.parent_id, send.span_seq);
         let events = log.causal_events();
-        assert_eq!(events.len(), 3, "join and untraced delivery skipped");
+        assert_eq!(events.len(), 3);
         assert_eq!(events[0].parent, 0, "origin is the root");
+        assert_eq!(events[0].kind, CausalKind::Origin { label: "query" });
         assert_eq!(events[1].parent, events[0].span);
         assert_eq!(events[2].parent, events[1].span);
-        assert!(events.iter().all(|e| e.trace_id == trace));
-        // And the traced lines render with the compact tag.
-        let text = log.render();
-        assert!(text.contains("ORIGIN query [1/0>1]"), "got:\n{text}");
-        assert!(text.contains("TX flood bcast 40B [1/1>2]"));
+        assert_eq!((events[2].node, events[2].t), (1, t(2).ticks()));
+        assert!(events.iter().all(|e| e.trace_id == root.trace_id));
     }
 
     /// A log with a tiny forced reservoir: mint `n_traces` traces first
@@ -820,13 +489,11 @@ mod tests {
             })
             .collect();
         for ctx in ctxs {
-            log.record(
+            log.push(
                 t(ctx.trace_id),
-                TraceEvent::Origin {
-                    node: NodeId(0),
-                    ctx,
-                    label: "query",
-                },
+                NodeId(0),
+                ctx,
+                CausalKind::Origin { label: "query" },
             );
         }
         log
@@ -835,8 +502,7 @@ mod tests {
     #[test]
     fn reservoir_bounds_distinct_traces_and_is_seed_deterministic() {
         let log = reservoir_log(7, 4, 100);
-        let distinct: std::collections::BTreeSet<u64> =
-            log.events().map(|(_, e)| TraceLog::trace_of(e)).collect();
+        let distinct: std::collections::BTreeSet<u64> = log.events().map(|e| e.trace_id).collect();
         assert_eq!(
             distinct.len(),
             4,
@@ -954,19 +620,13 @@ mod tests {
     #[test]
     fn merge_offset_sorts_by_time_and_respects_capacity() {
         let mut a = TraceLog::with_id_base(3, 0, node_id_base(0));
-        a.record(t(5), TraceEvent::Join { node: NodeId(0) });
+        a.origin(t(5), NodeId(0), "query");
         let mut b = TraceLog::with_id_base(3, 0, node_id_base(1));
-        b.record(t(1), TraceEvent::Join { node: NodeId(1) });
-        b.record(t(9), TraceEvent::Join { node: NodeId(2) });
-        b.record(t(2), TraceEvent::Join { node: NodeId(3) });
+        b.origin(t(1), NodeId(1), "query");
+        b.origin(t(9), NodeId(2), "query");
+        b.origin(t(2), NodeId(3), "query");
         a.merge_offset(&b);
-        let order: Vec<u32> = a
-            .events()
-            .map(|(_, e)| match e {
-                TraceEvent::Join { node } => node.0,
-                _ => unreachable!(),
-            })
-            .collect();
+        let order: Vec<u32> = a.events().map(|e| e.node).collect();
         // Combined timeline is n1@1, n3@2, n0@5, n2@9; capacity 3 drops
         // the oldest.
         assert_eq!(order, vec![3, 0, 2]);
@@ -981,39 +641,15 @@ mod tests {
         // parent merges both into a base-0 accumulator: no remapping, and
         // the cross-process parent link must survive intact.
         let mut a = TraceLog::with_id_base(64, 0, node_id_base(0));
-        let ta = a.alloc_trace();
-        let root = TraceCtx::root(ta, a.alloc_span());
-        a.record(
-            t(1),
-            TraceEvent::Origin {
-                node: NodeId(0),
-                ctx: root,
-                label: "query",
-            },
-        );
-        let send = root.child(a.alloc_span());
-        a.record(
-            t(1),
-            TraceEvent::Send {
-                node: NodeId(0),
-                ctx: send,
-                to: None,
-                frame: "flood",
-                bytes: 40,
-            },
-        );
+        let root = a.origin(t(1), NodeId(0), "query");
+        let send = a.child(t(1), NodeId(0), root, || CausalKind::Send {
+            frame: "flood",
+            to: None,
+            bytes: 40,
+        });
 
         let mut b = TraceLog::with_id_base(64, 0, node_id_base(1));
-        let recv = send.child(b.alloc_span());
-        b.record(
-            t(2),
-            TraceEvent::Recv {
-                node: NodeId(1),
-                ctx: recv,
-                from: NodeId(0),
-                frame: "flood",
-            },
-        );
+        let recv = b.child(t(2), NodeId(1), send, recv(0));
 
         let mut acc = TraceLog::new(64);
         acc.merge_offset(&a);
@@ -1021,7 +657,7 @@ mod tests {
         let events = acc.causal_events();
         assert_eq!(events.len(), 3);
         assert!(
-            events.iter().all(|e| e.trace_id == ta),
+            events.iter().all(|e| e.trace_id == root.trace_id),
             "one trace spanning two logs: {events:?}"
         );
         let recv_ev = events.iter().find(|e| e.node == 1).expect("recv kept");

@@ -3,7 +3,8 @@
 //! The same three contracts `wire_props.rs` pins for the datagram codec,
 //! over randomly populated telemetry snapshots (registries with
 //! counters/gauges/histograms/series, span profiles, flight-recorder
-//! rings, and causal trace logs with every event variant):
+//! rings, and causal trace logs holding every `CausalKind`, under local
+//! and foreign traces):
 //!
 //! 1. **Round-trip identity** — `decode_telemetry(&encode_telemetry(..))`
 //!    reproduces the report bit-exactly and the trace's analytical
@@ -19,11 +20,10 @@
 
 use manet_des::{NodeId, SimTime, TraceCtx};
 use manet_metrics::MsgKind;
-use manet_obs::{FlightRecorder, ObsReport, Severity};
+use manet_obs::{CausalKind, FlightRecorder, ObsReport, Severity};
 use manet_testkit::{prop_assert, prop_assert_eq, properties, Gen, Strategy};
-use p2p_core::Role;
 use p2p_stack::trace::node_id_base;
-use p2p_stack::{decode_telemetry, encode_telemetry, from_hex, to_hex, TraceEvent, TraceLog};
+use p2p_stack::{decode_telemetry, encode_telemetry, from_hex, to_hex, TraceLog};
 
 const COUNTER_NAMES: [&str; 6] = [
     "rt.dgram_rx",
@@ -113,108 +113,58 @@ fn any_report(g: &mut Gen) -> ObsReport {
     report
 }
 
-fn any_ctx(g: &mut Gen, log: &mut TraceLog) -> TraceCtx {
-    if g.rng().chance(0.2) {
-        TraceCtx::NONE
-    } else {
-        let trace = log.alloc_trace();
-        let root = TraceCtx::root(trace, log.alloc_span());
-        if g.rng().chance(0.5) {
-            let child = log.alloc_span();
-            root.child(child)
-        } else {
-            root
-        }
-    }
+/// A context another node minted, as a frame carries it in: its ids lie
+/// in that node's namespace.
+fn foreign_ctx(g: &mut Gen, node: u32) -> TraceCtx {
+    let other = (node + 1 + g.rng().below(8) as u32) % 64;
+    let base = node_id_base(other);
+    let id = |g: &mut Gen| base + 1 + g.rng().below(1 << 20);
+    TraceCtx::root(id(g), id(g))
 }
 
 fn any_trace(g: &mut Gen, node: u32) -> TraceLog {
     let capacity = *g.rng().choose(&[0usize, 8, 64]);
     let seed = g.rng().next_u64();
     let mut log = TraceLog::with_id_base(capacity, seed, node_id_base(node));
+    let me = NodeId(node);
+    // Contexts recorded so far: later steps link under them.
+    let mut ctxs: Vec<TraceCtx> = Vec::new();
     let n = g.rng().below(20);
     for i in 0..n {
         let at = SimTime::from_ticks(i * 1_000 + g.rng().below(1_000));
-        let me = NodeId(node);
-        let peer = NodeId(g.rng().next_u32());
-        let event = match g.rng().below(11) {
-            0 => TraceEvent::Join { node: me },
-            1 => {
-                let ctx = any_ctx(g, &mut log);
-                TraceEvent::DeliverUp {
-                    node: me,
-                    from: peer,
-                    kind: *g.rng().choose(&MsgKind::ALL),
-                    hops: g.rng().below(16) as u8,
-                    ctx,
-                }
-            }
-            2 => {
-                let ctx = any_ctx(g, &mut log);
-                let label = *g.rng().choose(&LABELS);
-                TraceEvent::Origin {
-                    node: me,
-                    ctx,
-                    label,
-                }
-            }
-            3 => {
-                let ctx = any_ctx(g, &mut log);
-                let to = g.rng().chance(0.5).then_some(peer);
-                let frame = *g.rng().choose(&FRAMES);
-                TraceEvent::Send {
-                    node: me,
-                    ctx,
-                    to,
+        let pick = g.rng().below(6);
+        let ctx = if pick == 0 {
+            let label = *g.rng().choose(&LABELS);
+            log.origin(at, me, label)
+        } else {
+            let parent = if ctxs.is_empty() || g.rng().chance(0.3) {
+                foreign_ctx(g, node)
+            } else {
+                *g.rng().choose(&ctxs)
+            };
+            let peer = g.rng().next_u32();
+            let frame = *g.rng().choose(&FRAMES);
+            let kind = match pick {
+                1 => CausalKind::Send {
                     frame,
+                    to: g.rng().chance(0.5).then_some(peer),
                     bytes: g.rng().next_u32(),
-                }
-            }
-            4 => {
-                let ctx = any_ctx(g, &mut log);
-                let frame = *g.rng().choose(&FRAMES);
-                TraceEvent::Recv {
-                    node: me,
-                    ctx,
-                    from: peer,
-                    frame,
-                }
-            }
-            5 => {
-                let ctx = any_ctx(g, &mut log);
-                TraceEvent::Unreachable {
-                    node: me,
-                    ctx,
-                    dst: peer,
-                }
-            }
-            6 => {
-                let ctx = any_ctx(g, &mut log);
-                let due = SimTime::from_ticks(g.rng().next_u64() >> 20);
-                TraceEvent::TimerArm {
-                    node: me,
-                    ctx,
-                    at: due,
-                }
-            }
-            7 => TraceEvent::ConnUp { node: me, peer },
-            8 => TraceEvent::ConnDown { node: me, peer },
-            9 => TraceEvent::RoleChange {
-                node: me,
-                role: *g.rng().choose(&[
-                    Role::Servent,
-                    Role::Initial,
-                    Role::Reserved,
-                    Role::Master,
-                    Role::Slave,
-                ]),
-            },
-            _ => TraceEvent::PowerChange {
-                node: me,
-                up: g.rng().chance(0.5),
-            },
+                },
+                2 => CausalKind::Recv { frame, from: peer },
+                3 => CausalKind::Deliver {
+                    kind: g.rng().choose(&MsgKind::ALL).name(),
+                    hops: g.rng().below(16) as u8,
+                },
+                4 => CausalKind::Unreachable { dst: peer },
+                _ => CausalKind::TimerArm {
+                    at: g.rng().next_u64() >> 20,
+                },
+            };
+            log.child(at, me, parent, || kind)
         };
-        log.record(at, event);
+        if ctx.is_active() {
+            ctxs.push(ctx);
+        }
     }
     log
 }
@@ -247,9 +197,7 @@ properties! {
             Ok(back) => {
                 prop_assert_eq!(back.node, node);
                 prop_assert_eq!(back.report, report.clone());
-                let a: Vec<_> = trace.events().cloned().collect();
-                let b: Vec<_> = back.trace.events().cloned().collect();
-                prop_assert_eq!(a, b);
+                prop_assert_eq!(back.trace.causal_events(), trace.causal_events());
                 prop_assert_eq!(back.trace.id_base(), trace.id_base());
                 prop_assert_eq!(back.trace.capacity(), trace.capacity());
                 prop_assert_eq!(back.trace.offered(), trace.offered());
