@@ -6,9 +6,9 @@
 //! execute. It owns no clock and performs no I/O, which is what makes it
 //! unit-testable on virtual topologies (see [`crate::testkit`]).
 
-use std::collections::{BTreeMap, HashMap};
+use std::collections::BTreeMap;
 
-use manet_des::{NodeId, SimTime, TraceCtx};
+use manet_des::{IntMap, NodeId, SimTime, TraceCtx};
 
 use crate::cfg::AodvCfg;
 use crate::msg::{seq_newer, Data, Flood, Hello, Msg, Payload, Rerr, Rrep, Rreq};
@@ -110,9 +110,9 @@ pub struct Aodv<P: Payload> {
     next_flood_id: u32,
     table: RouteTable,
     /// `(origin, rreq_id)` → cache expiry.
-    rreq_seen: HashMap<(NodeId, u32), SimTime>,
+    rreq_seen: IntMap<(NodeId, u32), SimTime>,
     /// `(origin, flood_id)` → cache expiry (the paper's broadcast cache).
-    flood_seen: HashMap<(NodeId, u32), SimTime>,
+    flood_seen: IntMap<(NodeId, u32), SimTime>,
     /// Destinations under discovery (BTreeMap: deterministic timer order).
     pending: BTreeMap<NodeId, Discovery<P>>,
     /// Next housekeeping sweep.
@@ -139,8 +139,8 @@ impl<P: Payload> Aodv<P> {
             next_rreq_id: 0,
             next_flood_id: 0,
             table: RouteTable::new(),
-            rreq_seen: HashMap::new(),
-            flood_seen: HashMap::new(),
+            rreq_seen: IntMap::default(),
+            flood_seen: IntMap::default(),
             pending: BTreeMap::new(),
             next_purge: SimTime::from_secs(PURGE_PERIOD_SECS),
             next_hello: match cfg.hello_interval {
@@ -679,5 +679,126 @@ impl<P: Payload> Aodv<P> {
             })));
         }
         out
+    }
+}
+
+#[cfg(test)]
+mod properties {
+    use super::*;
+    use crate::testkit::TestPayload;
+    use manet_des::SimDuration;
+    use manet_testkit::{any_bool, prop_assert_eq, properties, vec_of};
+
+    /// The machine under test; its peers are nodes 1 to 5.
+    const ME: NodeId = NodeId(0);
+
+    fn peer(x: u32) -> NodeId {
+        NodeId(1 + x % 5)
+    }
+
+    fn ctx(x: u32) -> TraceCtx {
+        if x.is_multiple_of(2) {
+            TraceCtx::NONE
+        } else {
+            TraceCtx::root(x as u64, 1)
+        }
+    }
+
+    /// Decode one generated frame. Ids come from small ranges, so first
+    /// copies and duplicates of RREQs and floods both occur; `a == 0`
+    /// makes a RREQ or flood this node's own echo.
+    fn frame(kind: u8, a: u32, b: u32, c: u8, cfg: &AodvCfg) -> Msg<TestPayload> {
+        let data = |dst, hops| {
+            Msg::Data(Data {
+                src: peer(b),
+                dst,
+                hops,
+                payload: TestPayload(a as u64),
+                ctx: ctx(b),
+            })
+        };
+        match kind {
+            // RREQ: own echo, for this node, or for a peer; TTL 1 to 3.
+            0 => Msg::Rreq(Rreq {
+                origin: NodeId(a),
+                origin_seq: b,
+                rreq_id: b,
+                dest: if c.is_multiple_of(3) { ME } else { peer(a + b) },
+                dest_seq: (c % 2 == 1).then_some(b),
+                hop_count: c,
+                ttl: 1 + c % 3,
+                ctx: ctx(a),
+            }),
+            // RREP: to this node or to relay, some at or over the diameter.
+            1 => Msg::Rrep(Rrep {
+                dest: peer(a),
+                dest_seq: b,
+                origin: if b.is_multiple_of(2) { ME } else { peer(b) },
+                hop_count: [0, 1, 3, cfg.net_diameter - 1, cfg.net_diameter, u8::MAX]
+                    [c as usize % 6],
+                ctx: ctx(b),
+            }),
+            2 => Msg::Rerr(Rerr {
+                unreachable: vec![(peer(a), b), (peer(a + 1), c as u32)],
+                ctx: ctx(a),
+            }),
+            3 => data(ME, c),
+            4 => data(peer(a), c),
+            5 => data(peer(a), cfg.max_data_hops - 1 + c % 2),
+            // Flood: own echo or a peer's, first copy or duplicate.
+            6 => Msg::Flood(Flood {
+                origin: NodeId(a),
+                flood_id: b,
+                ttl: 1 + c % 2,
+                hops: c,
+                payload: TestPayload(b as u64),
+                ctx: ctx(a),
+            }),
+            _ => Msg::Hello(Hello { seq: b }),
+        }
+    }
+
+    properties! {
+        config = manet_testkit::Config::cases(64);
+
+        /// What `StackMachine::on_frame` relies on to skip its timer
+        /// re-arm: whatever state the machine is in, a frame it answers
+        /// with no action moves neither its wake nor that wake's context.
+        /// Sends (which open discoveries), ticks (retries, purges, beacons)
+        /// and own floods interleave with frames of every kind.
+        fn dropped_frames_move_no_wake(
+            hello in any_bool(),
+            ops in vec_of((0u8..11, 0u32..6, 0u32..4, 0u8..6), 1..300),
+        ) {
+            let cfg = AodvCfg {
+                hello_interval: hello.then(|| SimDuration::from_secs(1)),
+                ..AodvCfg::default()
+            };
+            let mut node: Aodv<TestPayload> = Aodv::new(ME, cfg);
+            let mut now = SimTime::ZERO;
+            for (kind, a, b, c) in ops {
+                now += SimDuration::from_millis(150 * c as u64);
+                match kind {
+                    8 => {
+                        node.send(now, peer(a), TestPayload(b as u64), ctx(a));
+                    }
+                    9 => {
+                        node.tick(now);
+                    }
+                    10 => {
+                        node.flood(now, 1 + c % 3, TestPayload(b as u64), ctx(b));
+                    }
+                    _ => {
+                        let (wake, wake_ctx) = (node.next_wake(), node.next_wake_ctx());
+                        let from = peer(a + c as u32);
+                        let msg = frame(kind, a, b, c, &cfg);
+                        if node.on_frame(now, from, msg.clone()).is_empty() {
+                            prop_assert_eq!(node.next_wake(), wake, "{:?} from {}", msg, from);
+                            prop_assert_eq!(node.next_wake_ctx(), wake_ctx, "{:?}", msg);
+                        }
+                    }
+                }
+            }
+        }
     }
 }

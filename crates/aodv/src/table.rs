@@ -5,6 +5,11 @@
 //! and validity flag. There are no precursor lists: a broken route is
 //! reported by a link-layer broadcast RERR that every neighbour hears (see
 //! DESIGN.md), so nothing needs to know who routes through us.
+//!
+//! Destinations live in their own sorted array, apart from their entries:
+//! a lookup binary-searches 4-byte keys, sixteen to a cache line, and
+//! touches one entry only once it has found it. Every reception AODV acts
+//! on looks up a route or two, so this search is on the hot path.
 
 use manet_des::{NodeId, SimDuration, SimTime};
 
@@ -38,14 +43,18 @@ impl RouteEntry {
 
 /// The table: destination → [`RouteEntry`].
 ///
-/// A flat `Vec` sorted by destination: lookups binary-search it, a new
-/// destination is inserted at its search position, and iteration runs in
+/// Two parallel `Vec`s: `dsts` sorted ascending, and `entries[i]` the
+/// state for `dsts[i]`. Lookups binary-search `dsts`, a new destination is
+/// inserted into both at its search position, and iteration runs in
 /// ascending destination order, so RERR contents and diagnostics replay
 /// bit-identically. Tables hold tens to low hundreds of entries, so the
-/// insert shift stays short and one contiguous block beats a tree walk.
+/// insert shift stays short and contiguous arrays beat a tree walk.
 #[derive(Clone, Debug, Default)]
 pub struct RouteTable {
-    entries: Vec<(NodeId, RouteEntry)>,
+    /// Known destinations, strictly ascending.
+    dsts: Vec<NodeId>,
+    /// `entries[i]` routes to `dsts[i]`; always as long as `dsts`.
+    entries: Vec<RouteEntry>,
 }
 
 impl RouteTable {
@@ -64,20 +73,20 @@ impl RouteTable {
         self.entries.is_empty()
     }
 
-    /// Position of `dst` in the sorted entries, or where it would go.
+    /// Position of `dst` in the sorted destinations, or where it would go.
     fn search(&self, dst: NodeId) -> Result<usize, usize> {
-        self.entries.binary_search_by_key(&dst, |(d, _)| *d)
+        self.dsts.binary_search(&dst)
     }
 
     fn get_mut(&mut self, dst: NodeId) -> Option<&mut RouteEntry> {
         let i = self.search(dst).ok()?;
-        Some(&mut self.entries[i].1)
+        Some(&mut self.entries[i])
     }
 
     /// The entry for `dst`, usable or not.
     pub fn entry(&self, dst: NodeId) -> Option<&RouteEntry> {
         let i = self.search(dst).ok()?;
-        Some(&self.entries[i].1)
+        Some(&self.entries[i])
     }
 
     /// The usable route to `dst` at `now`, if any.
@@ -106,24 +115,22 @@ impl RouteTable {
         let expires = now + lifetime;
         match self.search(dst) {
             Err(at) => {
+                self.dsts.insert(at, dst);
                 self.entries.insert(
                     at,
-                    (
-                        dst,
-                        RouteEntry {
-                            next_hop,
-                            hop_count,
-                            dest_seq: seq.unwrap_or(0),
-                            valid_seq: seq.is_some(),
-                            expires,
-                            valid: true,
-                        },
-                    ),
+                    RouteEntry {
+                        next_hop,
+                        hop_count,
+                        dest_seq: seq.unwrap_or(0),
+                        valid_seq: seq.is_some(),
+                        expires,
+                        valid: true,
+                    },
                 );
                 true
             }
             Ok(i) => {
-                let e = &mut self.entries[i].1;
+                let e = &mut self.entries[i];
                 let fresher = match seq {
                     Some(s) if e.valid_seq => {
                         seq_newer(s, e.dest_seq)
@@ -184,11 +191,11 @@ impl RouteTable {
     /// contents of the RERR.
     pub fn break_link(&mut self, via: NodeId) -> Vec<(NodeId, u32)> {
         let mut broken: Vec<(NodeId, u32)> = Vec::new();
-        for (dst, e) in self.entries.iter_mut() {
+        for (&dst, e) in self.dsts.iter().zip(&mut self.entries) {
             if e.valid && e.next_hop == via {
                 e.valid = false;
                 e.dest_seq = e.dest_seq.wrapping_add(1);
-                broken.push((*dst, e.dest_seq));
+                broken.push((dst, e.dest_seq));
             }
         }
         broken
@@ -222,14 +229,20 @@ impl RouteTable {
     /// Drop entries whose soft state outlived its usefulness (expired more
     /// than `grace` ago). Keeps the table bounded on long runs.
     pub fn purge(&mut self, now: SimTime, grace: SimDuration) {
-        self.entries
-            .retain(|(_, e)| e.valid || e.expires + grace > now);
+        let keep = |e: &RouteEntry| e.valid || e.expires + grace > now;
+        let entries = &self.entries;
+        let mut i = 0;
+        self.dsts.retain(|_| {
+            i += 1;
+            keep(&entries[i - 1])
+        });
+        self.entries.retain(keep);
     }
 
     /// Iterate all entries in ascending destination order (tests and
     /// diagnostics).
     pub fn iter(&self) -> impl Iterator<Item = (&NodeId, &RouteEntry)> {
-        self.entries.iter().map(|(d, e)| (d, e))
+        self.dsts.iter().zip(&self.entries)
     }
 }
 
@@ -468,6 +481,7 @@ mod properties {
                     "not strictly ascending: {dsts:?}"
                 );
                 prop_assert_eq!(rt.len(), dsts.len());
+                prop_assert_eq!(rt.dsts.len(), rt.entries.len(), "arrays out of step");
                 for d in (0..12).map(NodeId) {
                     let scanned = rt.iter().find(|(k, _)| **k == d).map(|(_, e)| e);
                     prop_assert!(

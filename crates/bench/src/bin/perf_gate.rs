@@ -20,7 +20,10 @@
 //!    Both sides of the ratio are measured in this invocation, so host
 //!    speed cancels. Per-event work that grows with the node count (an
 //!    O(n) pass per query, say) shows here and nowhere else: the 200-node
-//!    gates cannot see it.
+//!    gates cannot see it. The ratio is not 1 on a healthy build: the
+//!    2,000-node side is a start-up run at about 2.8 receptions per
+//!    broadcast, the 200-node side a steady state at about 8.8, and work
+//!    saved per reception speeds the 200-node side more.
 //!
 //! Shared CI machines drift far more than these tolerances between the
 //! moment a baseline was recorded and the moment the gate runs, so raw
@@ -64,8 +67,12 @@ const SCALE_SIDE_M: f64 = 632.0;
 const SCALE_SECS: u64 = 120;
 
 /// Floor on the scale rung's events/sec over the passing pair's
-/// enabled-sink events/sec.
-const SCALE_MIN_RATIO: f64 = 0.45;
+/// enabled-sink events/sec. Set between two measured distributions on a
+/// 2-vCPU Xeon VM: 0.364–0.512 on a healthy build (10 invocations), and
+/// 0.132–0.201 with the distance oracle swapped back to a full-graph BFS
+/// per completed query, the O(n) cost this rung was built to catch
+/// (3 invocations, 12 attempts; 0.17–0.25 when that oracle was current).
+const SCALE_MIN_RATIO: f64 = 0.30;
 
 /// The scale rung's event count at seed 7 (workload drift guard).
 const SCALE_EVENTS: u64 = 775_171;

@@ -12,9 +12,7 @@
 //! (and still forwards the query). The requirer collects answers for 30 s,
 //! then thinks for a uniform 15–45 s before the next query.
 
-use std::collections::HashMap;
-
-use manet_des::{NodeId, Rng, SimDuration, SimTime};
+use manet_des::{IntMap, NodeId, Rng, SimDuration, SimTime};
 
 use crate::catalog::{Catalog, FileId};
 use std::collections::BTreeSet;
@@ -182,7 +180,7 @@ pub struct QueryEngine {
     catalog: Catalog,
     files: BTreeSet<FileId>,
     rng: Rng,
-    seen: HashMap<QueryId, SimTime>,
+    seen: IntMap<QueryId, SimTime>,
     outstanding: Option<Outstanding>,
     next_query_at: SimTime,
     next_seq: u32,
@@ -206,7 +204,7 @@ impl QueryEngine {
             catalog,
             files,
             rng,
-            seen: HashMap::new(),
+            seen: IntMap::default(),
             outstanding: None,
             next_query_at: SimTime::MAX,
             next_seq: 0,

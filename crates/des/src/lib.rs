@@ -23,7 +23,8 @@
 //!
 //! One further piece serves the sim-to-real split: [`wire`] holds the
 //! byte-exact encoding primitives ([`WireReader`], [`WireError`]) every
-//! layer's codec builds on.
+//! layer's codec builds on. And [`hash`] holds the keyed integer hasher
+//! ([`IntMap`]) behind every per-message duplicate cache.
 //!
 //! Higher layers (radio, AODV, the P2P overlay) are written as pure state
 //! machines; the only mutable shared state in a running world is this queue.
@@ -41,6 +42,7 @@
 //! ```
 
 mod calendar;
+pub mod hash;
 pub mod ids;
 pub mod queue;
 pub mod rng;
@@ -48,6 +50,7 @@ pub mod time;
 pub mod trace;
 pub mod wire;
 
+pub use hash::IntMap;
 pub use ids::NodeId;
 pub use queue::{EventQueue, SchedulerKind};
 pub use rng::Rng;

@@ -19,7 +19,10 @@
 //! repair runs before the rest of its batch, and the node timer is re-armed
 //! after every delivery. On the DES this order *is* the event-insertion
 //! order and the radio-RNG draw order, so it is part of the deterministic
-//! contract.
+//! contract. A frame AODV drops without any action (a duplicate RREQ or
+//! flood, most often) makes no host call at all: it moves no wake, so the
+//! re-arm could change nothing ([`on_frame`](StackMachine::on_frame) has
+//! the argument and its two provisos).
 //!
 //! Adversarial roles ([`AdversaryRole`]) are intercepted here too, at the
 //! layer each one subverts: black-holes, grey-holes and RREQ amplifiers
@@ -163,6 +166,9 @@ pub struct StackMachine {
     /// `None` on honest nodes, which keeps their path free of any
     /// interception.
     adversary: Option<Adversary>,
+    /// The wake this machine last asked its host for; `None` until the
+    /// first request.
+    asked: Option<SimTime>,
 }
 
 impl StackMachine {
@@ -185,6 +191,7 @@ impl StackMachine {
             aodv: Aodv::new(id, aodv),
             member: None,
             adversary: None,
+            asked: None,
         }
     }
 
@@ -247,8 +254,14 @@ impl StackMachine {
 
     /// Ask the host to re-arm this node's combined timer. Attribution
     /// scans the pending discoveries, so it runs only while tracing.
-    pub fn rearm<H: StackHost>(&self, host: &mut H, now: SimTime) {
+    ///
+    /// Every entry point that can move a layer's wake ends here, or leaves
+    /// the call to its host (restart, and the overlay verbs an adversary
+    /// injects). The one exception is [`on_frame`](Self::on_frame) after
+    /// a frame AODV drops, which moves no wake.
+    pub fn rearm<H: StackHost>(&mut self, host: &mut H, now: SimTime) {
         let req = self.timer_request(host.trace().enabled());
+        self.asked = Some(req.at);
         host.arm_timer(now, self.id, req);
     }
 
@@ -294,6 +307,17 @@ impl StackMachine {
     /// `Recv` span is recorded and stamped back onto the frame, so every
     /// AODV effect (forwarding, RREPs, deliveries) chains off this
     /// node's reception.
+    ///
+    /// A frame AODV answers with no action makes no further host call.
+    /// Such a frame opens no discovery and moves neither the purge nor the
+    /// beacon time (a flush of waiting data always yields a unicast), and
+    /// nothing above routing runs, so the combined wake is the one last
+    /// asked for. The host still holds that wake (both hosts keep the
+    /// earlier of two requests, and a fired timer's tick re-arms), so the
+    /// re-arm is skipped. Two provisos: a machine that never asked (a
+    /// relay's first frame arms its first purge), or whose last wake is
+    /// already past (the DES host would clamp it to `now` and schedule one
+    /// more timer), re-arms as before.
     pub fn on_frame<H: StackHost>(&mut self, host: &mut H, now: SimTime, frame: FrameUp) {
         let FrameUp { from, mut msg } = frame;
         let ctx = msg.ctx();
@@ -304,7 +328,18 @@ impl StackMachine {
             });
             msg.set_ctx(recv);
         }
+        #[cfg(debug_assertions)]
+        let before = self.timer_request(true);
         let actions = self.aodv.on_frame(now, from, msg);
+        if actions.is_empty() && self.asked.is_some_and(|at| at >= now) {
+            #[cfg(debug_assertions)]
+            assert_eq!(
+                self.timer_request(true),
+                before,
+                "a frame AODV dropped moved the combined wake"
+            );
+            return;
+        }
         self.exec(host, now, actions);
         self.rearm(host, now);
     }
@@ -558,28 +593,38 @@ mod tests {
         delivered: Vec<(NodeId, manet_metrics::MsgKind)>,
         /// Frames each node put on the air.
         sent_by: Vec<usize>,
+        /// `arm_timer` calls.
+        arms: usize,
+        /// Calls of any host method.
+        calls: usize,
         trace: TraceLog,
     }
 
     impl StackHost for Air {
         fn send(&mut self, _now: SimTime, from: NodeId, frame: SendDown) -> Option<Msg<AppMsg>> {
+            self.calls += 1;
             self.sent_by[from.index()] += 1;
             self.in_flight.push_back((from, frame));
             None
         }
         fn delivered(&mut self, at: NodeId, payload: &AppMsg, _hops: u8) {
+            self.calls += 1;
             self.delivered.push((at, payload.kind()));
         }
         fn query_completed(&mut self, _requirer: NodeId, done: &CompletedQuery) {
+            self.calls += 1;
             self.issued += 1;
             if !done.answers.is_empty() {
                 self.answered += 1;
             }
         }
         fn arm_timer(&mut self, _now: SimTime, node: NodeId, req: TimerReq) {
+            self.calls += 1;
+            self.arms += 1;
             self.wakes[node.index()] = req.at;
         }
         fn trace(&mut self) -> &mut TraceLog {
+            self.calls += 1;
             &mut self.trace
         }
     }
@@ -824,6 +869,38 @@ mod tests {
         );
         assert!(air.delivered.is_empty(), "no overlay delivery counted");
         assert!(air.in_flight.is_empty(), "no overlay reaction");
+    }
+
+    /// A relay's first frame arms its first wake (the routing purge) even
+    /// when AODV drops the frame; a duplicate of it afterwards, dropped
+    /// again, costs the host nothing.
+    #[test]
+    fn dropped_frame_arms_only_a_relay_that_never_asked() {
+        let mut relay = StackMachine::relay(NodeId(1), AodvCfg::default());
+        let mut air = air(4);
+        let rreq = FrameUp {
+            from: NodeId(0),
+            msg: Msg::Rreq(manet_aodv::Rreq {
+                origin: NodeId(0),
+                origin_seq: 1,
+                rreq_id: 0,
+                dest: NodeId(3),
+                dest_seq: None,
+                hop_count: 0,
+                ttl: 1,
+                ctx: TraceCtx::NONE,
+            }),
+        };
+        let now = SimTime::from_secs(1);
+        relay.on_frame(&mut air, now, rreq.clone());
+        assert!(air.in_flight.is_empty(), "a TTL-1 RREQ is not forwarded");
+        assert_eq!(air.arms, 1, "the first frame arms the relay's timer");
+        assert_eq!(air.wakes[1], relay.timer_request(false).at);
+        assert!(air.wakes[1] < SimTime::MAX);
+        let calls = air.calls;
+        relay.on_frame(&mut air, now + SimDuration::from_millis(5), rreq);
+        assert_eq!(relay.aodv().stats().rreq_dup_dropped, 1);
+        assert_eq!(air.calls, calls, "a dropped duplicate makes no host call");
     }
 
     /// The combined timer is the min over all three layers.

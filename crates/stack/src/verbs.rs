@@ -104,7 +104,7 @@ pub enum OverlayDown {
 /// any layer → substrate: earliest instant this stack needs its combined
 /// timer to fire, and on whose causal behalf (a pending route-discovery
 /// retry names the query waiting on it; [`TraceCtx::NONE`] otherwise).
-#[derive(Clone, Copy, Debug)]
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub struct TimerReq {
     /// The requested wake instant ([`SimTime::MAX`] = nothing pending).
     pub at: SimTime,
