@@ -55,6 +55,11 @@ const TUNE_INTERVAL: u64 = 8192;
 /// Tolerated cursor window-visits per pop before retuning.
 const EFFORT_FACTOR: u64 = 16;
 
+/// Most item slots a bucket keeps once it has drained. A flood burst can
+/// fill one bucket with thousands of deliveries; a larger buffer is freed
+/// when the burst has popped instead of being held for the rest of the run.
+const BUCKET_KEEP: usize = 16;
+
 /// One wheel slot: pending items sorted ascending by `(at, seq)` after a
 /// consumed prefix of `head` already-popped entries.
 #[derive(Clone, Default)]
@@ -75,10 +80,20 @@ impl Bucket {
         let item = self.v[self.head];
         self.head += 1;
         if self.head == self.v.len() {
-            self.v.clear();
-            self.head = 0;
+            self.reset();
         }
         item
+    }
+
+    /// Empty the bucket, freeing its buffer if it holds more than
+    /// [`BUCKET_KEEP`] slots.
+    fn reset(&mut self) {
+        if self.v.capacity() > BUCKET_KEEP {
+            self.v = Vec::new();
+        } else {
+            self.v.clear();
+        }
+        self.head = 0;
     }
 
     /// Insert preserving ascending `(at, seq)` order. Bursts scheduled in
@@ -293,8 +308,7 @@ impl CalendarQueue {
         let mut old: Vec<Item> = Vec::with_capacity(self.items);
         for b in &mut self.buckets {
             old.extend_from_slice(&b.v[b.head..]);
-            b.v.clear();
-            b.head = 0;
+            b.reset();
         }
         self.width = self.sample_width(&old);
         if self.buckets.len() != new_len {
@@ -407,6 +421,39 @@ mod tests {
         }
         assert_eq!(n, 10_000);
         assert_eq!(c.buckets.len(), MIN_BUCKETS, "wheel should shrink back");
+    }
+
+    #[test]
+    fn drained_burst_gives_its_buffer_back() {
+        let mut c = CalendarQueue::new();
+        // A far-off background holds the wheel at its grown size, as the
+        // simulation's steady queue does; without it the wheel would shrink
+        // back and rebuild every bucket anyway.
+        let background = 2_100;
+        let far = 5 * INITIAL_WIDTH;
+        for i in 0..background {
+            c.push(item(far, i));
+        }
+        let burst = 10_000;
+        for i in 0..burst {
+            c.push(item(1, background + i));
+        }
+        let wheel = c.buckets.len();
+        for i in 0..burst {
+            assert_eq!(c.take_min().unwrap().seq, background + i);
+        }
+        assert_eq!(c.buckets.len(), wheel, "the wheel did not shrink");
+        assert_eq!(c.items, background as usize);
+        for b in c.buckets.iter().filter(|b| b.front().is_none()) {
+            assert!(b.v.capacity() <= BUCKET_KEEP, "{}", b.v.capacity());
+        }
+        let slots: usize = c.buckets.iter().map(|b| b.v.capacity()).sum();
+        assert!(
+            slots < burst as usize,
+            "{slots} slots held after draining a {burst}-item burst"
+        );
+        let order: Vec<u64> = std::iter::from_fn(|| c.take_min()).map(|i| i.seq).collect();
+        assert_eq!(order, (0..background).collect::<Vec<_>>());
     }
 
     #[test]

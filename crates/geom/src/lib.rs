@@ -1,8 +1,9 @@
 //! # manet-geom — 2-D geometry and spatial indexing
 //!
-//! Positions, the rectangular simulation area, and a uniform spatial hash
-//! grid used by the radio layer to find the nodes inside a transmission
-//! range without scanning the whole population.
+//! Positions, the rectangular simulation area, and a uniform spatial grid
+//! (a cell list: one array ordered by cell) used by the radio layer to find
+//! the nodes inside a transmission range without scanning the whole
+//! population.
 
 pub mod grid;
 pub mod point;

@@ -72,8 +72,8 @@ pub struct Reception {
 /// once and are reused for every subsequent frame.
 #[derive(Clone, Debug, Default)]
 pub struct TxScratch {
-    /// In-range receiver keys and positions (planning-internal).
-    keys: Vec<(u32, Point)>,
+    /// In-range receiver keys (planning-internal).
+    keys: Vec<u32>,
     /// Receptions planned by the most recent [`Medium::plan_broadcast`].
     pub receptions: Vec<Reception>,
     /// Cumulative receptions planned across every broadcast through this
@@ -131,10 +131,11 @@ impl Medium {
     ) {
         scratch.receptions.clear();
         let after = self.tx_delay(bytes, rng, faults);
-        grid.query_range_with_pos(pos, self.cfg.range_m, sender.0, &mut scratch.keys);
-        for &(key, rx_pos) in &scratch.keys {
+        grid.query_range(pos, self.cfg.range_m, sender.0, &mut scratch.keys);
+        for &key in &scratch.keys {
             let mut lost = rng.chance(self.cfg.loss_prob);
             if !lost && self.cfg.fuzz > 0.0 {
+                let rx_pos = grid.position(key).expect("an in-range key is stored");
                 lost = !rng.chance(self.cfg.reception_prob(rx_pos.distance(pos)));
             }
             if !lost && faults.extra_loss > 0.0 {

@@ -20,6 +20,11 @@ pub enum ScenarioError {
         /// The configured side length, metres.
         side: f64,
     },
+    /// The area side is infinite.
+    NonFiniteArea {
+        /// The configured side length, metres.
+        side: f64,
+    },
     /// The member fraction lies outside `[0, 1]`.
     MemberFractionOutOfRange {
         /// The configured fraction.
@@ -171,6 +176,7 @@ impl std::fmt::Display for ScenarioError {
         match self {
             TooFewNodes { n_nodes } => write!(f, "need at least two nodes, got {n_nodes}"),
             NonPositiveArea { side } => write!(f, "area side must be positive, got {side}"),
+            NonFiniteArea { side } => write!(f, "area side must be finite, got {side}"),
             MemberFractionOutOfRange { fraction } => {
                 write!(f, "member fraction must lie in [0, 1], got {fraction}")
             }

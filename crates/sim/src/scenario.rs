@@ -186,6 +186,11 @@ impl Scenario {
                 side: self.area_side,
             });
         }
+        if self.area_side.is_infinite() {
+            return Err(ScenarioError::NonFiniteArea {
+                side: self.area_side,
+            });
+        }
         if !(0.0..=1.0).contains(&self.member_fraction) {
             return Err(ScenarioError::MemberFractionOutOfRange {
                 fraction: self.member_fraction,

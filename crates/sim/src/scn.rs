@@ -1238,6 +1238,26 @@ mod tests {
     }
 
     #[test]
+    fn infinite_area_is_a_typed_error() {
+        let e =
+            parse_scn("scenario T\nnodes 10\nalgo regular\nduration 60s\narea inf\n").unwrap_err();
+        assert!(matches!(
+            e.kind,
+            ScnErrorKind::Scenario(ScenarioError::NonFiniteArea { side }) if side.is_infinite()
+        ));
+    }
+
+    #[test]
+    fn huge_area_runs_on_a_grid_sized_by_its_nodes() {
+        // Ten nodes over a 1e9 m square: cells of the 10 m radio range
+        // would number 1e16, so the grid coarsens to ⌈2√10⌉ = 7 per side.
+        let f = parse_scn("scenario T\nnodes 10\nalgo regular\nduration 60s\narea 1e9\n").unwrap();
+        let r = crate::World::try_new(f.scenario, 7).unwrap().run();
+        assert!(r.events > 0);
+        assert_eq!(r.answers_received, 0, "no two nodes are ever in range");
+    }
+
+    #[test]
     fn burst_requires_loss() {
         let e = parse_scn("scenario T\nfault burst quiet=40.0\n").unwrap_err();
         assert_eq!(e.kind, ScnErrorKind::BurstWithoutLoss);

@@ -777,7 +777,6 @@ impl World {
         scenario.check()?;
         let master = Rng::new(seed);
         let area = scenario.area();
-        let mut grid = SpatialGrid::new(area, scenario.radio.range_m);
         let medium = Medium::new(scenario.radio);
         let n = scenario.n_nodes;
 
@@ -806,6 +805,7 @@ impl World {
         let mut algo_seeds = Vec::with_capacity(n_members);
         let mut mobility_soa = Vec::with_capacity(n);
         let mut mob_rngs = Vec::with_capacity(n);
+        let mut positions = Vec::with_capacity(n);
         // Indexed loop: `i` names the node id and (for members) its slot in
         // `holdings`; an enumerate over holdings would stop at n_members.
         #[allow(clippy::needless_range_loop)]
@@ -868,7 +868,7 @@ impl World {
                 }
                 MobilityKind::Stationary => Stationary::new(start).into(),
             };
-            grid.upsert(id.0, mobility.position(SimTime::ZERO));
+            positions.push(mobility.position(SimTime::ZERO));
 
             let stack = if (i as u32) < n_members as u32 {
                 let qualifier = qual_rng.range_u64(
@@ -915,6 +915,7 @@ impl World {
             stacks[a.node.index()].set_adversary(a.role);
         }
 
+        let grid = SpatialGrid::with_positions(area, scenario.radio.range_m, &positions);
         let mut subsystems = subsystems::build(&scenario, &master);
 
         let mut core = WorldCore {
