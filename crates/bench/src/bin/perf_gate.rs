@@ -5,11 +5,11 @@
 //! seconds, Regular algorithm, calendar scheduler), plus a scale rung:
 //!
 //! 1. **Disabled sink** — events/sec with the sink off must stay within
-//!    `PERF_GATE_TOL` (default 1%) of the checked-in
+//!    [`TOL`] (1%) of the checked-in
 //!    `micro/sim_hot_path/calendar/...` baseline, machine-speed
 //!    normalized (below).
 //! 2. **Obs tax** — events/sec with the sink *on* must stay within
-//!    `PERF_GATE_OBS_TOL` (default 3%) of the disabled run measured in
+//!    [`OBS_TOL`] (3%) of the disabled run measured in
 //!    the same interleaved pair. This is the gate that lets observability
 //!    default to on: a counter bump is one indexed add on a pre-resolved
 //!    registry id, span timing is stride-sampled, trace capture is
@@ -60,6 +60,15 @@ use manet_des::SchedulerKind;
 use manet_sim::{RunResult, Scenario};
 use p2p_core::AlgoKind;
 
+/// The disabled sink's tolerance below its machine-normalized baseline.
+/// A constant, not a knob: a tolerance read from the environment could
+/// silently widen the CI gate.
+const TOL: f64 = 0.01;
+
+/// The obs-tax budget: how far the enabled sink may fall below the
+/// disabled run of the same pair.
+const OBS_TOL: f64 = 0.03;
+
 /// Scale-rung world: node count, square side (Table 2 density, 200 m² per
 /// node) and simulated seconds.
 const SCALE_NODES: usize = 2_000;
@@ -76,13 +85,6 @@ const SCALE_MIN_RATIO: f64 = 0.30;
 
 /// The scale rung's event count at seed 7 (workload drift guard).
 const SCALE_EVENTS: u64 = 775_171;
-
-fn env_f64(name: &str, default: f64) -> f64 {
-    std::env::var(name)
-        .ok()
-        .and_then(|v| v.trim().parse().ok())
-        .unwrap_or(default)
-}
 
 /// The gate scenario: the bench shape with the sink pinned on or off.
 fn gate_scenario(nodes: usize, secs: u64, observed: bool) -> Scenario {
@@ -147,8 +149,6 @@ fn main() -> ExitCode {
     let nodes = env_u64("BENCH_HOT_NODES", 200) as usize;
     let secs = env_u64("BENCH_HOT_SECS", 900);
     let iters = env_u64("PERF_GATE_ITERS", 4).max(1);
-    let tol = env_f64("PERF_GATE_TOL", 0.01);
-    let obs_tol = env_f64("PERF_GATE_OBS_TOL", 0.03);
     let path = std::env::var("BENCH_JSON").unwrap_or_else(|_| "BENCH_RESULTS.json".into());
     let shape = format!("{nodes}n_{secs}s_regular");
     let disabled_name = format!("sim_hot_path/calendar/{shape}");
@@ -200,14 +200,14 @@ fn main() -> ExitCode {
         // The machine right now vs the machine that recorded the baseline,
         // measured on the leak-insensitive enabled-sink workload.
         let speed = (eps_obs / calib_eps).min(1.0);
-        let floor = base_eps * speed * (1.0 - tol);
+        let floor = base_eps * speed * (1.0 - TOL);
         // The obs tax needs no normalization: both sides of the ratio were
         // measured back to back in this pair.
-        let obs_floor = eps * (1.0 - obs_tol);
+        let obs_floor = eps * (1.0 - OBS_TOL);
         println!(
             "perf_gate: pair {}/{iters}: disabled {eps:.0} events/sec, enabled \
              {eps_obs:.0} (speed factor {speed:.3}, disabled floor {floor:.0} at tol \
-             {tol}, obs floor {obs_floor:.0} at tol {obs_tol})",
+             {TOL}, obs floor {obs_floor:.0} at tol {OBS_TOL})",
             i + 1,
         );
         if eps >= floor && eps_obs >= obs_floor {
@@ -227,7 +227,7 @@ fn main() -> ExitCode {
             );
         } else {
             eprintln!(
-                "perf_gate: pair {}/{iters} obs tax {:.2}% above {obs_tol} budget, retrying",
+                "perf_gate: pair {}/{iters} obs tax {:.2}% above {OBS_TOL} budget, retrying",
                 i + 1,
                 (1.0 - eps_obs / eps) * 100.0
             );

@@ -8,6 +8,11 @@
 //! Used by [`crate::ObsReport`] for JSONL export/dumps and re-exported by
 //! the `bench` crate for `BENCH_RESULTS.json`.
 
+/// Deepest nesting of arrays and objects [`Value::parse`] accepts; past
+/// it the parse fails instead of recursing on. Everything the workspace
+/// writes nests about four levels deep.
+pub const MAX_DEPTH: usize = 128;
+
 /// A JSON document node. Object keys keep insertion order so merged files
 /// diff minimally run-over-run.
 #[derive(Clone, Debug, PartialEq)]
@@ -102,11 +107,14 @@ impl Value {
         }
     }
 
-    /// Parse a JSON document. Errors carry a byte offset and a reason.
+    /// Parse a JSON document. Errors carry a byte offset and a reason;
+    /// nesting deeper than [`MAX_DEPTH`] and unpaired surrogate escapes
+    /// are errors.
     pub fn parse(text: &str) -> Result<Value, String> {
         let mut p = Parser {
             bytes: text.as_bytes(),
             pos: 0,
+            depth: 0,
         };
         p.skip_ws();
         let v = p.value()?;
@@ -153,6 +161,8 @@ fn write_str(out: &mut String, s: &str) {
 struct Parser<'a> {
     bytes: &'a [u8],
     pos: usize,
+    /// Arrays and objects open around the current position.
+    depth: usize,
 }
 
 impl Parser<'_> {
@@ -194,11 +204,25 @@ impl Parser<'_> {
             Some(b't') => self.literal("true", Value::Bool(true)),
             Some(b'f') => self.literal("false", Value::Bool(false)),
             Some(b'"') => Ok(Value::Str(self.string()?)),
-            Some(b'[') => self.array(),
-            Some(b'{') => self.object(),
+            Some(b'[') => self.nested(Self::array),
+            Some(b'{') => self.nested(Self::object),
             Some(b) if b == b'-' || b.is_ascii_digit() => self.number(),
             _ => Err(format!("unexpected input at byte {}", self.pos)),
         }
+    }
+
+    /// Parse one array or object, one level deeper.
+    fn nested(&mut self, parse: fn(&mut Self) -> Result<Value, String>) -> Result<Value, String> {
+        if self.depth == MAX_DEPTH {
+            return Err(format!(
+                "nesting deeper than {MAX_DEPTH} at byte {}",
+                self.pos
+            ));
+        }
+        self.depth += 1;
+        let v = parse(self);
+        self.depth -= 1;
+        v
     }
 
     fn number(&mut self) -> Result<Value, String> {
@@ -256,9 +280,10 @@ impl Parser<'_> {
                                 self.eat(b'\\')?;
                                 self.eat(b'u')?;
                                 let lo = self.hex4()?;
-                                let combined =
-                                    0x10000 + ((cp - 0xD800) << 10) + (lo.wrapping_sub(0xDC00));
-                                char::from_u32(combined)
+                                if !(0xDC00..0xE000).contains(&lo) {
+                                    return Err(format!("unpaired surrogate at byte {}", self.pos));
+                                }
+                                char::from_u32(0x10000 + ((cp - 0xD800) << 10) + (lo - 0xDC00))
                             } else {
                                 char::from_u32(cp)
                             };
@@ -373,6 +398,26 @@ mod tests {
     fn integers_render_without_decimal_point() {
         assert_eq!(Value::Num(26865026.0).render(), "26865026\n");
         assert_eq!(Value::Num(0.5).render(), "0.5\n");
+    }
+
+    #[test]
+    fn nesting_is_bounded() {
+        let deep = |n: usize| format!("{}{}", "[".repeat(n), "]".repeat(n));
+        assert!(Value::parse(&deep(MAX_DEPTH)).is_ok());
+        assert!(Value::parse(&deep(MAX_DEPTH + 1)).is_err());
+        assert!(Value::parse(&"{\"a\":".repeat(MAX_DEPTH + 1)).is_err());
+        // An unclosed run this long used to overflow the stack.
+        assert!(Value::parse(&"[".repeat(100_000)).is_err());
+    }
+
+    #[test]
+    fn surrogate_escapes_must_pair() {
+        let v = Value::parse(r#""\uD83D\uDE00""#).unwrap();
+        assert_eq!(v.as_str(), Some("\u{1F600}"));
+        assert!(Value::parse(r#""\uD800\u0000""#).is_err());
+        assert!(Value::parse(r#""\uD800\uD800""#).is_err());
+        assert!(Value::parse(r#""\uDC00""#).is_err());
+        assert!(Value::parse(r#""\uD800x""#).is_err());
     }
 
     #[test]

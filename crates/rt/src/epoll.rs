@@ -1,151 +1,58 @@
-//! Readiness polling with zero external dependencies.
+//! Readiness polling with zero external dependencies and no `unsafe`.
 //!
-//! On Linux this is a hand-rolled `epoll` binding — three syscalls
-//! declared over the libc that `std` already links, one level-triggered
-//! interest registered at construction. The event loop only ever watches
-//! a single UDP socket, so the full mio machinery (tokens, interest sets,
-//! reregistration) collapses to "is the socket readable before my next
-//! timer deadline" — which is exactly the [`Poller::wait`] contract.
-//!
-//! Elsewhere the same contract is met portably with a blocking
-//! `peek`-with-timeout on the socket itself; the socket is flipped back
-//! to non-blocking before returning so the caller's drain loop behaves
-//! identically on both paths.
+//! The event loop only ever watches a single UDP socket, so the full mio
+//! machinery (tokens, interest sets, reregistration) collapses to "is the
+//! socket readable before my next timer deadline" — which is exactly the
+//! [`Poller::wait`] contract. `std` meets it on every platform with a
+//! blocking one-byte `peek_from` under a read timeout; the socket is
+//! flipped back to non-blocking before returning, so the caller's drain
+//! loop always sees a non-blocking socket.
 
 use std::io;
 use std::net::UdpSocket;
 use std::time::Duration;
 
-#[cfg(target_os = "linux")]
-mod sys {
-    use std::os::raw::c_int;
-
-    pub const EPOLL_CLOEXEC: c_int = 0o2000000;
-    pub const EPOLL_CTL_ADD: c_int = 1;
-    pub const EPOLLIN: u32 = 0x1;
-
-    /// Kernel epoll event record. Packed on x86 ABIs, naturally aligned
-    /// elsewhere — mirrors the kernel UAPI headers.
-    #[cfg_attr(any(target_arch = "x86", target_arch = "x86_64"), repr(C, packed))]
-    #[cfg_attr(not(any(target_arch = "x86", target_arch = "x86_64")), repr(C))]
-    #[derive(Clone, Copy)]
-    pub struct EpollEvent {
-        pub events: u32,
-        pub data: u64,
-    }
-
-    extern "C" {
-        pub fn epoll_create1(flags: c_int) -> c_int;
-        pub fn epoll_ctl(epfd: c_int, op: c_int, fd: c_int, event: *mut EpollEvent) -> c_int;
-        pub fn epoll_wait(
-            epfd: c_int,
-            events: *mut EpollEvent,
-            maxevents: c_int,
-            timeout: c_int,
-        ) -> c_int;
-        pub fn close(fd: c_int) -> c_int;
-    }
-}
-
 /// Waits for one UDP socket to become readable, bounded by a deadline.
-pub struct Poller {
-    #[cfg(target_os = "linux")]
-    epfd: std::os::raw::c_int,
-    #[cfg(not(target_os = "linux"))]
-    _portable: (),
-}
+pub struct Poller(());
 
 impl Poller {
     /// A poller watching `socket` for readability. The socket is put in
     /// non-blocking mode — the event loop drains it with `recv_from`
     /// until `WouldBlock` after every readiness signal.
-    #[cfg(target_os = "linux")]
-    pub fn new(socket: &UdpSocket) -> io::Result<Poller> {
-        use std::os::fd::AsRawFd;
-        socket.set_nonblocking(true)?;
-        let epfd = unsafe { sys::epoll_create1(sys::EPOLL_CLOEXEC) };
-        if epfd < 0 {
-            return Err(io::Error::last_os_error());
-        }
-        let mut ev = sys::EpollEvent {
-            events: sys::EPOLLIN,
-            data: 0,
-        };
-        let rc = unsafe { sys::epoll_ctl(epfd, sys::EPOLL_CTL_ADD, socket.as_raw_fd(), &mut ev) };
-        if rc < 0 {
-            let err = io::Error::last_os_error();
-            unsafe { sys::close(epfd) };
-            return Err(err);
-        }
-        Ok(Poller { epfd })
-    }
-
-    /// Portable fallback constructor (no registration needed).
-    #[cfg(not(target_os = "linux"))]
     pub fn new(socket: &UdpSocket) -> io::Result<Poller> {
         socket.set_nonblocking(true)?;
-        Ok(Poller { _portable: () })
+        Ok(Poller(()))
     }
 
     /// Block until `socket` is readable or `timeout` elapses; `None`
     /// sleeps until readable. Returns whether the socket is readable.
-    #[cfg(target_os = "linux")]
-    pub fn wait(&self, _socket: &UdpSocket, timeout: Option<Duration>) -> io::Result<bool> {
-        let ms: std::os::raw::c_int = match timeout {
-            None => -1,
-            Some(t) => t.as_millis().min(i32::MAX as u128) as std::os::raw::c_int,
-        };
-        let mut ev = sys::EpollEvent { events: 0, data: 0 };
-        loop {
-            let n = unsafe { sys::epoll_wait(self.epfd, &mut ev, 1, ms) };
-            if n >= 0 {
-                return Ok(n > 0);
-            }
-            let err = io::Error::last_os_error();
-            if err.kind() != io::ErrorKind::Interrupted {
-                return Err(err);
-            }
-        }
-    }
-
-    /// Portable fallback: a blocking 1-byte `peek` with a read timeout,
-    /// restoring non-blocking mode before returning.
-    #[cfg(not(target_os = "linux"))]
+    /// A zero timeout probes without sleeping.
     pub fn wait(&self, socket: &UdpSocket, timeout: Option<Duration>) -> io::Result<bool> {
-        if timeout == Some(Duration::ZERO) {
-            let mut byte = [0u8; 1];
-            return match socket.peek_from(&mut byte) {
-                Ok(_) => Ok(true),
-                Err(e) if would_block(&e) => Ok(false),
-                Err(e) => Err(e),
-            };
+        let sleeps = timeout != Some(Duration::ZERO);
+        if sleeps {
+            socket.set_nonblocking(false)?;
+            // A zero read timeout means "no timeout" to the OS; clamp up.
+            socket.set_read_timeout(timeout.map(|t| t.max(Duration::from_millis(1))))?;
         }
-        socket.set_nonblocking(false)?;
-        // A zero read timeout means "no timeout" to the OS; clamp up.
-        socket.set_read_timeout(timeout.map(|t| t.max(Duration::from_millis(1))))?;
-        let mut byte = [0u8; 1];
-        let readable = match socket.peek_from(&mut byte) {
-            Ok(_) => Ok(true),
-            Err(e) if would_block(&e) => Ok(false),
-            Err(e) => Err(e),
+        let readable = loop {
+            match socket.peek_from(&mut [0u8; 1]) {
+                Ok(_) => break Ok(true),
+                Err(e)
+                    if matches!(
+                        e.kind(),
+                        io::ErrorKind::WouldBlock | io::ErrorKind::TimedOut
+                    ) =>
+                {
+                    break Ok(false)
+                }
+                Err(e) if e.kind() == io::ErrorKind::Interrupted => {}
+                Err(e) => break Err(e),
+            }
         };
-        socket.set_nonblocking(true)?;
+        if sleeps {
+            socket.set_nonblocking(true)?;
+        }
         readable
-    }
-}
-
-#[cfg(not(target_os = "linux"))]
-fn would_block(e: &io::Error) -> bool {
-    matches!(
-        e.kind(),
-        io::ErrorKind::WouldBlock | io::ErrorKind::TimedOut
-    )
-}
-
-#[cfg(target_os = "linux")]
-impl Drop for Poller {
-    fn drop(&mut self) {
-        unsafe { sys::close(self.epfd) };
     }
 }
 

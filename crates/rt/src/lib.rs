@@ -8,8 +8,8 @@
 //! * [`clock`] — maps elapsed wall microseconds onto the [`SimTime`]
 //!   axis (one tick = one microsecond on both substrates) and turns
 //!   protocol deadlines back into poll timeouts;
-//! * [`epoll`] — a hand-rolled readiness poller (`epoll` FFI on Linux, a
-//!   blocking peek-with-timeout elsewhere);
+//! * [`epoll`] — the readiness poller: a blocking peek-with-timeout on
+//!   the socket, in safe `std` on every platform;
 //! * [`node`] — [`RtNode`], the event loop hosting one machine per OS
 //!   process, with optional observability; the `swarm` binary forks N of
 //!   them on loopback.

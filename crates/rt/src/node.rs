@@ -6,7 +6,7 @@
 //! * the node's combined protocol timer becomes the poll *deadline* — the
 //!   machine's timer requests ([`StackHost::arm_timer`]) keep the earliest
 //!   wake, and [`Clock::timeout_until`] turns it into how long
-//!   `epoll_wait` may sleep;
+//!   [`Poller::wait`] may sleep;
 //! * the modelled radio becomes the socket — a broadcast is a `sendto` to
 //!   every peer (the loopback full mesh realizes the single-hop broadcast
 //!   domain of a dense MANET), a unicast is one `sendto`;

@@ -52,9 +52,9 @@ pub(crate) struct StackObs {
     c_rreq_dup_dropped: CounterId,
     c_hellos_sent: CounterId,
     // The event loop's own counters.
-    /// `epoll_wait` returned readable.
+    /// The poller's wait returned readable.
     pub(crate) c_epoll_wakeups: CounterId,
-    /// `epoll_wait` returned by deadline.
+    /// The poller's wait returned by deadline.
     pub(crate) c_epoll_timeouts: CounterId,
     /// Datagrams received and accepted.
     pub(crate) c_dgram_rx: CounterId,

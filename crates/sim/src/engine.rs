@@ -4,15 +4,14 @@
 //! [`Engine`] is deliberately slim — it owns the future-event list, the
 //! processed-event counter and the peak-depth gauge, and nothing else.
 //! Everything that *reacts* to events lives either in a node's protocol
-//! machine (hosted through `crate::stack`) or in a registered
-//! [`Subsystem`] (`crate::subsystems`).
+//! machine (hosted through `crate::stack`) or in one of the world's fixed
+//! processes (`crate::subsystems`).
 //!
-//! Event routing is typed: node traffic (frame deliveries, combined node
-//! timers, overlay joins) is dispatched straight to the node's machine,
-//! while every cross-cutting process (mobility, churn, faults,
-//! samplers) schedules [`SubEvent`]s in its own namespace — the
-//! [`SubsystemId`] it was registered under. Adding a new subsystem
-//! therefore never touches the [`Event`] enum.
+//! Every event is one [`Event`] variant, and `World::dispatch` calls its
+//! handler directly: node traffic (frame deliveries, combined node timers,
+//! overlay joins) goes to the node's machine, and each process event
+//! (mobility, churn, crashes, fault windows, sampling, the query flooder)
+//! to its process's handler.
 //!
 //! The future-event list is an [`EventQueue`]: timestamp ties break by
 //! insertion order, which every pinned fingerprint depends on.
@@ -29,46 +28,7 @@
 
 use manet_aodv::Msg;
 use manet_des::{EventQueue, NodeId, SchedulerKind, SimTime};
-use p2p_stack::{AppMsg, StackMachine};
-
-use crate::world::WorldCore;
-
-/// Index of a registered subsystem; doubles as its event namespace.
-pub(crate) type SubsystemId = u16;
-
-/// A subsystem event compacted into one word: owner id (16 bits), event
-/// shape (8 bits) and node id (32 bits). Keeps the `Event::Sub` arm at
-/// payload-free size — the future-event list is dominated by these plus
-/// node timers, so the hot path copies no more than it must.
-#[derive(Clone, Copy, PartialEq, Eq, Debug)]
-pub(crate) struct SubKey(u64);
-
-const SUB_TICK: u64 = 0;
-const SUB_NODE: u64 = 1;
-const SUB_NODE_ALT: u64 = 2;
-
-impl SubKey {
-    pub(crate) fn pack(owner: SubsystemId, ev: SubEvent) -> Self {
-        let (kind, node) = match ev {
-            SubEvent::Tick => (SUB_TICK, 0u64),
-            SubEvent::Node(n) => (SUB_NODE, n.0 as u64),
-            SubEvent::NodeAlt(n) => (SUB_NODE_ALT, n.0 as u64),
-        };
-        SubKey(((owner as u64) << 40) | (kind << 32) | node)
-    }
-
-    pub(crate) fn owner(self) -> SubsystemId {
-        (self.0 >> 40) as SubsystemId
-    }
-
-    pub(crate) fn event(self) -> SubEvent {
-        match (self.0 >> 32) & 0xff {
-            SUB_TICK => SubEvent::Tick,
-            SUB_NODE => SubEvent::Node(NodeId(self.0 as u32)),
-            _ => SubEvent::NodeAlt(NodeId(self.0 as u32)),
-        }
-    }
-}
+use p2p_stack::AppMsg;
 
 /// Everything scheduled in the future-event list.
 pub(crate) enum Event {
@@ -82,24 +42,26 @@ pub(crate) enum Event {
     NodeTimer(NodeId),
     /// A member joins the overlay.
     Join(NodeId),
-    /// A subsystem-namespaced event, routed to `subsystems[key.owner()]`.
-    Sub(SubKey),
-}
-
-/// An event inside one subsystem's private namespace.
-///
-/// The meaning of each shape is the owning subsystem's business: mobility
-/// uses `Node` for position re-evaluation, churn uses `Node`/`NodeAlt` for
-/// its down/up alternation, the burst/flap/jitter processes use `Tick` for
-/// their window boundaries.
-#[derive(Clone, Copy, Debug)]
-pub(crate) enum SubEvent {
-    /// A node-less process boundary (window toggles, samplers).
-    Tick,
-    /// A per-node event (primary meaning).
-    Node(NodeId),
-    /// A per-node event (secondary meaning, e.g. the up-phase of churn).
-    NodeAlt(NodeId),
+    /// A node's mobility epoch ends, or its position is due a refresh.
+    Move(NodeId),
+    /// A member's churn up-dwell ends: it switches off.
+    ChurnDown(NodeId),
+    /// A member's churn down-dwell ends: it switches back on.
+    ChurnUp(NodeId),
+    /// A scripted crash of the fault plan.
+    Crash(NodeId),
+    /// A crashed node reboots.
+    Restart(NodeId),
+    /// The loss-burst process changes state.
+    Burst,
+    /// A link-flap window opens or closes.
+    Flap,
+    /// A delay-spike window opens or closes.
+    Jitter,
+    /// A small-world snapshot of the overlay is due.
+    SmallWorld,
+    /// A query flooder's next burst is due.
+    Flood(NodeId),
 }
 
 /// One entry of the future-event list.
@@ -293,88 +255,6 @@ impl Engine {
     /// count physical queue slots (one per fan-out).
     pub(crate) fn calendar_stats(&self) -> Option<[u64; 7]> {
         self.q.calendar_stats()
-    }
-}
-
-/// A pluggable cross-cutting process registered on the engine.
-///
-/// Subsystems own their private state (RNG streams, schedules, cadences)
-/// and react to events in their own [`SubEvent`] namespace; they reach the
-/// shared simulation state through [`SubCtx`]. Lifecycle:
-///
-/// 1. [`seed_node`](Subsystem::seed_node) — once per node during world
-///    construction, in node-id order (interleaved across subsystems so
-///    initial-event insertion order is part of the deterministic contract);
-/// 2. [`init`](Subsystem::init) — once after all nodes exist, in
-///    registration order;
-/// 3. [`handle`](Subsystem::handle) — for every popped event the subsystem
-///    scheduled.
-///
-/// `Send` keeps [`World`](crate::World) `Send`, so a world built on one
-/// thread can run on another.
-pub(crate) trait Subsystem: Send {
-    /// Per-node seeding during world construction.
-    fn seed_node(&mut self, ctx: &mut SubCtx<'_>, id: NodeId) {
-        let _ = (ctx, id);
-    }
-
-    /// One-time seeding after all nodes exist.
-    fn init(&mut self, ctx: &mut SubCtx<'_>) {
-        let _ = ctx;
-    }
-
-    /// Handle an event this subsystem scheduled.
-    fn handle(&mut self, ctx: &mut SubCtx<'_>, now: SimTime, ev: SubEvent);
-}
-
-/// What a [`Subsystem`] sees of the world: the shared core plus its own
-/// registration id, so everything it schedules lands back in its own
-/// namespace.
-pub(crate) struct SubCtx<'a> {
-    pub(crate) core: &'a mut WorldCore,
-    /// Every node's protocol machine, for subsystems that power nodes
-    /// on and off or inject traffic.
-    pub(crate) stacks: &'a mut [StackMachine],
-    pub(crate) owner: SubsystemId,
-}
-
-impl SubCtx<'_> {
-    /// Schedule `ev` in the owning subsystem's namespace at time `at`.
-    pub(crate) fn schedule(&mut self, at: SimTime, ev: SubEvent) {
-        self.core
-            .engine
-            .schedule(at, Event::Sub(SubKey::pack(self.owner, ev)));
-    }
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-
-    #[test]
-    fn sub_key_round_trips_every_shape() {
-        for owner in [0u16, 1, 7, u16::MAX] {
-            for ev in [
-                SubEvent::Tick,
-                SubEvent::Node(NodeId(0)),
-                SubEvent::Node(NodeId(u32::MAX)),
-                SubEvent::NodeAlt(NodeId(42)),
-            ] {
-                let key = SubKey::pack(owner, ev);
-                assert_eq!(key.owner(), owner);
-                match (ev, key.event()) {
-                    (SubEvent::Tick, SubEvent::Tick) => {}
-                    (SubEvent::Node(a), SubEvent::Node(b)) => assert_eq!(a, b),
-                    (SubEvent::NodeAlt(a), SubEvent::NodeAlt(b)) => assert_eq!(a, b),
-                    (a, b) => panic!("shape changed: {a:?} -> {b:?}"),
-                }
-            }
-        }
-    }
-
-    #[test]
-    fn sub_arm_is_one_word() {
-        assert_eq!(std::mem::size_of::<SubKey>(), 8);
     }
 }
 

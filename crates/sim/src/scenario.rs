@@ -56,7 +56,7 @@ pub struct ChurnCfg {
 ///
 /// Adversaries are deterministic (see [`AdversaryRole`]) and strictly
 /// additive: a scenario with an empty adversary list runs bit-identically
-/// to one built before the subsystem existed.
+/// to one built before adversaries existed.
 #[derive(Clone, Copy, Debug, PartialEq)]
 pub struct Adversary {
     /// The misbehaving node.

@@ -51,7 +51,7 @@ impl StackHost for WorldCore {
 
     fn delivered(&mut self, at: NodeId, payload: &AppMsg, hops: u8) {
         self.counters.record(at, payload.kind());
-        if let Some(obs) = self.obs.on_mut() {
+        if let Some(obs) = self.obs.as_deref_mut() {
             obs.registry.observe(obs.h_hops, hops as u64);
         }
     }

@@ -81,7 +81,7 @@ pub(crate) fn broadcast(core: &mut WorldCore, now: SimTime, from: NodeId, mut ms
     let faults = core.active_faults();
     // Stride-sampled span timing: only 1 in SPAN_STRIDE plans pays for an
     // `Instant` pair; the sample is extrapolated by its stride weight.
-    let timed = core.obs.on_mut().is_some_and(|obs| obs.plan_timed());
+    let timed = core.obs.as_deref_mut().is_some_and(|obs| obs.plan_timed());
     let t0 = timed.then(Instant::now);
     core.medium.plan_broadcast(
         &core.grid,
@@ -94,7 +94,7 @@ pub(crate) fn broadcast(core: &mut WorldCore, now: SimTime, from: NodeId, mut ms
     );
     let elapsed = t0.map(|t0| t0.elapsed());
     let fanout = core.scratch.receptions.len() as u64;
-    if let Some(obs) = core.obs.on_mut() {
+    if let Some(obs) = core.obs.as_deref_mut() {
         obs.registry.observe(obs.h_fanout, fanout);
         if let Some(elapsed) = elapsed {
             obs.spans.add_weighted(obs.s_plan, elapsed, SPAN_STRIDE);

@@ -1,60 +1,51 @@
-//! Node churn as a subsystem: members alternate up/down with
-//! exponentially distributed dwell times on a dedicated RNG stream.
+//! Node churn: members alternate up/down with exponentially distributed
+//! dwell times on a dedicated RNG stream (`WorldCore::churn_rng`).
 
-use manet_des::{Rng, SimDuration, SimTime};
+use manet_des::{SimDuration, SimTime};
 use manet_obs::Severity;
+use p2p_stack::StackMachine;
 
-use crate::engine::{SubCtx, SubEvent, Subsystem};
+use crate::engine::Event;
 use crate::scenario::ChurnCfg;
 use crate::stack;
+use crate::world::WorldCore;
 
-/// The churn process. `Node(id)` events switch a member off,
-/// `NodeAlt(id)` events bring it back.
-pub(crate) struct ChurnDriver {
-    cfg: ChurnCfg,
-    rng: Rng,
-}
-
-impl ChurnDriver {
-    pub(crate) fn new(cfg: ChurnCfg, rng: Rng) -> Self {
-        ChurnDriver { cfg, rng }
+/// Schedule one initial up-dwell per member, in member order.
+pub(crate) fn seed(core: &mut WorldCore) {
+    let Some(cfg) = core.scenario.churn else {
+        return;
+    };
+    for &id in &core.members {
+        let up = core.churn_rng.exponential(cfg.mean_uptime);
+        core.engine
+            .schedule(SimTime::from_secs_f64(up), Event::ChurnDown(id));
     }
 }
 
-impl Subsystem for ChurnDriver {
-    fn init(&mut self, ctx: &mut SubCtx<'_>) {
-        // One initial up-dwell per member, in member order.
-        for i in 0..ctx.core.members.len() {
-            let id = ctx.core.members[i];
-            let up = self.rng.exponential(self.cfg.mean_uptime);
-            ctx.schedule(SimTime::from_secs_f64(up), SubEvent::Node(id));
-        }
-    }
+/// A member's up-dwell ended: it switches off. The overlay presence dies
+/// with the radio; peers discover via failed pings.
+pub(crate) fn down(core: &mut WorldCore, stack: &mut StackMachine, now: SimTime) {
+    let id = stack.id();
+    stack::power_off(core, stack);
+    core.obs_record(now, Severity::Warn, "churn", || {
+        format!("{id} churned down")
+    });
+    let down = core.churn_rng.exponential(cfg(core).mean_downtime);
+    core.engine
+        .schedule(now + SimDuration::from_secs_f64(down), Event::ChurnUp(id));
+}
 
-    fn handle(&mut self, ctx: &mut SubCtx<'_>, now: SimTime, ev: SubEvent) {
-        match ev {
-            SubEvent::Node(id) => {
-                // The overlay presence dies with the radio; peers discover
-                // via failed pings.
-                stack::power_off(ctx.core, &mut ctx.stacks[id.index()]);
-                ctx.core.obs_record(now, Severity::Warn, "churn", || {
-                    format!("{id} churned down")
-                });
-                let down = self.rng.exponential(self.cfg.mean_downtime);
-                ctx.schedule(
-                    now + SimDuration::from_secs_f64(down),
-                    SubEvent::NodeAlt(id),
-                );
-            }
-            SubEvent::NodeAlt(id) => {
-                stack::power_on(ctx.core, &mut ctx.stacks[id.index()], now);
-                ctx.core
-                    .obs_record(now, Severity::Info, "churn", || format!("{id} churned up"));
-                let up = self.rng.exponential(self.cfg.mean_uptime);
-                ctx.schedule(now + SimDuration::from_secs_f64(up), SubEvent::Node(id));
-                ctx.stacks[id.index()].rearm(ctx.core, now);
-            }
-            SubEvent::Tick => {}
-        }
-    }
+/// A member's down-dwell ended: it switches back on and rejoins.
+pub(crate) fn up(core: &mut WorldCore, stack: &mut StackMachine, now: SimTime) {
+    let id = stack.id();
+    stack::power_on(core, stack, now);
+    core.obs_record(now, Severity::Info, "churn", || format!("{id} churned up"));
+    let up = core.churn_rng.exponential(cfg(core).mean_uptime);
+    core.engine
+        .schedule(now + SimDuration::from_secs_f64(up), Event::ChurnDown(id));
+    stack.rearm(core, now);
+}
+
+fn cfg(core: &WorldCore) -> ChurnCfg {
+    core.scenario.churn.expect("churn is configured")
 }

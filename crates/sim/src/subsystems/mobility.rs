@@ -1,44 +1,36 @@
-//! Mobility as a subsystem: position epochs and periodic refreshes.
+//! Mobility: position epochs and periodic refreshes.
 
 use manet_des::{NodeId, SimTime};
 use manet_mobility::Mobility;
 
-use crate::engine::{SubCtx, SubEvent, Subsystem};
+use crate::engine::Event;
+use crate::world::WorldCore;
 
-/// Drives every node's mobility process: advances epochs, refreshes the
-/// spatial grid while a node is moving, and schedules the next
+/// A node's re-evaluation fired: advance its mobility epoch if that one
+/// ended, refresh its spatial-grid position, and schedule the next
 /// re-evaluation.
-pub(crate) struct MobilityDriver;
-
-impl Subsystem for MobilityDriver {
-    fn seed_node(&mut self, ctx: &mut SubCtx<'_>, id: NodeId) {
-        schedule_next(ctx, id, SimTime::ZERO);
-    }
-
-    fn handle(&mut self, ctx: &mut SubCtx<'_>, now: SimTime, ev: SubEvent) {
-        let SubEvent::Node(id) = ev else { return };
-        let pos = {
-            let m = &mut ctx.core.mobility[id.index()];
-            if m.epoch_end() <= now {
-                m.advance(now, &mut ctx.core.mob_rngs[id.index()]);
-            }
-            m.position(now)
-        };
-        ctx.core.grid.upsert(id.0, pos);
-        schedule_next(ctx, id, now);
-    }
+pub(crate) fn on_move(core: &mut WorldCore, id: NodeId, now: SimTime) {
+    let pos = {
+        let m = &mut core.mobility[id.index()];
+        if m.epoch_end() <= now {
+            m.advance(now, &mut core.mob_rngs[id.index()]);
+        }
+        m.position(now)
+    };
+    core.grid.upsert(id.0, pos);
+    schedule_next(core, id, now);
 }
 
 /// Schedule the next position re-evaluation: the epoch end, or a
 /// periodic refresh while the node is actually moving.
-fn schedule_next(ctx: &mut SubCtx<'_>, id: NodeId, now: SimTime) {
+pub(crate) fn schedule_next(core: &mut WorldCore, id: NodeId, now: SimTime) {
     let at = {
-        let m = &ctx.core.mobility[id.index()];
+        let m = &core.mobility[id.index()];
         let epoch_end = m.epoch_end();
         if epoch_end == SimTime::MAX {
             return; // stationary forever
         }
-        let refresh = now + ctx.core.scenario.position_refresh;
+        let refresh = now + core.scenario.position_refresh;
         let moving = m.position(now) != m.position(refresh.min(epoch_end));
         if moving {
             refresh.min(epoch_end)
@@ -46,5 +38,5 @@ fn schedule_next(ctx: &mut SubCtx<'_>, id: NodeId, now: SimTime) {
             epoch_end
         }
     };
-    ctx.schedule(at.max(now), SubEvent::Node(id));
+    core.engine.schedule(at.max(now), Event::Move(id));
 }

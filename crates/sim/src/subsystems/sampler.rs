@@ -1,32 +1,30 @@
 //! Periodic small-world snapshots of the overlay graph.
 
-use manet_des::{SimDuration, SimTime};
+use manet_des::SimTime;
 use manet_graph::small_world;
+use p2p_stack::StackMachine;
 
-use crate::engine::{SubCtx, SubEvent, Subsystem};
+use crate::engine::Event;
+use crate::world::WorldCore;
 
-/// Samples the overlay graph's small-world metrics on a fixed cadence.
-pub(crate) struct SmallWorldSampler {
-    period: SimDuration,
-}
-
-impl SmallWorldSampler {
-    pub(crate) fn new(period: SimDuration) -> Self {
-        SmallWorldSampler { period }
+/// Schedule the first snapshot one period in, if the scenario samples.
+pub(crate) fn seed(core: &mut WorldCore) {
+    if let Some(period) = core.scenario.smallworld_sample {
+        core.engine
+            .schedule(SimTime::ZERO + period, Event::SmallWorld);
     }
 }
 
-impl Subsystem for SmallWorldSampler {
-    fn init(&mut self, ctx: &mut SubCtx<'_>) {
-        ctx.schedule(SimTime::ZERO + self.period, SubEvent::Tick);
+/// Take a snapshot of the overlay's small-world metrics and schedule the
+/// next one.
+pub(crate) fn sample(core: &mut WorldCore, stacks: &[StackMachine], now: SimTime) {
+    let graph = core.overlay_graph(stacks);
+    if let Some(sw) = small_world(&graph) {
+        core.smallworld.push((now.as_secs_f64(), sw));
     }
-
-    fn handle(&mut self, ctx: &mut SubCtx<'_>, now: SimTime, ev: SubEvent) {
-        let SubEvent::Tick = ev else { return };
-        let graph = ctx.core.overlay_graph(ctx.stacks);
-        if let Some(sw) = small_world(&graph) {
-            ctx.core.smallworld.push((now.as_secs_f64(), sw));
-        }
-        ctx.schedule(now + self.period, SubEvent::Tick);
-    }
+    let period = core
+        .scenario
+        .smallworld_sample
+        .expect("sampling is configured");
+    core.engine.schedule(now + period, Event::SmallWorld);
 }

@@ -1,15 +1,15 @@
-//! The simulated world: a slim engine, per-node layer stacks, and
-//! pluggable subsystems.
+//! The simulated world: a slim engine, per-node layer stacks, and the
+//! fixed processes around them.
 //!
 //! One [`World`] is one replication. Since the layered refactor it is a
 //! thin composition root: the crate-private `Engine` (`crate::engine`)
 //! owns the clock and future-event list, every node's protocol stack
 //! above the phy layer (AODV → overlay → query engine) is a
 //! [`StackMachine`] hosted by the core (`crate::stack`), and every
-//! cross-cutting process (mobility epochs, churn, the fault
-//! plan, samplers) is a registered `Subsystem` (`crate::subsystems`)
-//! with its own event namespace. `WorldCore` is the shared state those
-//! parts operate on.
+//! cross-cutting process (mobility epochs, churn, the fault plan,
+//! sampling, the query flooder) is a set of handlers in
+//! `crate::subsystems` that the event loop calls directly. `WorldCore` is
+//! the shared state those parts operate on.
 //!
 //! Determinism: every random stream is forked from the replication seed
 //! with a fixed label, all per-node containers iterate in id order, and the
@@ -38,12 +38,12 @@ use p2p_stack::{FrameUp, StackMachine, TraceLog};
 use std::path::{Path, PathBuf};
 use std::time::Instant;
 
-use crate::engine::{Engine, Event, SubCtx, Subsystem, SubsystemId};
+use crate::engine::{Engine, Event};
 use crate::errors::ScenarioError;
 use crate::oracle::HopOracle;
 use crate::scenario::{MobilityKind, Scenario};
-use crate::stack::PhyLayer;
-use crate::subsystems;
+use crate::stack::{self, PhyLayer};
+use crate::subsystems::{self, adversary, churn, faults, mobility, sampler};
 
 /// RNG stream labels (see DESIGN.md's determinism note).
 pub(crate) mod labels {
@@ -71,9 +71,8 @@ pub(crate) const SPAN_STRIDE: u64 = 64;
 /// Observability sink state for one world: the metrics registry with its
 /// pre-resolved metric ids, the span profile and the flight recorder.
 ///
-/// Lives inside [`ObsSink`] on [`WorldCore`]; the disabled sink is the
-/// precomputed [`ObsSink::Off`] variant, so toggling costs one
-/// discriminant test per instrumentation site and nothing else.
+/// Boxed in [`WorldCore::obs`]; the disabled sink is `None`, so toggling
+/// costs one discriminant test per instrumentation site and nothing else.
 /// Everything recorded here is derived from simulation state the world
 /// maintains anyway — enabling observability never draws randomness,
 /// schedules events, or otherwise perturbs a run (the fingerprint tests
@@ -193,50 +192,7 @@ impl ObsState {
     }
 }
 
-/// The observability sink, precomputed at `World` construction: either
-/// the no-op [`Off`](ObsSink::Off) variant — every instrumentation site
-/// reduces to one discriminant test, which the perf gate's disabled-sink
-/// stage holds to a hard bound — or the live state.
-pub(crate) enum ObsSink {
-    Off,
-    On(Box<ObsState>),
-}
-
-impl ObsSink {
-    fn new(cfg: manet_obs::ObsConfig) -> Self {
-        if cfg.enabled {
-            ObsSink::On(Box::new(ObsState::new(cfg)))
-        } else {
-            ObsSink::Off
-        }
-    }
-
-    /// The live state, if the sink is on.
-    #[inline]
-    pub(crate) fn on_mut(&mut self) -> Option<&mut ObsState> {
-        match self {
-            ObsSink::On(o) => Some(o),
-            ObsSink::Off => None,
-        }
-    }
-
-    /// Shared view of the live state, if the sink is on.
-    #[inline]
-    pub(crate) fn get(&self) -> Option<&ObsState> {
-        match self {
-            ObsSink::On(o) => Some(o),
-            ObsSink::Off => None,
-        }
-    }
-
-    /// Whether the sink is on.
-    #[inline]
-    pub(crate) fn is_on(&self) -> bool {
-        matches!(self, ObsSink::On(_))
-    }
-}
-
-/// Medium-wide fault-window flags, flipped by the fault subsystems and
+/// Medium-wide fault-window flags, flipped by the fault processes and
 /// read by [`WorldCore::active_faults`] on every planned transmission.
 #[derive(Default)]
 pub(crate) struct LinkState {
@@ -352,12 +308,12 @@ impl RunResult {
     }
 }
 
-/// The shared simulation state every subsystem operates on and every
-/// node's [`StackMachine`] runs against as its host: the engine, per-node
-/// phy state, the medium, metrics accumulators and the optional
-/// observability sink. Kept separate from [`World`] so a subsystem
-/// (borrowed from `World::subsystems`) or a machine (borrowed from
-/// `World::stacks`) and the core can be borrowed mutably at the same time.
+/// The shared simulation state every process handler operates on and
+/// every node's [`StackMachine`] runs against as its host: the engine,
+/// per-node phy state, the medium, metrics accumulators, the processes'
+/// own state and the optional observability sink. Kept separate from
+/// [`World`] so a machine (borrowed from `World::stacks`) and the core can
+/// be borrowed mutably at the same time.
 pub(crate) struct WorldCore {
     pub(crate) scenario: Scenario,
     pub(crate) engine: Engine,
@@ -387,6 +343,12 @@ pub(crate) struct WorldCore {
     pub(crate) file_metrics: FileMetrics,
     pub(crate) smallworld: Vec<(f64, SmallWorld)>,
     pub(crate) link_state: LinkState,
+    /// The churn process's dwell-time stream.
+    pub(crate) churn_rng: Rng,
+    /// The loss-burst process's dwell-time stream.
+    pub(crate) burst_rng: Rng,
+    /// Queries each node has injected as a query flooder, indexed by id.
+    pub(crate) flood_sent: Vec<u32>,
     pub(crate) answers_received: u64,
     /// Reusable transmission-planning buffers (zero-alloc hot path).
     pub(crate) scratch: TxScratch,
@@ -395,9 +357,9 @@ pub(crate) struct WorldCore {
     pub(crate) trace: TraceLog,
     /// Replication seed (kept for observability dump labels).
     pub(crate) seed: u64,
-    /// Observability sink, precomputed at construction; the `Off` variant
-    /// keeps the hot path to a single discriminant test per site.
-    pub(crate) obs: ObsSink,
+    /// Observability sink, precomputed at construction; `None` keeps the
+    /// hot path to a single discriminant test per site.
+    pub(crate) obs: Option<Box<ObsState>>,
 }
 
 impl WorldCore {
@@ -432,7 +394,7 @@ impl WorldCore {
     /// Mirror the world's always-on counters into the registry and (when
     /// `push_series`) append a time-series sample at `now`.
     pub(crate) fn obs_sample(&mut self, stacks: &[StackMachine], now: SimTime, push_series: bool) {
-        let ObsSink::On(mut obs) = std::mem::replace(&mut self.obs, ObsSink::Off) else {
+        let Some(mut obs) = self.obs.take() else {
             return;
         };
         obs.registry.set(obs.c_events, self.engine.events);
@@ -467,23 +429,19 @@ impl WorldCore {
         if push_series {
             obs.registry.sample(now.as_secs_f64());
         }
-        self.obs = ObsSink::On(obs);
+        self.obs = Some(obs);
     }
 
     /// Take a cadence-due series sample at `now`, advancing the cadence.
     /// Called after every observed event.
     #[inline]
     fn obs_series_tick(&mut self, stacks: &[StackMachine], now: SimTime) {
-        let due = match &mut self.obs {
-            ObsSink::On(o) => {
-                if o.series_due(now) {
-                    o.advance_sample(now);
-                    true
-                } else {
-                    false
-                }
+        let due = match self.obs.as_deref_mut() {
+            Some(o) if o.series_due(now) => {
+                o.advance_sample(now);
+                true
             }
-            ObsSink::Off => false,
+            _ => false,
         };
         if due {
             self.obs_sample(stacks, now, true);
@@ -494,10 +452,10 @@ impl WorldCore {
     /// totals in the report match the run's end state even with series
     /// sampling off.
     pub(crate) fn obs_final_sample(&mut self, stacks: &[StackMachine]) {
-        let push = match &self.obs {
-            ObsSink::On(o) => !o.sample_period.is_zero(),
-            ObsSink::Off => return,
+        let Some(o) = self.obs.as_deref() else {
+            return;
         };
+        let push = !o.sample_period.is_zero();
         let horizon = self.horizon();
         self.obs_sample(stacks, horizon, push);
     }
@@ -512,7 +470,7 @@ impl WorldCore {
         tag: &'static str,
         msg: impl FnOnce() -> String,
     ) {
-        if let Some(obs) = self.obs.on_mut() {
+        if let Some(obs) = self.obs.as_deref_mut() {
             if obs.recorder.enabled() {
                 obs.recorder.record(now.as_secs_f64(), severity, tag, msg());
             }
@@ -675,13 +633,13 @@ impl WorldCore {
     /// Consume the core and assemble the [`RunResult`].
     fn finish_result(self, stacks: &[StackMachine]) -> RunResult {
         let obs = match self.obs {
-            ObsSink::On(o) => ObsReport {
+            Some(o) => ObsReport {
                 registry: o.registry,
                 spans: o.spans,
                 recorder: o.recorder,
                 runs: 1,
             },
-            ObsSink::Off => ObsReport::default(),
+            None => ObsReport::default(),
         };
         let mut roles = [0usize; 5];
         let mut established = 0;
@@ -735,14 +693,13 @@ impl WorldCore {
     }
 }
 
-/// One replication of a [`Scenario`]: the shared crate-private core, one
-/// protocol machine per node and the registered subsystems.
+/// One replication of a [`Scenario`]: the shared crate-private core and
+/// one protocol machine per node.
 pub struct World {
     pub(crate) core: WorldCore,
     /// One [`StackMachine`] per node, indexed by id, run with the core as
     /// its host.
     pub(crate) stacks: Vec<StackMachine>,
-    pub(crate) subsystems: Vec<Box<dyn Subsystem>>,
 }
 
 impl World {
@@ -916,7 +873,6 @@ impl World {
         }
 
         let grid = SpatialGrid::with_positions(area, scenario.radio.range_m, &positions);
-        let mut subsystems = subsystems::build(&scenario, &master);
 
         let mut core = WorldCore {
             counters: NodeCounters::new(n),
@@ -924,6 +880,9 @@ impl World {
             smallworld: Vec::new(),
             radio_rng: master.fork(labels::RADIO),
             link_state: LinkState::default(),
+            churn_rng: master.fork(labels::CHURN),
+            burst_rng: master.fork(labels::FAULTS),
+            flood_sent: vec![0; n],
             engine: Engine::with_scheduler(scheduler),
             grid,
             medium,
@@ -940,48 +899,32 @@ impl World {
             oracle: HopOracle::default(),
             trace: TraceLog::with_seed(scenario.trace_capacity, seed),
             seed,
-            obs: ObsSink::new(scenario.obs),
+            obs: scenario
+                .obs
+                .enabled
+                .then(|| Box::new(ObsState::new(scenario.obs))),
             scenario,
         };
 
         // Seed initial events. Insertion order is part of the deterministic
         // contract (timestamp ties break by insertion), so the interleaving
-        // mirrors the pre-refactor monolith: per node, every subsystem's
-        // per-node seeds (mobility) then the staggered join; afterwards each
-        // subsystem's one-time seeds in registration order (samplers, churn
-        // draws, the fault plan's windows and crashes).
+        // mirrors the pre-refactor monolith: per node, the first mobility
+        // re-evaluation then the staggered join; afterwards every process's
+        // one-time seeds (sampler, churn draws, the fault plan's windows and
+        // crashes, flooders).
         let mut join_rng = master.fork(labels::JOIN);
-        for i in 0..n {
-            let id = NodeId(i as u32);
-            for (k, sub) in subsystems.iter_mut().enumerate() {
-                sub.seed_node(
-                    &mut SubCtx {
-                        core: &mut core,
-                        stacks: &mut stacks,
-                        owner: k as SubsystemId,
-                    },
-                    id,
-                );
-            }
-            if stacks[i].is_member() {
+        for stack in &stacks {
+            let id = stack.id();
+            mobility::schedule_next(&mut core, id, SimTime::ZERO);
+            if stack.is_member() {
                 let at =
                     SimTime::from_ticks(join_rng.below(core.scenario.join_window.ticks().max(1)));
                 core.engine.schedule(at, Event::Join(id));
             }
         }
-        for (k, sub) in subsystems.iter_mut().enumerate() {
-            sub.init(&mut SubCtx {
-                core: &mut core,
-                stacks: &mut stacks,
-                owner: k as SubsystemId,
-            });
-        }
+        subsystems::seed(&mut core);
 
-        Ok(World {
-            core,
-            stacks,
-            subsystems,
-        })
+        Ok(World { core, stacks })
     }
 
     /// Process the next event, if it lies within the scenario horizon.
@@ -992,7 +935,7 @@ impl World {
     /// with execution; [`run`](World::run) is the plain loop over it.
     pub fn step(&mut self) -> Option<SimTime> {
         let horizon = self.core.horizon();
-        if self.core.obs.is_on() {
+        if self.core.obs.is_some() {
             return self.step_observed(horizon);
         }
         let (now, event) = self.core.engine.pop_before(horizon)?;
@@ -1008,20 +951,25 @@ impl World {
     /// events or draws randomness — so observed and unobserved runs stay
     /// bit-identical.
     fn step_observed(&mut self, horizon: SimTime) -> Option<SimTime> {
-        let timed = self.core.obs.on_mut().expect("observed step").pop_timed();
+        let timed = self
+            .core
+            .obs
+            .as_deref_mut()
+            .expect("observed step")
+            .pop_timed();
         if timed {
             let t0 = Instant::now();
             let popped = self.core.engine.pop_before(horizon);
             let pop_elapsed = t0.elapsed();
             let Some((now, event)) = popped else {
-                let obs = self.core.obs.on_mut().expect("observed step");
+                let obs = self.core.obs.as_deref_mut().expect("observed step");
                 obs.spans.add_weighted(obs.s_pop, pop_elapsed, SPAN_STRIDE);
                 return None;
             };
             let t1 = Instant::now();
             self.dispatch(now, event);
             let dispatch_elapsed = t1.elapsed();
-            let obs = self.core.obs.on_mut().expect("observed step");
+            let obs = self.core.obs.as_deref_mut().expect("observed step");
             obs.spans.add_weighted(obs.s_pop, pop_elapsed, SPAN_STRIDE);
             obs.spans
                 .add_weighted(obs.s_dispatch, dispatch_elapsed, SPAN_STRIDE);
@@ -1035,39 +983,36 @@ impl World {
         }
     }
 
-    /// Route one event: node traffic to the node's machine through the
-    /// DES host, namespaced events to their owning subsystem.
+    /// Route one event to its handler: node traffic to the node's machine
+    /// through the DES host, process events to their process.
     fn dispatch(&mut self, now: SimTime, event: Event) {
-        if let ObsSink::On(obs) = &mut self.core.obs {
+        if let Some(obs) = self.core.obs.as_deref_mut() {
             let class = match &event {
                 Event::Deliver { .. } => obs.c_deliver,
                 Event::NodeTimer(_) => obs.c_timer,
                 Event::Join(_) => obs.c_join,
-                Event::Sub(_) => obs.c_sub,
+                _ => obs.c_sub,
             };
             obs.registry.inc(class, 1);
         }
         let core = &mut self.core;
+        let stacks = &mut self.stacks;
         match event {
-            Event::Deliver { to, from, msg } => crate::stack::phy::frame_arrival(
-                core,
-                &mut self.stacks[to.index()],
-                now,
-                FrameUp { from, msg },
-            ),
-            Event::NodeTimer(id) => {
-                crate::stack::node_timer(core, &mut self.stacks[id.index()], now)
+            Event::Deliver { to, from, msg } => {
+                stack::phy::frame_arrival(core, &mut stacks[to.index()], now, FrameUp { from, msg })
             }
-            Event::Join(id) => crate::stack::join(core, &mut self.stacks[id.index()], now),
-            Event::Sub(key) => self.subsystems[key.owner() as usize].handle(
-                &mut SubCtx {
-                    core,
-                    stacks: &mut self.stacks,
-                    owner: key.owner(),
-                },
-                now,
-                key.event(),
-            ),
+            Event::NodeTimer(id) => stack::node_timer(core, &mut stacks[id.index()], now),
+            Event::Join(id) => stack::join(core, &mut stacks[id.index()], now),
+            Event::Move(id) => mobility::on_move(core, id, now),
+            Event::ChurnDown(id) => churn::down(core, &mut stacks[id.index()], now),
+            Event::ChurnUp(id) => churn::up(core, &mut stacks[id.index()], now),
+            Event::Crash(id) => faults::crash(core, &mut stacks[id.index()], now),
+            Event::Restart(id) => faults::restart(core, &mut stacks[id.index()], now),
+            Event::Burst => faults::burst(core, now),
+            Event::Flap => faults::flap(core, now),
+            Event::Jitter => faults::jitter(core, now),
+            Event::SmallWorld => sampler::sample(core, stacks, now),
+            Event::Flood(id) => adversary::flood(core, &mut stacks[id.index()], now),
         }
     }
 
@@ -1098,7 +1043,7 @@ impl World {
                 .or_else(|| payload.downcast_ref::<String>().cloned())
                 .unwrap_or_else(|| "non-string panic payload".into());
             let now = self.core.engine.now();
-            if let Some(obs) = self.core.obs.on_mut() {
+            if let Some(obs) = self.core.obs.as_deref_mut() {
                 obs.recorder
                     .record(now.as_secs_f64(), Severity::Error, "panic", msg.clone());
             }
@@ -1108,7 +1053,7 @@ impl World {
         let now = self.core.engine.now();
         let mut violations = self.check_invariants(now);
         if !violations.is_empty() {
-            if let Some(obs) = self.core.obs.on_mut() {
+            if let Some(obs) = self.core.obs.as_deref_mut() {
                 for v in &violations {
                     obs.recorder
                         .record(now.as_secs_f64(), Severity::Error, "invariant", v.clone());
@@ -1135,10 +1080,10 @@ impl World {
     /// `dir`. Returns the path written, or `None` when the sink is
     /// disabled (or the write failed).
     pub fn dump_obs(&mut self, dir: &Path, label: &str, violations: &[String]) -> Option<PathBuf> {
-        self.core.obs.get()?;
+        self.core.obs.as_ref()?;
         let now = self.core.engine.now();
         self.core.obs_sample(&self.stacks, now, true);
-        let o = self.core.obs.get().expect("sink enabled");
+        let o = self.core.obs.as_deref().expect("sink enabled");
         let report = ObsReport {
             registry: o.registry.clone(),
             spans: o.spans.clone(),
@@ -1189,38 +1134,6 @@ mod tests {
 
     fn quick(algo: AlgoKind, n: usize, secs: u64, seed: u64) -> RunResult {
         World::new(Scenario::quick(n, algo, secs), seed).run()
-    }
-
-    #[test]
-    #[ignore = "diagnostic probe"]
-    fn calendar_probe() {
-        let nodes: usize = std::env::var("PROBE_NODES")
-            .ok()
-            .and_then(|v| v.parse().ok())
-            .unwrap_or(150);
-        let secs: u64 = std::env::var("PROBE_SECS")
-            .ok()
-            .and_then(|v| v.parse().ok())
-            .unwrap_or(300);
-        let kind = match std::env::var("PROBE_SCHED").as_deref() {
-            Ok("heap") => SchedulerKind::Heap,
-            _ => SchedulerKind::Calendar,
-        };
-        let mut w = World::with_scheduler(Scenario::quick(nodes, AlgoKind::Regular, secs), 7, kind);
-        let t0 = std::time::Instant::now();
-        let mut next_dump = 0u64;
-        while let Some(now) = w.step() {
-            if now.ticks() >= next_dump {
-                if let Some(s) = w.core.engine.calendar_stats() {
-                    eprintln!(
-                        "t={:>4}s pops={} winvisits={} fallbacks={} rebuilds={} width={} buckets={} items={}",
-                        now.ticks() / 1_000_000, s[0], s[1], s[2], s[3], s[4], s[5], s[6]
-                    );
-                }
-                next_dump = now.ticks() + 30_000_000;
-            }
-        }
-        eprintln!("wall: {:?} events={}", t0.elapsed(), w.core.engine.events);
     }
 
     #[test]

@@ -1,13 +1,16 @@
 //! The layered refactor's bit-identity contract.
 //!
-//! Every fingerprint below was captured on the pre-refactor monolithic
-//! `World` (one god-object owning the event mega-enum, all node state and
-//! all cross-cutting processes) and must be reproduced exactly by the
-//! engine + node-stack + subsystem decomposition. The scenarios cover the
-//! four algorithms plus every subsystem the refactor extracted: mobility,
-//! churn, the full fault plan (base loss, bursts, a crash with restart,
-//! link flaps, delay spikes), small-world sampling, group mobility and
-//! finite batteries.
+//! The first nine fingerprints below were captured on the pre-refactor
+//! monolithic `World` (one god-object owning the event mega-enum, all node
+//! state and all cross-cutting processes) and must be reproduced exactly
+//! by the engine + node-stack + process decomposition. The scenarios cover
+//! the four algorithms plus every process the refactor extracted:
+//! mobility, churn, the full fault plan (base loss, bursts, a crash with
+//! restart, link flaps, delay spikes), small-world sampling, group
+//! mobility and finite batteries. The last pin runs every process at once,
+//! the query flooder included, with five of them firing first at the same
+//! instant. It was captured before the processes became plain `Event`
+//! variants, and it moves if their seeding order does.
 //!
 //! If one of these fails, the refactored world is *behaviourally* different
 //! from the original — not merely restructured — and the change that broke
@@ -15,8 +18,8 @@
 
 use manet_des::{NodeId, SimDuration, SimTime};
 use manet_sim::{
-    BurstCfg, ChurnCfg, CrashEvent, FaultPlan, JitterSpikes, LinkFlaps, MobilityKind, PacketLoss,
-    Scenario, World,
+    Adversary, AdversaryRole, BurstCfg, ChurnCfg, CrashEvent, FaultPlan, JitterSpikes, LinkFlaps,
+    MobilityKind, PacketLoss, Scenario, World,
 };
 use p2p_core::AlgoKind;
 
@@ -106,4 +109,60 @@ fn group_mobility_with_battery_matches_pre_refactor_fingerprint() {
     let want = 0xa3bdaf4ba98a585au64;
     let got = fp(s, 21);
     assert_eq!(got, want, "groups+battery: 0x{got:016x} != 0x{want:016x}");
+}
+
+#[test]
+fn every_process_at_once_keeps_its_seeding_order() {
+    // Churn, the sampler, all four fault processes and a query flooder in
+    // one world. Seeding order only shows where events tie, so five of
+    // these processes fire their first event at t = 60 s: the sampler,
+    // the crash, the first flap, the first delay spike and the flooder.
+    let golden = [
+        (AlgoKind::Basic, 0x10bd_a2b8_4e1a_8d8fu64),
+        (AlgoKind::Hybrid, 0xd4f0_a7d3_0b91_e472),
+    ];
+    for (algo, want) in golden {
+        let mut s = Scenario::quick(80, algo, 120);
+        s.area_side = 50.0;
+        s.churn = Some(ChurnCfg {
+            mean_uptime: 120.0,
+            mean_downtime: 30.0,
+        });
+        s.smallworld_sample = Some(SimDuration::from_secs(60));
+        s.faults = FaultPlan {
+            loss: Some(PacketLoss {
+                base: 0.05,
+                burst: Some(BurstCfg {
+                    mean_quiet: 40.0,
+                    mean_burst: 10.0,
+                    burst_loss: 0.6,
+                }),
+            }),
+            crashes: vec![CrashEvent {
+                node: NodeId(5),
+                at: SimTime::from_secs(60),
+                restart_after: Some(SimDuration::from_secs(30)),
+            }],
+            link_flaps: Some(LinkFlaps {
+                period: SimDuration::from_secs(60),
+                down: SimDuration::from_secs(5),
+            }),
+            jitter: Some(JitterSpikes {
+                period: SimDuration::from_secs(60),
+                width: SimDuration::from_secs(10),
+                extra_delay: SimDuration::from_millis(40),
+            }),
+        };
+        s.adversaries = vec![Adversary {
+            node: NodeId(3),
+            role: AdversaryRole::QueryFlooder {
+                period: SimDuration::from_secs(60),
+            },
+        }];
+        let got = fp(s, 17);
+        assert_eq!(
+            got, want,
+            "every process {algo}: 0x{got:016x} != 0x{want:016x}"
+        );
+    }
 }
