@@ -102,15 +102,18 @@ cargo run --release -q --offline -p manet-sim --bin reproduce -- \
     --scenario corpus/SELFISH_MAJORITY.scn > /dev/null
 
 stage "swarm-smoke"
-# The real-time substrate end-to-end: an 8-process loopback swarm runs the
-# Regular algorithm over real UDP sockets for a few wall-seconds and must
-# answer at least one query with every child exiting cleanly (the swarm
-# bin asserts both and retries a bounded number of times before failing).
-cargo run --release -q --offline -p manet-rt --bin swarm -- \
-    --nodes 8 --algo regular --duration-ms 4000 --seed 1 \
-    --min-answered 1 --retries 2 \
-    | grep -q "SWARM OK" \
-    || { echo "swarm smoke: no answered query or unclean exit"; exit 1; }
+# The real-time substrate end-to-end: an 8-process loopback swarm runs each
+# symmetric-handshake algorithm (Regular, Random, Hybrid) over real UDP
+# sockets for a few wall-seconds and must answer at least one query with
+# every child exiting cleanly (the swarm bin asserts both and retries a
+# bounded number of times before failing).
+for algo in regular random hybrid; do
+    cargo run --release -q --offline -p manet-rt --bin swarm -- \
+        --nodes 8 --algo "$algo" --duration-ms 4000 --seed 1 \
+        --min-answered 1 --retries 2 \
+        | grep -q "SWARM OK" \
+        || { echo "swarm smoke ($algo): no answered query or unclean exit"; exit 1; }
+done
 # The same swarm with observability on: every child ships one telemetry
 # frame over stdout at shutdown, the parent merges them into one ObsReport
 # (counters must reconcile exactly with the RESULT lines — the swarm bin

@@ -14,12 +14,18 @@
 //! Symmetric connections (Regular/Random/Hybrid) have exactly one pinger —
 //! the paper's "number of pings and pongs was cut half" improvement. Basic
 //! connections are asymmetric: each reference owner pings independently.
+//!
+//! Symmetric connections open with the three-way handshake Probe → Offer →
+//! Accept → Confirm. Its three answering legs are written once here
+//! (`answer_probe`, `answer_offer`, `answer_accept`); the Regular and Random
+//! algorithms and the Hybrid algorithm's master tier all call them, and
+//! each caller decides only whether it has room.
 
 use std::collections::BTreeMap;
 
 use manet_des::{NodeId, SimTime};
 
-use crate::msg::{OvAction, OverlayMsg};
+use crate::msg::{OvAction, OverlayMsg, ProbeKind};
 use crate::params::OverlayParams;
 
 /// What role a connection plays (and which distance limit applies).
@@ -37,6 +43,18 @@ pub enum ConnKind {
     /// Hybrid: this node's link to its master (slave side) or to one of its
     /// slaves (master side).
     Slave,
+}
+
+impl ConnKind {
+    /// The kind of slot a handshake for `probe` fills.
+    fn of(probe: ProbeKind) -> ConnKind {
+        match probe {
+            ProbeKind::Basic => ConnKind::Basic,
+            ProbeKind::Regular => ConnKind::Regular,
+            ProbeKind::Random => ConnKind::Random,
+            ProbeKind::Master => ConnKind::Master,
+        }
+    }
 }
 
 /// Handshake progress.
@@ -197,15 +215,6 @@ impl ConnTable {
             .collect()
     }
 
-    /// Established peers of a given kind.
-    pub fn neighbors_of_kind(&self, kind: ConnKind) -> Vec<NodeId> {
-        self.conns
-            .iter()
-            .filter(|(_, c)| c.state == ConnState::Established && c.kind == kind)
-            .map(|(id, _)| *id)
-            .collect()
-    }
-
     // ------------------------------------------------------------------
     // Handshake transitions
     // ------------------------------------------------------------------
@@ -322,6 +331,72 @@ impl ConnTable {
         self.stats.closed[ConnStats::reason_index(reason)] += out.len() as u64;
         self.conns.clear();
         out
+    }
+
+    // ------------------------------------------------------------------
+    // The symmetric three-way handshake (Figs 2-4)
+    // ------------------------------------------------------------------
+
+    /// Leg 1, responder: answer `seeker`'s probe with an Offer when `room`
+    /// allows and no connection to it exists, holding a pending slot of the
+    /// probe's kind (this side will ping). Silence otherwise.
+    pub(crate) fn answer_probe(
+        &mut self,
+        seeker: NodeId,
+        kind: ProbeKind,
+        room: bool,
+        now: SimTime,
+    ) -> Vec<OvAction> {
+        if room && self.open_out(seeker, ConnKind::of(kind), now) {
+            vec![OvAction::Send {
+                to: seeker,
+                msg: OverlayMsg::Offer { kind },
+            }]
+        } else {
+            Vec::new()
+        }
+    }
+
+    /// Leg 2, seeker: accept `responder`'s Offer when `room` allows and no
+    /// connection to it exists, holding a pending slot (this side stays
+    /// passive). Otherwise count the refusal and reject.
+    pub(crate) fn answer_offer(
+        &mut self,
+        responder: NodeId,
+        kind: ProbeKind,
+        room: bool,
+        now: SimTime,
+    ) -> Vec<OvAction> {
+        let msg = if room && self.open_in(responder, ConnKind::of(kind), now) {
+            OverlayMsg::Accept { kind }
+        } else {
+            self.note_rejected();
+            OverlayMsg::Reject
+        };
+        vec![OvAction::Send { to: responder, msg }]
+    }
+
+    /// Leg 3, responder: `seeker` accepted our Offer. Establish and confirm
+    /// if our pending slot to it has the Accept's kind; otherwise (timed
+    /// out, replaced, another kind) reject, so the peer cleans up at once.
+    /// The flag tells whether a connection was established.
+    pub(crate) fn answer_accept(
+        &mut self,
+        seeker: NodeId,
+        kind: ProbeKind,
+        now: SimTime,
+        params: &OverlayParams,
+    ) -> (Vec<OvAction>, bool) {
+        let expected = self
+            .get(seeker)
+            .is_some_and(|c| c.kind == ConnKind::of(kind));
+        let established = expected && self.on_accepted(seeker, now, params);
+        let msg = if established {
+            OverlayMsg::Confirm
+        } else {
+            OverlayMsg::Reject
+        };
+        (vec![OvAction::Send { to: seeker, msg }], established)
     }
 
     // ------------------------------------------------------------------
@@ -730,18 +805,6 @@ mod tests {
             tb.next_wake(&p),
             (t(1) + p.handshake_timeout).min(t(0) + p.ping_interval)
         );
-    }
-
-    #[test]
-    fn neighbors_of_kind_filters() {
-        let p = params();
-        let mut tb = ConnTable::new();
-        establish_symmetric(&mut tb, NodeId(1), ConnKind::Regular, t(0));
-        establish_symmetric(&mut tb, NodeId(2), ConnKind::Random, t(0));
-        tb.adopt_basic(NodeId(3), t(0), &p);
-        assert_eq!(tb.neighbors_of_kind(ConnKind::Regular), vec![NodeId(1)]);
-        assert_eq!(tb.neighbors_of_kind(ConnKind::Random), vec![NodeId(2)]);
-        assert_eq!(tb.neighbors().len(), 3);
     }
 
     #[test]

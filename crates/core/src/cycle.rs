@@ -113,11 +113,6 @@ impl ProbeCycle {
         self.nhops = self.nhops_initial;
         self.next_attempt = now + self.timer;
     }
-
-    /// One backoff step without an attempt (failed handshake, rejection).
-    pub fn back_off(&mut self) {
-        self.timer = (self.timer * 2).min(self.max_timer);
-    }
 }
 
 #[cfg(test)]

@@ -4,9 +4,9 @@
 //! Every node carries a **qualifier** (battery, CPU — any capability
 //! score). Peers start in the *initial* state and flood capture messages;
 //! qualifier comparisons sort the population into **masters** (cluster
-//! heads, which talk to each other with the Regular algorithm's machinery)
-//! and **slaves** (which talk only to their master). The rules, from the
-//! paper:
+//! heads, which talk to each other with the Regular algorithm's
+//! handshake, the legs of [`ConnTable`]) and **slaves** (which talk only
+//! to their master). The rules, from the paper:
 //!
 //! * an initial peer that hears a capture from a *higher*-qualified peer
 //!   tries to become its slave (three-way handshake, passing through the
@@ -110,6 +110,11 @@ impl HybridAlgo {
         self.table.count_kind(ConnKind::Master)
     }
 
+    /// Room for another master-to-master link: only masters have any.
+    fn master_room(&self) -> bool {
+        self.state == State::Master && self.master_link_count() < self.params.max_conn
+    }
+
     /// Enter `state`. Returning to `Initial` after a failure keeps the
     /// current backoff and waits one timer before the next capture flood
     /// (`cycle.rearm`) — an immediate re-flood would hit the same full
@@ -206,8 +211,7 @@ impl Reconfigurator for HybridAlgo {
                 self.last_had_slaves = now;
             } else if now >= self.last_had_slaves + self.params.master_idle_timeout {
                 // "This master could, potentially, be another peer slave."
-                let dropped = self.table.close_all(CloseReason::Reset);
-                let _ = dropped;
+                self.table.close_all(CloseReason::Reset);
                 self.transition(State::Initial, now);
             }
         }
@@ -273,19 +277,9 @@ impl Reconfigurator for HybridAlgo {
                 kind: ProbeKind::Master,
             } => {
                 // Master-to-master discovery: only masters answer.
-                if self.state == State::Master
-                    && self.master_link_count() < self.params.max_conn
-                    && self.table.open_out(origin, ConnKind::Master, now)
-                {
-                    vec![OvAction::Send {
-                        to: origin,
-                        msg: OverlayMsg::Offer {
-                            kind: ProbeKind::Master,
-                        },
-                    }]
-                } else {
-                    Vec::new()
-                }
+                let room = self.master_room();
+                self.table
+                    .answer_probe(origin, ProbeKind::Master, room, now)
             }
             _ => Vec::new(),
         }
@@ -359,43 +353,19 @@ impl Reconfigurator for HybridAlgo {
             OverlayMsg::Offer {
                 kind: ProbeKind::Master,
             } => {
-                if self.state == State::Master
-                    && self.master_link_count() < self.params.max_conn
-                    && self.table.open_in(src, ConnKind::Master, now)
-                {
-                    vec![OvAction::Send {
-                        to: src,
-                        msg: OverlayMsg::Accept {
-                            kind: ProbeKind::Master,
-                        },
-                    }]
-                } else {
-                    self.table.note_rejected();
-                    vec![OvAction::Send {
-                        to: src,
-                        msg: OverlayMsg::Reject,
-                    }]
-                }
+                let room = self.master_room();
+                self.table.answer_offer(src, ProbeKind::Master, room, now)
             }
             OverlayMsg::Accept {
                 kind: ProbeKind::Master,
             } => {
-                let matches_kind = self
-                    .table
-                    .get(src)
-                    .is_some_and(|c| c.kind == ConnKind::Master);
-                if matches_kind && self.table.on_accepted(src, now, &self.params) {
+                let (reply, established) =
+                    self.table
+                        .answer_accept(src, ProbeKind::Master, now, &self.params);
+                if established {
                     self.cycle.on_connected();
-                    vec![OvAction::Send {
-                        to: src,
-                        msg: OverlayMsg::Confirm,
-                    }]
-                } else {
-                    vec![OvAction::Send {
-                        to: src,
-                        msg: OverlayMsg::Reject,
-                    }]
                 }
+                reply
             }
             OverlayMsg::Confirm => {
                 if self.table.on_confirmed(src, now) {

@@ -8,14 +8,16 @@
 //! |---|---|---|
 //! | [`BasicAlgo`] | Fig 1 | Fixed-radius flooding, fixed retry timer, asymmetric references, both sides ping — the Gnutella-like baseline. |
 //! | [`RegularAlgo`] | Fig 2 | Progressive discovery radius, `MAXDIST` pruning, symmetric three-way handshake with a single pinger, exponential backoff. |
-//! | [`RandomAlgo`] | Fig 3 | Regular plus one long-range "small-world" connection to the farthest responder within a random radius. |
+//! | [`RegularAlgo::with_random_slot`] | Fig 3 | Random: Regular plus one long-range "small-world" connection to the farthest responder within a random radius ([`random`]). |
 //! | [`HybridAlgo`] | Fig 4 | Master/slave clustering by capability qualifier for heterogeneous networks. |
 //!
-//! All four implement [`Reconfigurator`]: pure state machines taking
+//! All four run as [`Reconfigurator`]s: pure state machines taking
 //! `(now, input)` and returning [`OvAction`]s (hop-limited floods and routed
 //! unicasts) for the node's network stack to execute. "Connections" are
-//! *references* in the paper's sense — see [`conn`] for the table and the
-//! ping/pong maintenance engine shared by all algorithms.
+//! *references* in the paper's sense — see [`conn`] for the table, the
+//! ping/pong maintenance engine shared by all algorithms, and the three
+//! legs of the symmetric handshake that Regular, Random and Hybrid's
+//! masters share.
 //!
 //! ```
 //! use manet_des::{NodeId, SimTime};
@@ -48,7 +50,6 @@ pub use cycle::ProbeCycle;
 pub use hybrid::HybridAlgo;
 pub use msg::{MsgCategory, OvAction, OverlayMsg, ProbeKind};
 pub use params::OverlayParams;
-pub use random::RandomAlgo;
 pub use regular::RegularAlgo;
 pub use wire::{decode_overlay, encode_overlay};
 
@@ -108,7 +109,7 @@ pub fn build_algo(
     match kind {
         AlgoKind::Basic => Box::new(BasicAlgo::new(id, params)),
         AlgoKind::Regular => Box::new(RegularAlgo::new(id, params)),
-        AlgoKind::Random => Box::new(RandomAlgo::new(id, params, rng)),
+        AlgoKind::Random => Box::new(RegularAlgo::with_random_slot(id, params, rng)),
         AlgoKind::Hybrid => Box::new(HybridAlgo::new(id, params, qualifier)),
     }
 }

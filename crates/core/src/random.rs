@@ -1,20 +1,24 @@
-//! The Random algorithm (Fig 3) — Regular plus one small-world rewiring.
+//! The Random algorithm's long-range slot (Fig 3).
 //!
-//! The first `MAXNCONN - 1` connections are established exactly as in the
-//! Regular algorithm ("regular connections"). The last slot is a **random
-//! connection**: the node floods a probe with a TTL drawn uniformly from
-//! `[nhops, 2 * MAXNHOPS]`, waits for responses, and completes the
-//! handshake only with the *most distant* responder. These long links are
-//! the bridges of the Watts–Strogatz construction: a few of them should
-//! shorten the overlay's characteristic path length while leaving its
-//! clustering coefficient high. A random connection that goes down must be
-//! replaced by another random connection.
+//! The Random algorithm is Regular plus one slot. Its first `MAXNCONN - 1`
+//! connections are established exactly as in the Regular algorithm
+//! ("regular connections"), so a Random node is a
+//! [`RegularAlgo`](crate::RegularAlgo) built
+//! [`with_random_slot`](crate::RegularAlgo::with_random_slot). The last slot
+//! is a **random connection**: the node floods a probe with a TTL drawn
+//! uniformly from `[nhops, 2 * MAXNHOPS]`, waits for responses, and
+//! completes the handshake only with the *most distant* responder. These
+//! long links are the bridges of the Watts–Strogatz construction: a few of
+//! them should shorten the overlay's characteristic path length while
+//! leaving its clustering coefficient high. A random connection that goes
+//! down must be replaced by another random connection.
+//!
+//! This module holds only what the slot adds to Regular: the random probe,
+//! the window that gathers the responders' offers, and its resolution.
 
 use manet_des::{NodeId, Rng, SimTime};
 
-use crate::api::{Reconfigurator, Role};
-use crate::conn::{CloseReason, ConnKind, ConnStats, ConnTable};
-use crate::cycle::ProbeCycle;
+use crate::conn::{ConnKind, ConnTable};
 use crate::msg::{OvAction, OverlayMsg, ProbeKind};
 use crate::params::OverlayParams;
 
@@ -29,114 +33,102 @@ struct Gather {
     others: Vec<NodeId>,
 }
 
-/// Random-algorithm state for one node.
+/// The Random algorithm's last slot: the RNG that draws the random probe's
+/// TTL, and the gather window while one is open.
 #[derive(Clone, Debug)]
-pub struct RandomAlgo {
-    id: NodeId,
-    params: OverlayParams,
-    table: ConnTable,
-    cycle: ProbeCycle,
+pub(crate) struct RandomSlot {
     rng: Rng,
     gather: Option<Gather>,
-    started: bool,
 }
 
-impl RandomAlgo {
-    /// A node running the Random algorithm. `rng` drives the random TTL.
-    pub fn new(id: NodeId, params: OverlayParams, rng: Rng) -> Self {
-        params.validate();
-        assert!(
-            params.max_conn >= 2,
-            "the Random algorithm needs at least one regular and one random slot"
-        );
-        RandomAlgo {
-            id,
-            params,
-            table: ConnTable::new(),
-            cycle: ProbeCycle::new(&params, SimTime::ZERO),
-            rng,
-            gather: None,
-            started: false,
+impl RandomSlot {
+    pub(crate) fn new(rng: Rng) -> Self {
+        RandomSlot { rng, gather: None }
+    }
+
+    /// The slot wants a random probe: no window is open, `table` holds no
+    /// random connection (live or pending), and a slot is free.
+    pub(crate) fn wants(&self, table: &ConnTable, params: &OverlayParams) -> bool {
+        self.gather.is_none()
+            && table.count_kind(ConnKind::Random) == 0
+            && table.len() < params.max_conn
+    }
+
+    /// When the open window closes.
+    pub(crate) fn deadline(&self) -> Option<SimTime> {
+        self.gather.as_ref().map(|g| g.deadline)
+    }
+
+    /// The random probe of an attempt at radius `nhops` ("set randhops to a
+    /// randomly chosen value between nhops and 2 * MAXNHOPS"). Opens the
+    /// window that gathers the responders' offers.
+    pub(crate) fn probe(&mut self, nhops: u8, now: SimTime, params: &OverlayParams) -> OvAction {
+        let randhops = self
+            .rng
+            .range_u64(nhops as u64, 2 * params.max_nhops as u64) as u8;
+        self.gather = Some(Gather {
+            deadline: now + params.random_response_wait,
+            best: None,
+            others: Vec::new(),
+        });
+        OvAction::Flood {
+            ttl: randhops.max(1),
+            msg: OverlayMsg::Probe {
+                kind: ProbeKind::Random,
+            },
         }
     }
 
-    /// This node's id.
-    pub fn id(&self) -> NodeId {
-        self.id
+    /// A responder's Offer: gather it, its distance being the routed hops.
+    /// With no window open it is refused, as leg 2 refuses without room.
+    pub(crate) fn on_offer(
+        &mut self,
+        responder: NodeId,
+        hops: u8,
+        table: &mut ConnTable,
+        now: SimTime,
+    ) -> Vec<OvAction> {
+        let Some(g) = &mut self.gather else {
+            return table.answer_offer(responder, ProbeKind::Random, false, now);
+        };
+        match g.best {
+            None => g.best = Some((hops, responder)),
+            Some((bh, bid)) => {
+                if hops > bh || (hops == bh && responder < bid) {
+                    g.others.push(bid);
+                    g.best = Some((hops, responder));
+                } else {
+                    g.others.push(responder);
+                }
+            }
+        }
+        Vec::new()
     }
 
-    /// Read access to the connection table.
-    pub fn table(&self) -> &ConnTable {
-        &self.table
-    }
-
-    fn regular_demand(&self) -> bool {
-        self.table.count_kind(ConnKind::Regular) < self.params.max_conn - 1
-            && self.table.len() < self.params.max_conn
-    }
-
-    fn random_demand(&self) -> bool {
-        self.table.count_kind(ConnKind::Random) == 0
-            && self.gather.is_none()
-            && self.table.len() < self.params.max_conn
-    }
-
-    fn probe_if_due(&mut self, now: SimTime, out: &mut Vec<OvAction>) {
-        if !self.started || !(self.regular_demand() || self.random_demand()) {
+    /// Once the window's deadline has passed, the node "only continues the
+    /// three-way handshake with the most distant neighbor", if a slot is
+    /// still free, and rejects the others. These rejections count no
+    /// refusal: the node asked for the offers.
+    pub(crate) fn resolve_if_due(
+        &mut self,
+        now: SimTime,
+        table: &mut ConnTable,
+        params: &OverlayParams,
+        out: &mut Vec<OvAction>,
+    ) {
+        let Some(g) = self.gather.take_if(|g| now >= g.deadline) else {
             return;
-        }
-        if let Some(nhops) = self.cycle.poll(now) {
-            if self.regular_demand() {
-                out.push(OvAction::Flood {
-                    ttl: nhops,
-                    msg: OverlayMsg::Probe {
-                        kind: ProbeKind::Regular,
-                    },
-                });
-            }
-            if self.random_demand() {
-                // "set randhops to a randomly chosen value between nhops
-                // and 2 * MAXNHOPS"
-                let randhops = self
-                    .rng
-                    .range_u64(nhops as u64, 2 * self.params.max_nhops as u64)
-                    as u8;
-                out.push(OvAction::Flood {
-                    ttl: randhops.max(1),
-                    msg: OverlayMsg::Probe {
-                        kind: ProbeKind::Random,
-                    },
-                });
-                self.gather = Some(Gather {
-                    deadline: now + self.params.random_response_wait,
-                    best: None,
-                    others: Vec::new(),
-                });
-            }
-        }
-    }
-
-    /// Resolve the gather window: accept the farthest responder, reject the
-    /// rest ("only continues the three-way handshake with the most distant
-    /// neighbor").
-    fn resolve_gather(&mut self, now: SimTime, out: &mut Vec<OvAction>) {
-        let Some(g) = self.gather.take() else { return };
+        };
         if let Some((_, chosen)) = g.best {
-            if self.table.len() < self.params.max_conn
-                && self.table.open_in(chosen, ConnKind::Random, now)
-            {
-                out.push(OvAction::Send {
-                    to: chosen,
-                    msg: OverlayMsg::Accept {
+            let msg =
+                if table.len() < params.max_conn && table.open_in(chosen, ConnKind::Random, now) {
+                    OverlayMsg::Accept {
                         kind: ProbeKind::Random,
-                    },
-                });
-            } else {
-                out.push(OvAction::Send {
-                    to: chosen,
-                    msg: OverlayMsg::Reject,
-                });
-            }
+                    }
+                } else {
+                    OverlayMsg::Reject
+                };
+            out.push(OvAction::Send { to: chosen, msg });
         }
         for peer in g.others {
             out.push(OvAction::Send {
@@ -147,199 +139,10 @@ impl RandomAlgo {
     }
 }
 
-impl Reconfigurator for RandomAlgo {
-    fn start(&mut self, now: SimTime) -> Vec<OvAction> {
-        self.started = true;
-        self.cycle.reset(now);
-        let mut out = Vec::new();
-        self.probe_if_due(now, &mut out);
-        out
-    }
-
-    fn tick(&mut self, now: SimTime) -> Vec<OvAction> {
-        let mut outcome = self.table.tick(now, &self.params);
-        let mut out = std::mem::take(&mut outcome.actions);
-        if self.gather.as_ref().is_some_and(|g| now >= g.deadline) {
-            self.resolve_gather(now, &mut out);
-        }
-        self.probe_if_due(now, &mut out);
-        out
-    }
-
-    fn on_flood(
-        &mut self,
-        now: SimTime,
-        origin: NodeId,
-        _hops: u8,
-        msg: &OverlayMsg,
-    ) -> Vec<OvAction> {
-        if !self.started || origin == self.id {
-            return Vec::new();
-        }
-        match msg {
-            OverlayMsg::Probe {
-                kind: ProbeKind::Regular,
-            } => {
-                // Responder side of a regular handshake, as in Regular.
-                if self.table.len() < self.params.max_conn
-                    && self.table.open_out(origin, ConnKind::Regular, now)
-                {
-                    vec![OvAction::Send {
-                        to: origin,
-                        msg: OverlayMsg::Offer {
-                            kind: ProbeKind::Regular,
-                        },
-                    }]
-                } else {
-                    Vec::new()
-                }
-            }
-            OverlayMsg::Probe {
-                kind: ProbeKind::Random,
-            } => {
-                // Answer a random probe; the seeker will pick the farthest.
-                if self.table.len() < self.params.max_conn
-                    && self.table.open_out(origin, ConnKind::Random, now)
-                {
-                    vec![OvAction::Send {
-                        to: origin,
-                        msg: OverlayMsg::Offer {
-                            kind: ProbeKind::Random,
-                        },
-                    }]
-                } else {
-                    Vec::new()
-                }
-            }
-            _ => Vec::new(),
-        }
-    }
-
-    fn on_msg(&mut self, now: SimTime, src: NodeId, hops: u8, msg: &OverlayMsg) -> Vec<OvAction> {
-        match msg {
-            OverlayMsg::Offer {
-                kind: ProbeKind::Regular,
-            } => {
-                if self.started
-                    && self.regular_demand()
-                    && self.table.open_in(src, ConnKind::Regular, now)
-                {
-                    vec![OvAction::Send {
-                        to: src,
-                        msg: OverlayMsg::Accept {
-                            kind: ProbeKind::Regular,
-                        },
-                    }]
-                } else {
-                    self.table.note_rejected();
-                    vec![OvAction::Send {
-                        to: src,
-                        msg: OverlayMsg::Reject,
-                    }]
-                }
-            }
-            OverlayMsg::Offer {
-                kind: ProbeKind::Random,
-            } => {
-                // Collect into the gather window; distance = routed hops.
-                match &mut self.gather {
-                    Some(g) => {
-                        match g.best {
-                            None => g.best = Some((hops, src)),
-                            Some((bh, bid)) => {
-                                if hops > bh || (hops == bh && src < bid) {
-                                    g.others.push(bid);
-                                    g.best = Some((hops, src));
-                                } else {
-                                    g.others.push(src);
-                                }
-                            }
-                        }
-                        Vec::new()
-                    }
-                    None => {
-                        self.table.note_rejected();
-                        vec![OvAction::Send {
-                            to: src,
-                            msg: OverlayMsg::Reject,
-                        }]
-                    }
-                }
-            }
-            OverlayMsg::Accept { kind } => {
-                // Our Offer (regular or random) was accepted.
-                let expected = match kind {
-                    ProbeKind::Regular => ConnKind::Regular,
-                    ProbeKind::Random => ConnKind::Random,
-                    _ => return Vec::new(),
-                };
-                let matches_kind = self.table.get(src).is_some_and(|c| c.kind == expected);
-                if matches_kind && self.table.on_accepted(src, now, &self.params) {
-                    self.cycle.on_connected();
-                    vec![OvAction::Send {
-                        to: src,
-                        msg: OverlayMsg::Confirm,
-                    }]
-                } else {
-                    vec![OvAction::Send {
-                        to: src,
-                        msg: OverlayMsg::Reject,
-                    }]
-                }
-            }
-            OverlayMsg::Confirm => {
-                if self.table.on_confirmed(src, now) {
-                    self.cycle.on_connected();
-                }
-                Vec::new()
-            }
-            OverlayMsg::Reject => {
-                self.table.close(src, CloseReason::Rejected);
-                Vec::new()
-            }
-            OverlayMsg::Ping { token } => {
-                self.table.on_ping(src, *token, now).into_iter().collect()
-            }
-            OverlayMsg::Pong { token } => {
-                self.table.on_pong(src, *token, hops, now, &self.params);
-                Vec::new()
-            }
-            _ => Vec::new(),
-        }
-    }
-
-    fn on_unreachable(&mut self, _now: SimTime, dst: NodeId) -> Vec<OvAction> {
-        self.table.on_unreachable(dst);
-        Vec::new()
-    }
-
-    fn neighbors(&self) -> Vec<NodeId> {
-        self.table.neighbors()
-    }
-
-    fn next_wake(&self) -> SimTime {
-        let mut wake = self.table.next_wake(&self.params);
-        if let Some(g) = &self.gather {
-            wake = wake.min(g.deadline);
-        }
-        if self.started && (self.regular_demand() || self.random_demand()) {
-            wake = wake.min(self.cycle.next_attempt());
-        }
-        wake
-    }
-
-    fn conn_stats(&self) -> &ConnStats {
-        self.table.stats()
-    }
-
-    fn role(&self) -> Role {
-        Role::Servent
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::{Reconfigurator, RegularAlgo};
 
     fn params() -> OverlayParams {
         OverlayParams::default()
@@ -349,8 +152,8 @@ mod tests {
         SimTime::from_secs(s)
     }
 
-    fn algo() -> RandomAlgo {
-        RandomAlgo::new(NodeId(0), params(), Rng::new(42))
+    fn algo() -> RegularAlgo {
+        RegularAlgo::with_random_slot(NodeId(0), params(), Rng::new(42))
     }
 
     fn offer_random() -> OverlayMsg {
@@ -404,7 +207,7 @@ mod tests {
         let p = params();
         let mut seen = std::collections::BTreeSet::new();
         for seed in 0..40 {
-            let mut a = RandomAlgo::new(NodeId(0), p, Rng::new(seed));
+            let mut a = RegularAlgo::with_random_slot(NodeId(0), p, Rng::new(seed));
             for act in a.start(t(0)) {
                 if let OvAction::Flood {
                     ttl,
@@ -551,7 +354,7 @@ mod tests {
 
     #[test]
     fn responder_side_answers_random_probe() {
-        let mut b = RandomAlgo::new(NodeId(1), params(), Rng::new(7));
+        let mut b = RegularAlgo::with_random_slot(NodeId(1), params(), Rng::new(7));
         b.start(t(0));
         let out = b.on_flood(
             t(1),
@@ -611,7 +414,7 @@ mod tests {
 
     #[test]
     fn accept_with_mismatched_kind_is_rejected() {
-        let mut b = RandomAlgo::new(NodeId(1), params(), Rng::new(7));
+        let mut b = RegularAlgo::with_random_slot(NodeId(1), params(), Rng::new(7));
         b.start(t(0));
         b.on_flood(
             t(1),

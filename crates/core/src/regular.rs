@@ -1,4 +1,5 @@
-//! The Regular algorithm (Fig 2).
+//! The Regular algorithm (Fig 2), which the Random algorithm (Fig 3)
+//! extends by one slot.
 //!
 //! Four improvements over Basic, quoting the paper:
 //!
@@ -10,22 +11,35 @@
 //!    pings — half the keep-alive messages;
 //! 4. the retry timer doubles after every fruitless sweep (up to
 //!    `MAXTIMER`) and resets when a connection is established.
+//!
+//! The Random algorithm establishes its first `MAXNCONN - 1` connections
+//! exactly as Regular does, so a Random node is this machine built
+//! [`with_random_slot`](RegularAlgo::with_random_slot): the last slot holds
+//! the long-range connection of [`crate::random`]. A plain Regular node
+//! ignores the random slot's probes, offers and accepts. The handshake legs
+//! themselves are [`ConnTable`]'s, shared with the Hybrid algorithm's
+//! masters.
 
-use manet_des::{NodeId, SimTime};
+use manet_des::{NodeId, Rng, SimTime};
 
 use crate::api::{Reconfigurator, Role};
 use crate::conn::{ConnKind, ConnStats, ConnTable};
 use crate::cycle::ProbeCycle;
 use crate::msg::{OvAction, OverlayMsg, ProbeKind};
 use crate::params::OverlayParams;
+use crate::random::RandomSlot;
 
-/// Regular-algorithm state for one node.
+/// Regular-algorithm state for one node, plus the random slot when the
+/// node runs the Random algorithm.
 #[derive(Clone, Debug)]
 pub struct RegularAlgo {
     id: NodeId,
     params: OverlayParams,
     table: ConnTable,
     cycle: ProbeCycle,
+    /// The Random algorithm's long-range slot; `None` runs plain Regular.
+    /// Boxed, so a Regular node carries one pointer for it.
+    random: Option<Box<RandomSlot>>,
     started: bool,
 }
 
@@ -38,8 +52,21 @@ impl RegularAlgo {
             params,
             table: ConnTable::new(),
             cycle: ProbeCycle::new(&params, SimTime::ZERO),
+            random: None,
             started: false,
         }
+    }
+
+    /// A node running the Random algorithm: Regular plus the random slot.
+    /// `rng` draws the random probes' TTLs.
+    pub fn with_random_slot(id: NodeId, params: OverlayParams, rng: Rng) -> Self {
+        let mut algo = Self::new(id, params);
+        assert!(
+            params.max_conn >= 2,
+            "the Random algorithm needs at least one regular and one random slot"
+        );
+        algo.random = Some(Box::new(RandomSlot::new(rng)));
+        algo
     }
 
     /// This node's id.
@@ -57,21 +84,47 @@ impl RegularAlgo {
         &self.cycle
     }
 
-    fn wants_connections(&self) -> bool {
+    /// Room for another regular connection: a free slot, and under the
+    /// Random algorithm fewer than `MAXNCONN - 1` regular connections.
+    fn regular_demand(&self) -> bool {
         self.table.len() < self.params.max_conn
+            && (self.random.is_none()
+                || self.table.count_kind(ConnKind::Regular) < self.params.max_conn - 1)
+    }
+
+    /// The random slot wants a random probe.
+    pub(crate) fn random_demand(&self) -> bool {
+        self.random
+            .as_ref()
+            .is_some_and(|slot| slot.wants(&self.table, &self.params))
+    }
+
+    /// Whether this node takes part in handshakes of `kind`: Regular
+    /// always, Random only with the random slot.
+    fn owns(&self, kind: ProbeKind) -> bool {
+        kind == ProbeKind::Regular || (kind == ProbeKind::Random && self.random.is_some())
     }
 
     fn probe_if_due(&mut self, now: SimTime, out: &mut Vec<OvAction>) {
-        if !self.started || !self.wants_connections() {
+        if !self.started || !(self.regular_demand() || self.random_demand()) {
             return;
         }
         if let Some(nhops) = self.cycle.poll(now) {
-            out.push(OvAction::Flood {
-                ttl: nhops,
-                msg: OverlayMsg::Probe {
-                    kind: ProbeKind::Regular,
-                },
-            });
+            if self.regular_demand() {
+                out.push(OvAction::Flood {
+                    ttl: nhops,
+                    msg: OverlayMsg::Probe {
+                        kind: ProbeKind::Regular,
+                    },
+                });
+            }
+            if let Some(slot) = self
+                .random
+                .as_mut()
+                .filter(|slot| slot.wants(&self.table, &self.params))
+            {
+                out.push(slot.probe(nhops, now, &self.params));
+            }
         }
     }
 }
@@ -86,8 +139,10 @@ impl Reconfigurator for RegularAlgo {
     }
 
     fn tick(&mut self, now: SimTime) -> Vec<OvAction> {
-        let mut outcome = self.table.tick(now, &self.params);
-        let mut out = std::mem::take(&mut outcome.actions);
+        let mut out = self.table.tick(now, &self.params).actions;
+        if let Some(slot) = &mut self.random {
+            slot.resolve_if_due(now, &mut self.table, &self.params, &mut out);
+        }
         self.probe_if_due(now, &mut out);
         out
     }
@@ -100,21 +155,11 @@ impl Reconfigurator for RegularAlgo {
         msg: &OverlayMsg,
     ) -> Vec<OvAction> {
         match msg {
-            OverlayMsg::Probe {
-                kind: ProbeKind::Regular,
-            } if self.started && origin != self.id => {
-                // "A node willing to connect starts a three-way handshake
-                // with the sender."
-                if self.wants_connections() && self.table.open_out(origin, ConnKind::Regular, now) {
-                    vec![OvAction::Send {
-                        to: origin,
-                        msg: OverlayMsg::Offer {
-                            kind: ProbeKind::Regular,
-                        },
-                    }]
-                } else {
-                    Vec::new()
-                }
+            // "A node willing to connect starts a three-way handshake with
+            // the sender" (a random probe's seeker keeps only the farthest).
+            OverlayMsg::Probe { kind } if self.started && origin != self.id && self.owns(*kind) => {
+                let room = self.table.len() < self.params.max_conn;
+                self.table.answer_probe(origin, *kind, room, now)
             }
             _ => Vec::new(),
         }
@@ -125,41 +170,21 @@ impl Reconfigurator for RegularAlgo {
             OverlayMsg::Offer {
                 kind: ProbeKind::Regular,
             } => {
-                if self.started
-                    && self.wants_connections()
-                    && self.table.open_in(src, ConnKind::Regular, now)
-                {
-                    vec![OvAction::Send {
-                        to: src,
-                        msg: OverlayMsg::Accept {
-                            kind: ProbeKind::Regular,
-                        },
-                    }]
-                } else {
-                    self.table.note_rejected();
-                    vec![OvAction::Send {
-                        to: src,
-                        msg: OverlayMsg::Reject,
-                    }]
-                }
+                let room = self.started && self.regular_demand();
+                self.table.answer_offer(src, ProbeKind::Regular, room, now)
             }
-            OverlayMsg::Accept {
-                kind: ProbeKind::Regular,
-            } => {
-                if self.table.on_accepted(src, now, &self.params) {
+            OverlayMsg::Offer {
+                kind: ProbeKind::Random,
+            } => match &mut self.random {
+                Some(slot) => slot.on_offer(src, hops, &mut self.table, now),
+                None => Vec::new(),
+            },
+            OverlayMsg::Accept { kind } if self.owns(*kind) => {
+                let (reply, established) = self.table.answer_accept(src, *kind, now, &self.params);
+                if established {
                     self.cycle.on_connected();
-                    vec![OvAction::Send {
-                        to: src,
-                        msg: OverlayMsg::Confirm,
-                    }]
-                } else {
-                    // Our pending side is gone (timed out, replaced): tell
-                    // the peer so it cleans up immediately.
-                    vec![OvAction::Send {
-                        to: src,
-                        msg: OverlayMsg::Reject,
-                    }]
                 }
+                reply
             }
             OverlayMsg::Confirm => {
                 if self.table.on_confirmed(src, now) {
@@ -192,12 +217,14 @@ impl Reconfigurator for RegularAlgo {
     }
 
     fn next_wake(&self) -> SimTime {
-        let probe = if self.started && self.wants_connections() {
-            self.cycle.next_attempt()
-        } else {
-            SimTime::MAX
-        };
-        probe.min(self.table.next_wake(&self.params))
+        let mut wake = self.table.next_wake(&self.params);
+        if let Some(deadline) = self.random.as_deref().and_then(RandomSlot::deadline) {
+            wake = wake.min(deadline);
+        }
+        if self.started && (self.regular_demand() || self.random_demand()) {
+            wake = wake.min(self.cycle.next_attempt());
+        }
+        wake
     }
 
     fn conn_stats(&self) -> &ConnStats {

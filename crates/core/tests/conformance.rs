@@ -6,12 +6,61 @@
 //! transport so that failures here are always the algorithm's fault, not
 //! the network's.
 
-use manet_des::{NodeId, SimDuration};
+use manet_des::{NodeId, Rng, SimDuration, SimTime};
 use p2p_core::testkit::MiniNet;
-use p2p_core::{AlgoKind, OverlayMsg, OverlayParams, ProbeKind, Role};
+use p2p_core::{build_algo, AlgoKind, OverlayMsg, OverlayParams, ProbeKind, Role};
 
 fn net(kind: AlgoKind, n: usize) -> MiniNet {
     MiniNet::new(kind, n, OverlayParams::default(), 0xC0FFEE)
+}
+
+#[test]
+fn foreign_handshake_kinds_are_ignored() {
+    // Every simulated world runs one algorithm, so no run ever hands a node
+    // a handshake leg of a kind it does not own: a Regular node never sees
+    // the Random algorithm's long-range probe. Fed one anyway, a node must
+    // stay exactly as it was: no reply, no slot, no rejection counted and
+    // no timer moved.
+    let owned = |kind: AlgoKind| -> &'static [ProbeKind] {
+        match kind {
+            AlgoKind::Basic => &[ProbeKind::Basic],
+            AlgoKind::Regular => &[ProbeKind::Regular],
+            AlgoKind::Random => &[ProbeKind::Regular, ProbeKind::Random],
+            AlgoKind::Hybrid => &[ProbeKind::Master],
+        }
+    };
+    let started = |kind: AlgoKind| {
+        let mut algo = build_algo(kind, NodeId(1), OverlayParams::default(), 42, Rng::new(7));
+        algo.start(SimTime::ZERO);
+        algo
+    };
+    let (peer, now) = (NodeId(9), SimTime::from_secs(1));
+    for kind in AlgoKind::ALL {
+        let twin = started(kind);
+        for probe in [
+            ProbeKind::Basic,
+            ProbeKind::Regular,
+            ProbeKind::Random,
+            ProbeKind::Master,
+        ] {
+            if owned(kind).contains(&probe) {
+                continue;
+            }
+            let mut node = started(kind);
+            let replies = [
+                node.on_flood(now, peer, 2, &OverlayMsg::Probe { kind: probe }),
+                node.on_msg(now, peer, 2, &OverlayMsg::Offer { kind: probe }),
+                node.on_msg(now, peer, 2, &OverlayMsg::Accept { kind: probe }),
+            ];
+            assert!(
+                replies.iter().all(Vec::is_empty),
+                "{kind} answered {probe:?} legs: {replies:?}"
+            );
+            assert!(node.neighbors().is_empty(), "{kind}: {probe:?} connected");
+            assert_eq!(node.conn_stats().rejected, 0, "{kind}: {probe:?}");
+            assert_eq!(node.next_wake(), twin.next_wake(), "{kind}: {probe:?}");
+        }
+    }
 }
 
 #[test]

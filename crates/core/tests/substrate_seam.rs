@@ -1,19 +1,21 @@
 //! The substrate seam, pinned at compile-review level.
 //!
-//! The overlay algorithms run on two substrates: the DES (virtual clock)
-//! and the real-time driver (wall clock). That only works if the crate
-//! takes *every* notion of time as a [`manet_des::SimTime`] argument
-//! through the typed verbs and never reads a clock of its own, and if it
-//! never grows a dependency on a simulator crate. These tests scan the
-//! crate's own sources and manifest, so a leak fails CI with the
+//! The protocol crates run on two substrates: the DES (virtual clock) and
+//! the real-time driver (wall clock). That only works if routing
+//! (`manet-aodv`), the overlay algorithms (this crate) and the query engine
+//! (`p2p-content`) take *every* notion of time as a [`manet_des::SimTime`]
+//! argument through the typed verbs and never read a clock of their own,
+//! and if none of them grows a dependency on a simulator crate. These tests
+//! scan those crates' sources and manifests, so a leak fails CI with the
 //! offending file and line in the message rather than surfacing as a
-//! Heisenbug on one substrate only. The manifest test also pins the
-//! crates above this one: `p2p-stack`, which both substrates host, may
-//! depend on neither, and the real-time substrate needs nothing from the
-//! simulator.
+//! Heisenbug on one substrate only. The manifest test also pins the crates
+//! above them: `p2p-stack`, which both substrates host, may depend on
+//! neither, and the real-time substrate needs nothing from the simulator.
+//! (`p2p-stack`'s sources are not scanned: a telemetry unit test there
+//! builds a `std::time::Duration` span sample.)
 
 use std::fs;
-use std::path::Path;
+use std::path::{Path, PathBuf};
 
 /// Wall-clock APIs that must never appear in substrate-neutral protocol
 /// code: any hit means the crate tells time behind the substrate's back.
@@ -24,6 +26,11 @@ const FORBIDDEN: &[&str] = &[
     "elapsed()",
     "coarsetime",
 ];
+
+/// A sibling crate's directory (`"."` is this one).
+fn crate_dir(dir: &str) -> PathBuf {
+    Path::new(env!("CARGO_MANIFEST_DIR")).join(dir)
+}
 
 fn scan_dir(dir: &Path, hits: &mut Vec<String>) {
     for entry in fs::read_dir(dir).expect("readable source dir") {
@@ -48,9 +55,10 @@ fn scan_dir(dir: &Path, hits: &mut Vec<String>) {
 
 #[test]
 fn no_wall_clock_reads_in_protocol_sources() {
-    let src = Path::new(env!("CARGO_MANIFEST_DIR")).join("src");
     let mut hits = Vec::new();
-    scan_dir(&src, &mut hits);
+    for dir in ["../aodv", ".", "../content"] {
+        scan_dir(&crate_dir(dir).join("src"), &mut hits);
+    }
     assert!(
         hits.is_empty(),
         "substrate-neutral code reads a wall clock:\n{}",
@@ -63,14 +71,14 @@ fn manifest_depends_on_no_substrate() {
     // (crate directory relative to this one, substrate crates it must
     // not name)
     let seams: &[(&str, &[&str])] = &[
+        ("../aodv", &["manet-sim", "manet-rt"]),
         (".", &["manet-sim", "manet-rt"]),
+        ("../content", &["manet-sim", "manet-rt"]),
         ("../stack", &["manet-sim", "manet-rt"]),
         ("../rt", &["manet-sim"]),
     ];
     for &(dir, forbidden) in seams {
-        let manifest = Path::new(env!("CARGO_MANIFEST_DIR"))
-            .join(dir)
-            .join("Cargo.toml");
+        let manifest = crate_dir(dir).join("Cargo.toml");
         let text = fs::read_to_string(&manifest).expect("readable manifest");
         for dep in forbidden {
             assert!(

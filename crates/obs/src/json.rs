@@ -225,19 +225,51 @@ impl Parser<'_> {
         v
     }
 
+    /// One number in the RFC 8259 grammar,
+    /// `-? (0 | [1-9][0-9]*) (. [0-9]+)? ([eE] [+-]? [0-9]+)?`, whose value
+    /// is finite: JSON has no infinities to round-trip `1e999` to.
     fn number(&mut self) -> Result<Value, String> {
         let start = self.pos;
-        while let Some(b) = self.peek() {
-            if b.is_ascii_digit() || matches!(b, b'-' | b'+' | b'.' | b'e' | b'E') {
+        let bad = || format!("bad number at byte {start}");
+        if self.peek() == Some(b'-') {
+            self.pos += 1;
+        }
+        match self.peek() {
+            Some(b'0') => self.pos += 1,
+            Some(b'1'..=b'9') => {
+                self.digits();
+            }
+            _ => return Err(bad()),
+        }
+        if self.peek() == Some(b'.') {
+            self.pos += 1;
+            if self.digits() == 0 {
+                return Err(bad());
+            }
+        }
+        if matches!(self.peek(), Some(b'e' | b'E')) {
+            self.pos += 1;
+            if matches!(self.peek(), Some(b'+' | b'-')) {
                 self.pos += 1;
-            } else {
-                break;
+            }
+            if self.digits() == 0 {
+                return Err(bad());
             }
         }
         let text = std::str::from_utf8(&self.bytes[start..self.pos]).expect("ascii");
-        text.parse::<f64>()
-            .map(Value::Num)
-            .map_err(|_| format!("bad number at byte {start}"))
+        match text.parse::<f64>() {
+            Ok(n) if n.is_finite() => Ok(Value::Num(n)),
+            _ => Err(bad()),
+        }
+    }
+
+    /// Skip a run of ASCII digits; returns how many there were.
+    fn digits(&mut self) -> usize {
+        let start = self.pos;
+        while self.peek().is_some_and(|b| b.is_ascii_digit()) {
+            self.pos += 1;
+        }
+        self.pos - start
     }
 
     fn string(&mut self) -> Result<String, String> {
@@ -299,14 +331,17 @@ impl Parser<'_> {
         }
     }
 
+    /// Exactly four ASCII hex digits (no sign, unlike `from_str_radix`).
     fn hex4(&mut self) -> Result<u32, String> {
-        let end = self.pos + 4;
-        if end > self.bytes.len() {
-            return Err("truncated \\u escape".into());
+        let digits = self
+            .bytes
+            .get(self.pos..self.pos + 4)
+            .ok_or("truncated \\u escape")?;
+        let mut v = 0;
+        for &b in digits {
+            v = v * 16 + (b as char).to_digit(16).ok_or("bad \\u escape")?;
         }
-        let text = std::str::from_utf8(&self.bytes[self.pos..end]).map_err(|_| "bad \\u escape")?;
-        let v = u32::from_str_radix(text, 16).map_err(|_| "bad \\u escape")?;
-        self.pos = end;
+        self.pos += 4;
         Ok(v)
     }
 
@@ -418,6 +453,19 @@ mod tests {
         assert!(Value::parse(r#""\uD800\uD800""#).is_err());
         assert!(Value::parse(r#""\uDC00""#).is_err());
         assert!(Value::parse(r#""\uD800x""#).is_err());
+    }
+
+    #[test]
+    fn accepts_only_json() {
+        // A sign in a \u escape, numbers beyond f64, a leading zero and a
+        // bare trailing point are not JSON.
+        for text in [r#""\u+041""#, "1e999", "-1e999", "01", "1."] {
+            assert!(Value::parse(text).is_err(), "{text} parsed");
+        }
+        for (text, n) in [("0", 0.0), ("-0", -0.0), ("1.5e-7", 1.5e-7), ("1E+3", 1e3)] {
+            assert_eq!(Value::parse(text), Ok(Value::Num(n)), "{text}");
+        }
+        assert_eq!(Value::parse(r#""\u0041""#), Ok(Value::Str("A".into())));
     }
 
     #[test]
