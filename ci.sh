@@ -64,8 +64,8 @@ CITY_NODES=300 CITY_SECS=20 BENCH_ITERS=1 BENCH_JSON="$BENCH_SMOKE_JSON" \
 test -s "$BENCH_SMOKE_JSON" || { echo "bench smoke produced no JSON"; exit 1; }
 
 stage "obs smoke"
-# One short instrumented run with the sink enabled; obs_check parses every
-# JSONL line and asserts the core per-subsystem counters are present.
+# One short instrumented run with the sink enabled; obs_check reads every
+# JSONL report back and asserts the core per-subsystem counters are present.
 OBS_SMOKE_DIR="target/obs_smoke"
 rm -rf "$OBS_SMOKE_DIR"
 cargo run --release -q --offline -p manet-sim --bin reproduce -- \
@@ -114,8 +114,9 @@ for algo in regular random hybrid; do
         | grep -q "SWARM OK" \
         || { echo "swarm smoke ($algo): no answered query or unclean exit"; exit 1; }
 done
-# The same swarm with observability on: every child ships one telemetry
-# frame over stdout at shutdown, the parent merges them into one ObsReport
+# The same swarm with observability on: every child prints its report and
+# causal trace as JSONL lines on stdout at shutdown, before its RESULT line;
+# the parent reads them back and merges them into one ObsReport
 # (counters must reconcile exactly with the RESULT lines — the swarm bin
 # asserts that) and one clock-stitched Perfetto artifact with at least one
 # causal tree spanning two or more OS processes. obs_check then validates

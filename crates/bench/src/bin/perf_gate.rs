@@ -46,16 +46,15 @@
 //! and match the baseline record's event count (workload drift guard),
 //! and the scale rung must reproduce [`SCALE_EVENTS`].
 //!
-//! Knobs: `BENCH_HOT_NODES` / `BENCH_HOT_SECS` shrink the pair's workload
-//! (the sequential baseline records for that shape must exist; the scale
-//! rung keeps its shape), `PERF_GATE_ITERS` caps the measurement pairs
-//! and the scale attempts (early exit on pass; default 4),
-//! `BENCH_JSON` the results file.
+//! The pair's shape ([`HOT_NODES`], [`HOT_SECS`]) and the attempt cap
+//! ([`ITERS`]) are constants like the tolerances: `BENCH_RESULTS.json`
+//! holds baselines for that shape only, and more attempts would widen
+//! the gate. The one knob is `BENCH_JSON`, the results file.
 
 use std::process::ExitCode;
 use std::time::Instant;
 
-use bench::{bench_scenario, env_u64, json::Value, record_eps, run_result};
+use bench::{bench_scenario, json::Value, record_eps, run_result};
 use manet_des::SchedulerKind;
 use manet_sim::{RunResult, Scenario};
 use p2p_core::AlgoKind;
@@ -68,6 +67,15 @@ const TOL: f64 = 0.01;
 /// The obs-tax budget: how far the enabled sink may fall below the
 /// disabled run of the same pair.
 const OBS_TOL: f64 = 0.03;
+
+/// The measurement pair's world: the `micro` bench's hot-path shape,
+/// whose baselines `BENCH_RESULTS.json` holds.
+const HOT_NODES: usize = 200;
+const HOT_SECS: u64 = 900;
+
+/// Measurement pairs, and scale attempts, before the gate fails (early
+/// exit on pass).
+const ITERS: u64 = 4;
 
 /// Scale-rung world: node count, square side (Table 2 density, 200 m² per
 /// node) and simulated seconds.
@@ -146,9 +154,7 @@ fn gate_scale(pair_eps_obs: f64, iters: u64) -> bool {
 }
 
 fn main() -> ExitCode {
-    let nodes = env_u64("BENCH_HOT_NODES", 200) as usize;
-    let secs = env_u64("BENCH_HOT_SECS", 900);
-    let iters = env_u64("PERF_GATE_ITERS", 4).max(1);
+    let (nodes, secs, iters) = (HOT_NODES, HOT_SECS, ITERS);
     let path = std::env::var("BENCH_JSON").unwrap_or_else(|_| "BENCH_RESULTS.json".into());
     let shape = format!("{nodes}n_{secs}s_regular");
     let disabled_name = format!("sim_hot_path/calendar/{shape}");

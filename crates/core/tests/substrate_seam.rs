@@ -8,11 +8,11 @@
 //! and if none of them grows a dependency on a simulator crate. These tests
 //! scan those crates' sources and manifests, so a leak fails CI with the
 //! offending file and line in the message rather than surfacing as a
-//! Heisenbug on one substrate only. The manifest test also pins the crates
-//! above them: `p2p-stack`, which both substrates host, may depend on
-//! neither, and the real-time substrate needs nothing from the simulator.
-//! (`p2p-stack`'s sources are not scanned: a telemetry unit test there
-//! builds a `std::time::Duration` span sample.)
+//! Heisenbug on one substrate only. The source scan also covers
+//! `p2p-stack`, the node stack both substrates host. The manifest test
+//! pins the crates above them: `p2p-stack` may depend on neither
+//! substrate, and the real-time substrate needs nothing from the
+//! simulator.
 
 use std::fs;
 use std::path::{Path, PathBuf};
@@ -56,7 +56,7 @@ fn scan_dir(dir: &Path, hits: &mut Vec<String>) {
 #[test]
 fn no_wall_clock_reads_in_protocol_sources() {
     let mut hits = Vec::new();
-    for dir in ["../aodv", ".", "../content"] {
+    for dir in ["../aodv", ".", "../content", "../stack"] {
         scan_dir(&crate_dir(dir).join("src"), &mut hits);
     }
     assert!(

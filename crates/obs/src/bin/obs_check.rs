@@ -1,9 +1,11 @@
 //! CI smoke checker for observability dumps.
 //!
 //! Usage: `obs_check <dir>`. Reads every `*.jsonl` file under `<dir>`
-//! (non-recursive), asserts each line parses as standalone JSON with a
-//! `type` field, and that the core counters the instrumented run is
-//! expected to export all appear somewhere in the directory. Also reads
+//! (non-recursive) back through [`ObsReport::from_jsonl`] — after a
+//! failure dump's leading `failure` line — so a report that does not
+//! read back exactly fails, and asserts that the core counters the
+//! instrumented run is expected to export all appear in the decoded
+//! registries. Also reads
 //! every `*.trace.json` causal-trace artifact and runs the full schema
 //! validation ([`manet_obs::causal::validate_artifact`]: trace-event
 //! quintet present, parents resolve, per-trace timestamps monotone) plus
@@ -16,6 +18,7 @@ use std::process::ExitCode;
 
 use manet_obs::causal;
 use manet_obs::json::Value;
+use manet_obs::ObsReport;
 
 /// Core counters a DES (simulated-substrate) run always exports.
 const CORE_COUNTERS: [&str; 6] = [
@@ -55,7 +58,6 @@ fn main() -> ExitCode {
     };
 
     let mut files = 0usize;
-    let mut lines = 0usize;
     let mut trace_files = 0usize;
     let mut trace_events = 0usize;
     let mut counters_seen: BTreeSet<String> = BTreeSet::new();
@@ -127,34 +129,26 @@ fn main() -> ExitCode {
                 return ExitCode::FAILURE;
             }
         };
-        for (ln, line) in text.lines().enumerate() {
-            lines += 1;
-            let v = match Value::parse(line) {
-                Ok(v) => v,
-                Err(e) => {
-                    eprintln!(
-                        "obs_check: {}:{}: line is not valid JSON: {e}",
-                        path.display(),
-                        ln + 1
-                    );
-                    return ExitCode::FAILURE;
-                }
-            };
-            let ty = match v.get("type").and_then(Value::as_str) {
-                Some(t) => t,
-                None => {
-                    eprintln!(
-                        "obs_check: {}:{}: line lacks a \"type\" field",
-                        path.display(),
-                        ln + 1
-                    );
-                    return ExitCode::FAILURE;
-                }
-            };
-            if ty == "counter" {
-                if let Some(name) = v.get("name").and_then(Value::as_str) {
-                    counters_seen.insert(name.to_string());
-                }
+        // A failure dump leads with its `failure` line; the report follows.
+        let (skipped, body) = match text.split_once('\n') {
+            Some((first, rest))
+                if Value::parse(first)
+                    .is_ok_and(|v| v.get("type").and_then(Value::as_str) == Some("failure")) =>
+            {
+                (" (after the failure line)", rest)
+            }
+            _ => ("", text.as_str()),
+        };
+        match ObsReport::from_jsonl(body) {
+            Ok(report) => {
+                counters_seen.extend(report.registry.counters().map(|(n, _)| n.to_string()))
+            }
+            Err(e) => {
+                eprintln!(
+                    "obs_check: {}: report does not read back{skipped}: {e}",
+                    path.display()
+                );
+                return ExitCode::FAILURE;
             }
         }
     }
@@ -181,7 +175,7 @@ fn main() -> ExitCode {
         }
     }
     println!(
-        "obs_check: OK — {files} jsonl file(s), {lines} parseable line(s), {len} counter name(s), \
+        "obs_check: OK — {files} report(s) read back, {len} counter name(s), \
          {trace_files} trace artifact(s) with {trace_events} span(s)",
         len = counters_seen.len()
     );

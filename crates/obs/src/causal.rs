@@ -15,15 +15,17 @@
 //!   round-trip the events through a JSON artifact whose `traceEvents`
 //!   array is Chrome trace-event format — loadable in Perfetto or
 //!   `chrome://tracing` — while the lossless `spans` array feeds
-//!   re-analysis.
+//!   re-analysis. Each `spans` entry is [`event_to_json`]'s object, which
+//!   a trace's JSONL `event` lines carry too; [`event_from_json`] reads
+//!   both back.
 //!
 //! Timestamps are simulation ticks, which are microseconds — exactly the
 //! unit the trace-event `ts` field wants, so no conversion happens
 //! anywhere.
 //!
 //! Every name an event carries is a `&'static str`: recording sites pass
-//! literals, and readers of runtime bytes (the artifact parser here, the
-//! telemetry decoder) [`intern`](crate::intern()) them. So a
+//! literals, and [`event_from_json`], the one reader of runtime text,
+//! [`intern`](crate::intern())s them. So a
 //! [`CausalEvent`] is `Copy`, and recording one allocates nothing.
 
 use std::collections::HashMap;
@@ -293,10 +295,13 @@ impl CausalTree {
 pub const ARTIFACT_TYPE: &str = "causal_trace";
 
 fn num(n: u64) -> Value {
-    Value::Num(n as f64)
+    Value::uint(n)
 }
 
-fn event_to_span_value(e: &CausalEvent) -> Value {
+/// One event as a JSON object: an entry of an artifact's `spans` array,
+/// and the body of a trace JSONL `event` line. [`event_from_json`] reads
+/// it back.
+pub fn event_to_json(e: &CausalEvent) -> Value {
     let mut fields = vec![
         ("trace".to_string(), num(e.trace_id)),
         ("span".to_string(), num(e.span)),
@@ -393,7 +398,7 @@ pub fn artifact(events: &[CausalEvent]) -> Value {
             )],
         ));
         for e in &tree.events {
-            spans.push(event_to_span_value(e));
+            spans.push(event_to_json(e));
             match e.kind {
                 // Each reception becomes a complete ("X") slice on the
                 // sender's track spanning the frame's time on the air.
@@ -451,68 +456,69 @@ pub fn artifact(events: &[CausalEvent]) -> Value {
     ])
 }
 
-fn field_u64(v: &Value, key: &str) -> Result<u64, String> {
-    v.get(key)
-        .and_then(Value::as_f64)
-        .map(|n| n as u64)
-        .ok_or_else(|| format!("missing numeric field '{key}'"))
+/// Field `key` as an exact integer that fits `T`.
+fn field_int<T: TryFrom<u64>>(v: &Value, key: &str) -> Result<T, String> {
+    T::try_from(v.u64_field(key)?).map_err(|_| format!("field '{key}' out of range"))
 }
 
-fn field_str<'a>(v: &'a Value, key: &str) -> Result<&'a str, String> {
-    v.get(key)
-        .and_then(Value::as_str)
-        .ok_or_else(|| format!("missing string field '{key}'"))
+/// Read one event written by [`event_to_json`]. Ids, times and node
+/// numbers must be non-negative integers in range (`-5` and `1.7` are
+/// errors, not 0 and 1); every name is [`intern`](intern())ed.
+pub fn event_from_json(v: &Value) -> Result<CausalEvent, String> {
+    let name = |key: &str| v.str_field(key).map(intern);
+    let kind = match v.str_field("kind")? {
+        "origin" => CausalKind::Origin {
+            label: name("label")?,
+        },
+        "send" => CausalKind::Send {
+            frame: name("frame")?,
+            to: match v.get("to") {
+                Some(_) => Some(field_int(v, "to")?),
+                None => None,
+            },
+            bytes: field_int(v, "bytes")?,
+        },
+        "recv" => CausalKind::Recv {
+            frame: name("frame")?,
+            from: field_int(v, "from")?,
+        },
+        "deliver" => CausalKind::Deliver {
+            kind: name("msg")?,
+            hops: field_int(v, "hops")?,
+        },
+        "unreachable" => CausalKind::Unreachable {
+            dst: field_int(v, "dst")?,
+        },
+        "timer" => CausalKind::TimerArm {
+            at: v.u64_field("at")?,
+        },
+        other => return Err(format!("unknown kind '{other}'")),
+    };
+    Ok(CausalEvent {
+        trace_id: v.u64_field("trace")?,
+        span: v.u64_field("span")?,
+        parent: v.u64_field("parent")?,
+        t: v.u64_field("t")?,
+        node: field_int(v, "node")?,
+        kind,
+    })
 }
 
-/// Read the lossless `spans` array of an artifact back into events, with
-/// every name (label, frame kind, message kind) [`intern`](intern())ed.
+/// Read the lossless `spans` array of an artifact back into events
+/// ([`event_from_json`] for each).
 pub fn events_from_artifact(doc: &Value) -> Result<Vec<CausalEvent>, String> {
-    if field_str(doc, "type")? != ARTIFACT_TYPE {
+    if doc.str_field("type")? != ARTIFACT_TYPE {
         return Err("not a causal_trace artifact".into());
     }
     let spans = doc
         .get("spans")
         .and_then(Value::as_arr)
         .ok_or("missing 'spans' array")?;
-    let mut out = Vec::with_capacity(spans.len());
-    for (i, s) in spans.iter().enumerate() {
-        let err = |e: String| format!("span {i}: {e}");
-        let name = |key: &str| field_str(s, key).map(intern).map_err(err);
-        let kind = match field_str(s, "kind").map_err(err)? {
-            "origin" => CausalKind::Origin {
-                label: name("label")?,
-            },
-            "send" => CausalKind::Send {
-                frame: name("frame")?,
-                to: s.get("to").and_then(Value::as_f64).map(|n| n as u32),
-                bytes: field_u64(s, "bytes").map_err(err)? as u32,
-            },
-            "recv" => CausalKind::Recv {
-                frame: name("frame")?,
-                from: field_u64(s, "from").map_err(err)? as u32,
-            },
-            "deliver" => CausalKind::Deliver {
-                kind: name("msg")?,
-                hops: field_u64(s, "hops").map_err(err)? as u8,
-            },
-            "unreachable" => CausalKind::Unreachable {
-                dst: field_u64(s, "dst").map_err(err)? as u32,
-            },
-            "timer" => CausalKind::TimerArm {
-                at: field_u64(s, "at").map_err(err)?,
-            },
-            other => return Err(format!("span {i}: unknown kind '{other}'")),
-        };
-        out.push(CausalEvent {
-            trace_id: field_u64(s, "trace").map_err(err)?,
-            span: field_u64(s, "span").map_err(err)?,
-            parent: field_u64(s, "parent").map_err(err)?,
-            t: field_u64(s, "t").map_err(err)?,
-            node: field_u64(s, "node").map_err(err)? as u32,
-            kind,
-        });
-    }
-    Ok(out)
+    spans
+        .iter()
+        .enumerate()
+        .map(|(i, s)| event_from_json(s).map_err(|e| format!("span {i}: {e}")))
+        .collect()
 }
 
 /// Structurally validate an artifact:
@@ -524,7 +530,7 @@ pub fn events_from_artifact(doc: &Value) -> Result<Vec<CausalEvent>, String> {
 ///   its cause);
 /// * span ids are unique.
 pub fn validate_artifact(doc: &Value) -> Result<(), String> {
-    if field_str(doc, "type")? != ARTIFACT_TYPE {
+    if doc.str_field("type")? != ARTIFACT_TYPE {
         return Err("not a causal_trace artifact".into());
     }
     let tevs = doc
@@ -533,14 +539,14 @@ pub fn validate_artifact(doc: &Value) -> Result<(), String> {
         .ok_or("missing 'traceEvents' array")?;
     for (i, ev) in tevs.iter().enumerate() {
         let err = |e: String| format!("traceEvents[{i}]: {e}");
-        let ph = field_str(ev, "ph").map_err(err)?;
+        let ph = ev.str_field("ph").map_err(err)?;
         if !matches!(ph, "X" | "i" | "M") {
             return Err(format!("traceEvents[{i}]: unexpected ph '{ph}'"));
         }
-        field_u64(ev, "ts").map_err(err)?;
-        field_u64(ev, "pid").map_err(err)?;
-        field_u64(ev, "tid").map_err(err)?;
-        field_str(ev, "name").map_err(err)?;
+        for key in ["ts", "pid", "tid"] {
+            ev.u64_field(key).map_err(err)?;
+        }
+        ev.str_field("name").map_err(err)?;
     }
     let events = events_from_artifact(doc)?;
     // (trace, span) → t, for parent resolution and monotonicity.
@@ -710,6 +716,16 @@ mod tests {
             .contains("precedes"));
         // Not an artifact at all.
         assert!(validate_artifact(&Value::Obj(vec![])).is_err());
+        // Ids and times are non-negative integers: -5 is not 0, 1.7 is
+        // not 1, and a node number must fit a u32.
+        for (key, bad) in [
+            ("parent", Value::Num(-5.0)),
+            ("t", Value::Num(1.7)),
+            ("node", Value::uint(1 << 32)),
+        ] {
+            let e = events_from_artifact(&corrupt(key, bad)).unwrap_err();
+            assert!(e.starts_with("span 2:") && e.contains(key), "{e}");
+        }
     }
 
     #[test]

@@ -2,14 +2,16 @@
 //!
 //! The registry, spans, flight recorder and causal events all carry their
 //! names as `&'static str` — the right choice on the recording side, where
-//! every name is a literal and recording allocates nothing. Two readers
-//! see names arrive as runtime bytes: the telemetry decoder, which
-//! rebuilds a swarm child's `ObsReport` and causal trace from a wire
-//! frame, and [`events_from_artifact`](crate::causal::events_from_artifact),
-//! which parses a trace artifact's labels and frame kinds. Both need
+//! every name is a literal and recording allocates nothing. The JSONL and
+//! artifact readers see names arrive as runtime text:
+//! [`ObsReport::from_jsonl`](crate::ObsReport::from_jsonl) (failure
+//! dumps, `--obs-out` files, a swarm child's shipped report), the causal
+//! trace's JSONL reader and
+//! [`events_from_artifact`](crate::causal::events_from_artifact), both
+//! through [`event_from_json`](crate::causal::event_from_json). All need
 //! `'static` names to build the same types. [`intern`] leaks each distinct
 //! name exactly once and returns the same `'static` slice for every
-//! subsequent request, so a reader decoding thousands of frames or spans
+//! subsequent request, so a reader of thousands of reports or spans
 //! allocates proportionally to the *schema* (a few dozen metric, label
 //! and frame names), not to the input size.
 
@@ -20,7 +22,7 @@ static INTERNED: OnceLock<Mutex<HashSet<&'static str>>> = OnceLock::new();
 
 /// The `'static` copy of `s`, allocated on first sight and shared
 /// forever after. Total leakage is bounded by the set of distinct names
-/// ever interned — for telemetry and artifacts, the schema.
+/// ever interned — for reports and artifacts, the schema.
 pub fn intern(s: &str) -> &'static str {
     let set = INTERNED.get_or_init(|| Mutex::new(HashSet::new()));
     let mut set = set.lock().unwrap_or_else(|e| e.into_inner());

@@ -13,6 +13,10 @@
 /// writes nests about four levels deep.
 pub const MAX_DEPTH: usize = 128;
 
+/// 2^53: an `f64` holds every integer up to here exactly, and rounds
+/// some above it.
+const MAX_EXACT_F64_INT: u64 = 1 << 53;
+
 /// A JSON document node. Object keys keep insertion order so merged files
 /// diff minimally run-over-run.
 #[derive(Clone, Debug, PartialEq)]
@@ -20,12 +24,26 @@ pub enum Value {
     Null,
     Bool(bool),
     Num(f64),
+    /// An integer literal above 2^53, where `f64` would round it: `u64`
+    /// counters and totals keep every digit. Integers at or below 2^53
+    /// are always [`Num`](Value::Num).
+    Int(u64),
     Str(String),
     Arr(Vec<Value>),
     Obj(Vec<(String, Value)>),
 }
 
 impl Value {
+    /// An unsigned integer, exact over the whole `u64` range: a
+    /// [`Num`](Value::Num) up to 2^53, an [`Int`](Value::Int) above.
+    pub fn uint(n: u64) -> Value {
+        if n <= MAX_EXACT_F64_INT {
+            Value::Num(n as f64)
+        } else {
+            Value::Int(n)
+        }
+    }
+
     /// Object field lookup (`None` on non-objects and missing keys).
     pub fn get(&self, key: &str) -> Option<&Value> {
         match self {
@@ -46,6 +64,21 @@ impl Value {
     pub fn as_f64(&self) -> Option<f64> {
         match self {
             Value::Num(n) => Some(*n),
+            Value::Int(n) => Some(*n as f64),
+            _ => None,
+        }
+    }
+
+    /// The payload as an exact `u64`, if this is a non-negative integer
+    /// (what [`uint`](Value::uint) writes). Fractions, negatives, and a
+    /// [`Num`](Value::Num) past 2^53, which `f64` may have rounded, read
+    /// as `None`.
+    pub fn as_u64(&self) -> Option<u64> {
+        match *self {
+            Value::Num(n) if n >= 0.0 && n.fract() == 0.0 && n <= MAX_EXACT_F64_INT as f64 => {
+                Some(n as u64)
+            }
+            Value::Int(n) => Some(n),
             _ => None,
         }
     }
@@ -58,19 +91,62 @@ impl Value {
         }
     }
 
+    /// The fields in document order, if this is an object.
+    pub fn as_obj(&self) -> Option<&[(String, Value)]> {
+        match self {
+            Value::Obj(fields) => Some(fields),
+            _ => None,
+        }
+    }
+
+    /// Field `key` as a string, or an error naming the field.
+    pub fn str_field(&self, key: &str) -> Result<&str, String> {
+        self.get(key)
+            .and_then(Value::as_str)
+            .ok_or_else(|| format!("field '{key}' missing or not a string"))
+    }
+
+    /// Field `key` as a number, or an error naming the field.
+    pub fn f64_field(&self, key: &str) -> Result<f64, String> {
+        self.get(key)
+            .and_then(Value::as_f64)
+            .ok_or_else(|| format!("field '{key}' missing or not a number"))
+    }
+
+    /// Field `key` as an exact `u64` (see [`as_u64`](Self::as_u64)), or
+    /// an error naming the field.
+    pub fn u64_field(&self, key: &str) -> Result<u64, String> {
+        self.get(key)
+            .and_then(Value::as_u64)
+            .ok_or_else(|| format!("field '{key}' missing or not a non-negative integer"))
+    }
+
     /// Pretty-print with two-space indentation and a trailing newline.
     pub fn render(&self) -> String {
         let mut out = String::new();
-        self.write(&mut out, 0);
+        self.write(&mut out, Some(0));
         out.push('\n');
         out
     }
 
-    fn write(&self, out: &mut String, depth: usize) {
+    /// Render on one line, as a JSONL record: `{ "k": v, ... }` and
+    /// `[ a, b ]`, with strings copied verbatim (escaped, never
+    /// re-spaced).
+    pub fn render_line(&self) -> String {
+        let mut out = String::new();
+        self.write(&mut out, None);
+        out
+    }
+
+    /// Write `self` at nesting `depth`, or on one line when `depth` is
+    /// `None`.
+    fn write(&self, out: &mut String, depth: Option<usize>) {
+        let inner = depth.map(|d| d + 1);
         match self {
             Value::Null => out.push_str("null"),
             Value::Bool(b) => out.push_str(if *b { "true" } else { "false" }),
             Value::Num(n) => write_num(out, *n),
+            Value::Int(n) => out.push_str(&n.to_string()),
             Value::Str(s) => write_str(out, s),
             Value::Arr(items) if items.is_empty() => out.push_str("[]"),
             Value::Arr(items) => {
@@ -79,12 +155,10 @@ impl Value {
                     if i > 0 {
                         out.push(',');
                     }
-                    out.push('\n');
-                    indent(out, depth + 1);
-                    item.write(out, depth + 1);
+                    break_line(out, inner);
+                    item.write(out, inner);
                 }
-                out.push('\n');
-                indent(out, depth);
+                break_line(out, depth);
                 out.push(']');
             }
             Value::Obj(fields) if fields.is_empty() => out.push_str("{}"),
@@ -94,14 +168,12 @@ impl Value {
                     if i > 0 {
                         out.push(',');
                     }
-                    out.push('\n');
-                    indent(out, depth + 1);
+                    break_line(out, inner);
                     write_str(out, k);
                     out.push_str(": ");
-                    v.write(out, depth + 1);
+                    v.write(out, inner);
                 }
-                out.push('\n');
-                indent(out, depth);
+                break_line(out, depth);
                 out.push('}');
             }
         }
@@ -126,9 +198,16 @@ impl Value {
     }
 }
 
-fn indent(out: &mut String, depth: usize) {
-    for _ in 0..depth {
-        out.push_str("  ");
+/// A newline indented to `depth`, or a single space on one line.
+fn break_line(out: &mut String, depth: Option<usize>) {
+    match depth {
+        Some(depth) => {
+            out.push('\n');
+            for _ in 0..depth {
+                out.push_str("  ");
+            }
+        }
+        None => out.push(' '),
     }
 }
 
@@ -257,6 +336,10 @@ impl Parser<'_> {
             }
         }
         let text = std::str::from_utf8(&self.bytes[start..self.pos]).expect("ascii");
+        // An integer literal `f64` would round stays exact.
+        if let Ok(n) = text.parse::<u64>() {
+            return Ok(Value::uint(n));
+        }
         match text.parse::<f64>() {
             Ok(n) if n.is_finite() => Ok(Value::Num(n)),
             _ => Err(bad()),
@@ -466,6 +549,44 @@ mod tests {
             assert_eq!(Value::parse(text), Ok(Value::Num(n)), "{text}");
         }
         assert_eq!(Value::parse(r#""\u0041""#), Ok(Value::Str("A".into())));
+    }
+
+    #[test]
+    fn integers_above_2_pow_53_stay_exact() {
+        let big = (1u64 << 53) + 1;
+        assert_eq!(Value::uint(1 << 53), Value::Num(9_007_199_254_740_992.0));
+        assert_eq!(Value::uint(big), Value::Int(big));
+        for n in [0, 1 << 53, big, u64::MAX] {
+            let v = Value::parse(&Value::uint(n).render()).unwrap();
+            assert_eq!((v.clone(), v.as_u64()), (Value::uint(n), Some(n)), "{n}");
+        }
+        // Past u64 an integer literal is an ordinary (rounded) number.
+        assert_eq!(
+            Value::parse("18446744073709551616").unwrap(),
+            Value::Num(18446744073709551616.0)
+        );
+        assert_eq!(Value::parse("1e3").unwrap().as_u64(), Some(1000));
+        for text in ["-5", "1.7", "-0.5", "1e17"] {
+            assert_eq!(Value::parse(text).unwrap().as_u64(), None, "{text}");
+        }
+    }
+
+    #[test]
+    fn render_line_is_one_line_and_keeps_strings_verbatim() {
+        let v = Value::Obj(vec![
+            ("msg".into(), Value::Str("a  b\n  c".into())),
+            (
+                "xs".into(),
+                Value::Arr(vec![
+                    Value::Num(1.0),
+                    Value::Arr(vec![]),
+                    Value::Obj(vec![]),
+                ]),
+            ),
+        ]);
+        let line = v.render_line();
+        assert_eq!(line, r#"{ "msg": "a  b\n  c", "xs": [ 1, [], {} ] }"#);
+        assert_eq!(Value::parse(&line).unwrap(), v);
     }
 
     #[test]

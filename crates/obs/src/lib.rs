@@ -27,8 +27,10 @@
 //! wall-clock.
 //!
 //! The [`json`] module is the workspace's hand-rolled JSON reader/writer
-//! (promoted from the bench harness); [`ObsReport::to_jsonl`] and the
-//! failure dumps are built on it, and `bench` re-exports it for
+//! (promoted from the bench harness). JSONL is the one serialization of a
+//! report: [`ObsReport::to_jsonl`] writes failure dumps, `--obs-out` files
+//! and what a swarm child ships, and [`ObsReport::from_jsonl`] reads any
+//! of them back exactly. `bench` re-exports the module for
 //! `BENCH_RESULTS.json`.
 
 pub mod causal;

@@ -36,6 +36,18 @@ impl Severity {
             Severity::Error => "error",
         }
     }
+
+    /// The severity [`name`](Self::name) returns `name` for.
+    pub fn from_name(name: &str) -> Option<Severity> {
+        [
+            Severity::Debug,
+            Severity::Info,
+            Severity::Warn,
+            Severity::Error,
+        ]
+        .into_iter()
+        .find(|s| s.name() == name)
+    }
 }
 
 /// One recorded occurrence.
@@ -94,10 +106,11 @@ impl FlightRecorder {
         self.capacity
     }
 
-    /// Rebuild a recorder from its serialized shape (decode half of the
-    /// telemetry codec). `records` must already respect `capacity` —
-    /// extra records are *not* evicted here, they were accounted on the
-    /// recording side where `offered`/`dropped` were maintained.
+    /// Rebuild a recorder from its serialized shape (what
+    /// [`ObsReport::from_jsonl`](crate::ObsReport::from_jsonl) reads).
+    /// `records` must already respect `capacity` — extra records are
+    /// *not* evicted here, they were accounted on the recording side
+    /// where `offered`/`dropped` were maintained.
     pub fn from_parts(
         capacity: usize,
         offered: u64,
@@ -174,14 +187,16 @@ impl FlightRecorder {
     }
 
     /// The retained records as JSONL, one object per line, preceded by a
-    /// `{"type": "recorder", ...}` header carrying the eviction count.
+    /// `{"type": "recorder", ...}` header carrying the eviction count and
+    /// the ring capacity.
     pub fn to_jsonl(&self) -> String {
         let mut out = String::new();
         let header = Value::Obj(vec![
             ("type".into(), Value::Str("recorder".into())),
-            ("retained".into(), Value::Num(self.len() as f64)),
-            ("offered".into(), Value::Num(self.offered as f64)),
-            ("dropped".into(), Value::Num(self.dropped as f64)),
+            ("retained".into(), Value::uint(self.len() as u64)),
+            ("offered".into(), Value::uint(self.offered)),
+            ("dropped".into(), Value::uint(self.dropped)),
+            ("capacity".into(), Value::uint(self.capacity as u64)),
         ]);
         push_line(&mut out, &header);
         for r in &self.ring {
@@ -191,22 +206,9 @@ impl FlightRecorder {
     }
 }
 
-/// Render `v` onto `out` as a single JSONL line (compact, no inner
-/// newlines — `Value::render` pretty-prints, so flatten it).
+/// Append `v` to `out` as one JSONL line.
 pub(crate) fn push_line(out: &mut String, v: &Value) {
-    let rendered = v.render();
-    let mut last_space = false;
-    for c in rendered.chars() {
-        let c = if c == '\n' { ' ' } else { c };
-        if c == ' ' && last_space {
-            continue;
-        }
-        last_space = c == ' ';
-        out.push(c);
-    }
-    while out.ends_with(' ') {
-        out.pop();
-    }
+    out.push_str(&v.render_line());
     out.push('\n');
 }
 
@@ -261,6 +263,26 @@ mod tests {
             rec.get("msg").and_then(Value::as_str),
             Some("a \"quoted\" detail")
         );
+    }
+
+    #[test]
+    fn jsonl_keeps_message_spacing() {
+        let mut fr = FlightRecorder::new(2);
+        fr.record(1.0, Severity::Info, "join", "a  b".into());
+        fr.record(2.0, Severity::Error, "invariant", "drift\n  pinned".into());
+        let text = fr.to_jsonl();
+        let msgs: Vec<String> = text
+            .lines()
+            .skip(1)
+            .map(|l| {
+                Value::parse(l)
+                    .unwrap()
+                    .str_field("msg")
+                    .unwrap()
+                    .to_string()
+            })
+            .collect();
+        assert_eq!(msgs, vec!["a  b", "drift\n  pinned"]);
     }
 
     #[test]

@@ -7,8 +7,6 @@
 //! name-based and deterministic, independent of which worker produced
 //! which run.
 
-use crate::json::Value;
-
 /// Handle to a registered counter.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub struct CounterId(usize);
@@ -139,11 +137,11 @@ impl Histogram {
 
     /// Rebuild a histogram from its serialized shape: `(floor, count)`
     /// pairs (see [`nonzero`](Self::nonzero)) plus the saturating sum.
-    /// The count is implied — it is the sum of the pair counts. This is
-    /// the decode half of the telemetry codec: the bucket layout *is*
-    /// the wire format, so `from_parts(h.nonzero(), h.sum()) == h`.
-    /// Counts saturate — a corrupted frame may carry pair counts that
-    /// sum past `u64::MAX`, and the decode contract is no-panic.
+    /// The count is implied — it is the sum of the pair counts. The JSONL
+    /// reader rebuilds through here: the bucket layout *is* the
+    /// serialized format, so `from_parts(h.nonzero(), h.sum()) == h`.
+    /// Counts saturate — untrusted input may carry pair counts that sum
+    /// past `u64::MAX`, and the reader's contract is no-panic.
     pub fn from_parts(pairs: &[(u64, u64)], sum: u64) -> Histogram {
         let mut h = Histogram::default();
         for &(floor, c) in pairs {
@@ -275,9 +273,8 @@ impl Registry {
         &self.hists[id.0]
     }
 
-    /// Overwrite a histogram with one rebuilt elsewhere. Decode half of the
-    /// telemetry codec: a deserialized registry restores its histograms
-    /// through here.
+    /// Overwrite a histogram with one rebuilt elsewhere: a registry read
+    /// back from JSONL restores its histograms through here.
     pub fn set_hist(&mut self, id: HistId, h: &Histogram) {
         self.hists[id.0] = h.clone();
     }
@@ -299,7 +296,7 @@ impl Registry {
 
     /// The time-series points as `(t_secs, counters, gauges)` rows, in
     /// sample order; value slices are indexed like the registration
-    /// order. Encode half of the telemetry codec.
+    /// order (a point taken before a later registration is shorter).
     pub fn samples(&self) -> impl Iterator<Item = (f64, &[u64], &[f64])> + '_ {
         self.samples
             .iter()
@@ -307,10 +304,9 @@ impl Registry {
     }
 
     /// Append one pre-built time-series point, bypassing the live
-    /// counter/gauge values. Decode half of the telemetry codec: a
-    /// deserialized registry replays its sample rows through here. Value
-    /// vectors must be indexed like the registration order of the
-    /// counters/gauges they snapshot.
+    /// counter/gauge values: a registry read back from JSONL replays its
+    /// sample rows through here. Value vectors must be indexed like the
+    /// registration order of the counters/gauges they snapshot.
     pub fn push_sample(&mut self, t_secs: f64, counters: Vec<u64>, gauges: Vec<f64>) {
         self.samples.push(Sample {
             t_secs,
@@ -380,69 +376,6 @@ impl Registry {
                 *a = a.max(*b);
             }
         }
-    }
-
-    /// The registry as a JSON object: `counters`, `gauges`, `hists`
-    /// (non-empty buckets as `[floor, count]` pairs) and `series`.
-    pub fn to_json(&self) -> Value {
-        let counters = Value::Obj(
-            self.counters()
-                .map(|(n, v)| (n.to_string(), Value::Num(v as f64)))
-                .collect(),
-        );
-        let gauges = Value::Obj(
-            self.gauges()
-                .map(|(n, v)| (n.to_string(), Value::Num(v)))
-                .collect(),
-        );
-        let hists = Value::Obj(
-            self.hists()
-                .map(|(n, h)| {
-                    let buckets = h
-                        .nonzero()
-                        .into_iter()
-                        .map(|(floor, c)| {
-                            Value::Arr(vec![Value::Num(floor as f64), Value::Num(c as f64)])
-                        })
-                        .collect();
-                    (
-                        n.to_string(),
-                        Value::Obj(vec![
-                            ("count".into(), Value::Num(h.count() as f64)),
-                            ("sum".into(), Value::Num(h.sum() as f64)),
-                            ("buckets".into(), Value::Arr(buckets)),
-                        ]),
-                    )
-                })
-                .collect(),
-        );
-        let series = Value::Arr(
-            self.samples
-                .iter()
-                .map(|s| {
-                    let mut fields = vec![("t".to_string(), Value::Num(s.t_secs))];
-                    fields.extend(
-                        self.counter_names
-                            .iter()
-                            .zip(&s.counters)
-                            .map(|(&n, &v)| (n.to_string(), Value::Num(v as f64))),
-                    );
-                    fields.extend(
-                        self.gauge_names
-                            .iter()
-                            .zip(&s.gauges)
-                            .map(|(&n, &v)| (n.to_string(), Value::Num(v))),
-                    );
-                    Value::Obj(fields)
-                })
-                .collect(),
-        );
-        Value::Obj(vec![
-            ("counters".into(), counters),
-            ("gauges".into(), gauges),
-            ("hists".into(), hists),
-            ("series".into(), series),
-        ])
     }
 }
 
@@ -615,30 +548,5 @@ mod tests {
         assert_eq!(a.n_samples(), 2, "longer series extends the merged one");
         assert_eq!(a.samples[0].counters, vec![3]);
         assert_eq!(a.samples[1].counters, vec![5], "missing point counts as 0");
-    }
-
-    #[test]
-    fn json_shape_lists_every_metric() {
-        let mut r = Registry::new();
-        let c = r.counter("a.count");
-        r.inc(c, 3);
-        let h = r.hist("a.hist");
-        r.observe(h, 5);
-        r.sample(1.0);
-        let v = r.to_json();
-        assert_eq!(
-            v.get("counters")
-                .and_then(|c| c.get("a.count"))
-                .and_then(Value::as_f64),
-            Some(3.0)
-        );
-        let hist = v.get("hists").and_then(|h| h.get("a.hist")).unwrap();
-        assert_eq!(hist.get("count").and_then(Value::as_f64), Some(1.0));
-        assert_eq!(
-            v.get("series").and_then(Value::as_arr).map(<[_]>::len),
-            Some(1)
-        );
-        // And the whole thing survives a render/parse round trip.
-        assert_eq!(Value::parse(&v.render()).unwrap(), v);
     }
 }

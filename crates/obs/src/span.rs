@@ -20,8 +20,6 @@
 
 use std::time::Duration;
 
-use crate::json::Value;
-
 /// Handle to a registered span.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub struct SpanId(usize);
@@ -73,10 +71,9 @@ impl SpanProfile {
     }
 
     /// Account a pre-aggregated `(nanos, entries)` total in one call —
-    /// the decode half of the telemetry codec, where a serialized row
-    /// arrives already summed. Saturating: a corrupted frame can repeat
-    /// a span name with near-`u64::MAX` totals, and decode must not
-    /// panic.
+    /// how the JSONL reader restores a row that arrives already summed.
+    /// Saturating: untrusted input can repeat a span name with
+    /// near-`u64::MAX` totals, and the reader must not panic.
     pub fn add_total(&mut self, id: SpanId, nanos: u64, entries: u64) {
         self.nanos[id.0] = self.nanos[id.0].saturating_add(nanos);
         self.entries[id.0] = self.entries[id.0].saturating_add(entries);
@@ -108,35 +105,6 @@ impl SpanProfile {
             self.add_total(id, other.nanos[i], other.entries[i]);
         }
     }
-
-    /// The profile as a JSON object: span name -> `{ms, entries}`.
-    pub fn to_json(&self) -> Value {
-        Value::Obj(
-            self.rows()
-                .map(|(n, total, entries)| {
-                    (
-                        n.to_string(),
-                        Value::Obj(vec![
-                            ("ms".into(), Value::Num(total.as_secs_f64() * 1e3)),
-                            ("entries".into(), Value::Num(entries as f64)),
-                        ]),
-                    )
-                })
-                .collect(),
-        )
-    }
-
-    /// A fixed-width text table of the profile (for stderr summaries).
-    pub fn render(&self) -> String {
-        let mut s = format!("{:<28} {:>12} {:>12}\n", "span", "total_ms", "entries");
-        for (n, total, entries) in self.rows() {
-            s.push_str(&format!(
-                "{n:<28} {:>12.3} {entries:>12}\n",
-                total.as_secs_f64() * 1e3
-            ));
-        }
-        s
-    }
 }
 
 #[cfg(test)]
@@ -157,20 +125,7 @@ mod tests {
         let plan = b.register("radio.plan");
         b.add(plan, Duration::from_micros(1));
         a.merge(&b);
-        assert_eq!(a.rows().count(), 2);
-        let t = a.render();
-        assert!(t.contains("des.pop"), "{t}");
-        assert!(t.contains("radio.plan"), "{t}");
-    }
-
-    #[test]
-    fn json_lists_ms_and_entries() {
-        let mut p = SpanProfile::new();
-        let s = p.register("x");
-        p.add(s, Duration::from_millis(2));
-        let v = p.to_json();
-        let x = v.get("x").unwrap();
-        assert_eq!(x.get("entries").and_then(Value::as_f64), Some(1.0));
-        assert!(x.get("ms").and_then(Value::as_f64).unwrap() >= 2.0);
+        let names: Vec<&str> = a.rows().map(|(n, _, _)| n).collect();
+        assert_eq!(names, vec!["des.pop", "radio.plan"]);
     }
 }

@@ -22,12 +22,15 @@
 //! observability pipeline end-to-end. Each child arms its node's
 //! observability ([`RtNode::arm_obs`]), so the event loop records the
 //! same counters, spans and causal traces the DES records, and at
-//! shutdown ships them as one `TELEM <hex>` frame on the same stdout the
-//! RESULT line uses. The parent merges the reports with
-//! [`manet_obs::ObsReport::merge`] and the traces with
+//! shutdown prints them on the same stdout the RESULT line uses, before
+//! it: the report's JSONL as `TELEM <line>` lines, the trace's as
+//! `TRACE <line>` lines. The parent reads each child's lines back
+//! ([`ObsReport::from_jsonl`], `TraceLog::from_jsonl`) only once every
+//! child has exited cleanly, so a child cut short merges nothing. It
+//! folds the reports with [`ObsReport::merge`] and the traces with
 //! `TraceLog::merge_offset` (per-node id namespaces keep span ids
-//! disjoint; a frame whose trace header or any of whose spans lies
-//! outside the child's namespace is rejected), stitches per-process clocks
+//! disjoint; a trace whose header or any of whose spans lies outside the
+//! child's namespace is rejected), stitches per-process clocks
 //! ([`p2p_stack::stitch_clocks`]), and writes `swarm_report.jsonl` plus
 //! a Perfetto-loadable `swarm.trace.json` into `--obs-dir`. A child that
 //! panics or errors out dumps its flight recorder as `failure_*.jsonl`
@@ -55,7 +58,7 @@ use manet_obs::{causal, ObsConfig, ObsReport};
 use manet_rt::RtNode;
 use p2p_content::{Catalog, QueryCfg, QueryEngine};
 use p2p_core::{build_algo, AlgoKind, OverlayParams};
-use p2p_stack::{decode_telemetry, from_hex, node_id_base, stitch_clocks, StackMachine, TraceLog};
+use p2p_stack::{node_id_base, stitch_clocks, StackMachine, TraceLog};
 
 /// Per-node join stagger; also the reason short runs still converge.
 const JOIN_STAGGER_MS: u64 = 150;
@@ -237,10 +240,15 @@ fn child_main(id: u32, opts: &Opts) -> std::io::Result<()> {
         }
     };
 
-    // The telemetry frame goes out *before* RESULT, so the parent has it
-    // by the time the child's tally arrives.
-    if let Some(hex) = rt.telemetry_hex() {
-        println!("TELEM {hex}");
+    // Telemetry goes out *before* RESULT, so a child whose tally arrived
+    // has shipped all of it.
+    if let Some((report, trace)) = rt.telemetry() {
+        for line in report.to_jsonl().lines() {
+            println!("TELEM {line}");
+        }
+        for line in trace.to_jsonl().lines() {
+            println!("TRACE {line}");
+        }
     }
     println!(
         "RESULT id={id} issued={} answered={} hits={} sent={} recv={} decode_err={}",
@@ -258,9 +266,8 @@ fn child_main(id: u32, opts: &Opts) -> std::io::Result<()> {
 /// finds a `failure_node<id>*.jsonl` post-mortem in the obs directory.
 fn dump_child_failure(rt: &mut RtNode, id: u32, dir: &Path, why: String) {
     eprintln!("child {id}: {why}");
-    if let Some(report) = rt.obs_report() {
-        let report = report.clone();
-        match dump_failure(dir, &format!("node{id}"), &[why], &report) {
+    if let Some((report, _)) = rt.telemetry() {
+        match dump_failure(dir, &format!("node{id}"), &[why], report) {
             Ok(path) => eprintln!("child {id}: dumped {}", path.display()),
             Err(e) => eprintln!("child {id}: failure dump failed: {e}"),
         }
@@ -277,10 +284,17 @@ struct Totals {
     decode_err: u64,
 }
 
-/// What the parent distilled from the children's telemetry frames: the
-/// merged report and stitched trace land on disk (see
-/// [`merge_telemetry`]); the summary carries what the success criteria
-/// need.
+/// One child's shipped telemetry: its `TELEM` and `TRACE` lines, prefix
+/// stripped, each ending in a newline.
+#[derive(Clone, Default)]
+struct Shipped {
+    report: String,
+    trace: String,
+}
+
+/// What the parent distilled from the children's telemetry: the merged
+/// report and stitched trace land on disk (see [`merge_telemetry`]); the
+/// summary carries what the success criteria need.
 struct ObsMerged {
     /// Causal trees whose spans come from at least two OS processes.
     cross_process_traces: usize,
@@ -348,17 +362,21 @@ fn run_swarm(opts: &Opts, attempt: u32) -> Result<(Totals, Option<ObsMerged>), S
             .map_err(|e| format!("send PEERS to child {id}: {e}"))?;
     }
 
-    // Harvest TELEM and RESULT lines plus exit statuses. Any child that
-    // exits non-zero fails the round before anything merges; its
+    // Harvest TELEM, TRACE and RESULT lines plus exit statuses. Any child
+    // that exits non-zero fails the round before anything merges; its
     // post-mortem is the failure dump it left in the obs directory.
     let mut totals = Totals::default();
-    let mut telem: Vec<Option<String>> = vec![None; opts.nodes as usize];
+    let mut telem = vec![Shipped::default(); opts.nodes as usize];
     for (id, (mut child, mut reader)) in children.into_iter().zip(outs).enumerate() {
         let mut result_line = None;
         for line in (&mut reader).lines() {
             let line = line.map_err(|e| format!("read from child {id}: {e}"))?;
-            if let Some(hex) = line.strip_prefix("TELEM ") {
-                telem[id] = Some(hex.to_string());
+            if let Some(json) = line.strip_prefix("TELEM ") {
+                telem[id].report.push_str(json);
+                telem[id].report.push('\n');
+            } else if let Some(json) = line.strip_prefix("TRACE ") {
+                telem[id].trace.push_str(json);
+                telem[id].trace.push('\n');
             } else if line.starts_with("RESULT ") {
                 // Surface each child's own tally in the parent summary.
                 println!("{line}");
@@ -402,38 +420,32 @@ fn run_swarm(opts: &Opts, attempt: u32) -> Result<(Totals, Option<ObsMerged>), S
     Ok((totals, Some(merged)))
 }
 
-/// Decode every child's telemetry frame, fold reports and traces, stitch
+/// Read every child's shipped report and trace back, fold them, stitch
 /// clocks, verify counter reconciliation, and write the merged artifacts
 /// into the obs directory.
 fn merge_telemetry(
     opts: &Opts,
     attempt: u32,
-    telem: &[Option<String>],
+    telem: &[Shipped],
     totals: &Totals,
 ) -> Result<ObsMerged, String> {
     let mut report = ObsReport::default();
     let mut trace = TraceLog::new(TRACE_CAPACITY * opts.nodes as usize);
-    for (id, hex) in telem.iter().enumerate() {
-        let hex = hex
-            .as_ref()
-            .ok_or_else(|| format!("child {id} shipped no telemetry frame"))?;
-        let bytes = from_hex(hex).map_err(|e| format!("child {id} telemetry hex: {e}"))?;
-        let telem =
-            decode_telemetry(&bytes).map_err(|e| format!("child {id} telemetry frame: {e}"))?;
-        if telem.node != id as u32 {
-            return Err(format!("child {id} telemetry claims node {}", telem.node));
-        }
+    for (id, shipped) in telem.iter().enumerate() {
+        let child_report = ObsReport::from_jsonl(&shipped.report)
+            .map_err(|e| format!("child {id} telemetry report: {e}"))?;
+        let child_trace = TraceLog::from_jsonl(&shipped.trace)
+            .map_err(|e| format!("child {id} telemetry trace: {e}"))?;
         let (base, next_base) = (node_id_base(id as u32), node_id_base(id as u32 + 1));
-        if telem.trace.id_base() != base {
+        if child_trace.id_base() != base {
             return Err(format!(
                 "child {id} telemetry trace claims id base {:#x}",
-                telem.trace.id_base()
+                child_trace.id_base()
             ));
         }
         // A child mints every span it records, so each one lies in its
         // namespace; a foreign span would collide in the verbatim merge.
-        if let Some(e) = telem
-            .trace
+        if let Some(e) = child_trace
             .events()
             .find(|e| e.span <= base || e.span >= next_base)
         {
@@ -442,8 +454,8 @@ fn merge_telemetry(
                 e.span
             ));
         }
-        report.merge(&telem.report);
-        trace.merge_offset(&telem.trace);
+        report.merge(&child_report);
+        trace.merge_offset(&child_trace);
     }
 
     // The bounded-retry bookkeeping becomes part of the merged report.
@@ -601,7 +613,6 @@ fn main() {
 mod tests {
     use super::*;
     use manet_des::SimTime;
-    use p2p_stack::{encode_telemetry, to_hex};
 
     #[test]
     fn merge_rejects_a_trace_minted_in_another_namespace() {
@@ -616,19 +627,22 @@ mod tests {
             obs_dir: std::env::temp_dir(),
             child_id: None,
         };
-        // Child 0's frame carrying a trace from node 1's namespace.
+        // Child 0 shipping a trace from node 1's namespace.
         let foreign = TraceLog::with_id_base(8, 0, node_id_base(1));
-        // Child 0's frame with its own header, but carrying a span node 1
+        // Child 0 shipping its own header, but carrying a span node 1
         // minted.
         let mut mixed = TraceLog::with_id_base(8, 0, node_id_base(0));
         let mut node1 = TraceLog::with_id_base(8, 0, node_id_base(1));
         node1.origin(SimTime::from_secs(1), NodeId(1), "query");
         mixed.merge_offset(&node1);
         for (forged, why) in [(foreign, "id base"), (mixed, "span")] {
-            let frame = to_hex(&encode_telemetry(0, &ObsReport::default(), &forged));
-            match merge_telemetry(&opts, 1, &[Some(frame)], &Totals::default()) {
+            let shipped = Shipped {
+                report: ObsReport::default().to_jsonl(),
+                trace: forged.to_jsonl(),
+            };
+            match merge_telemetry(&opts, 1, &[shipped], &Totals::default()) {
                 Err(e) => assert!(e.contains("child 0") && e.contains(why), "{e}"),
-                Ok(_) => panic!("a frame from a foreign namespace was merged ({why})"),
+                Ok(_) => panic!("a trace from a foreign namespace was merged ({why})"),
             }
         }
     }

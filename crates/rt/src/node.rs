@@ -31,8 +31,8 @@ use manet_des::{NodeId, SimTime};
 use manet_obs::{ObsConfig, ObsReport, Severity};
 use p2p_content::CompletedQuery;
 use p2p_stack::{
-    decode_frame, encode_frame, encode_telemetry, node_id_base, to_hex, trace_send, AppMsg,
-    SendDown, StackHost, StackMachine, TimerReq, TraceLog,
+    decode_frame, encode_frame, node_id_base, trace_send, AppMsg, SendDown, StackHost,
+    StackMachine, TimerReq, TraceLog,
 };
 
 use crate::clock::Clock;
@@ -203,20 +203,13 @@ impl RtNode {
         }
     }
 
-    /// Mirror the protocol totals and return the node's telemetry frame
-    /// (report plus causal trace) hex-armored for the stdio channel, if
+    /// Mirror the protocol totals and return the node's report and causal
+    /// trace — what it ships at shutdown, or dumps on failure — if
     /// observability is armed.
-    pub fn telemetry_hex(&mut self) -> Option<String> {
+    pub fn telemetry(&mut self) -> Option<(&ObsReport, &TraceLog)> {
         self.sync_obs();
         let obs = self.air.obs.as_ref()?;
-        let frame = encode_telemetry(self.machine.id().0, &obs.report, &self.air.trace);
-        Some(to_hex(&frame))
-    }
-
-    /// The armed report (for failure dumps), synced first.
-    pub fn obs_report(&mut self) -> Option<&ObsReport> {
-        self.sync_obs();
-        self.air.obs.as_ref().map(|o| &o.report)
+        Some((&obs.report, &self.air.trace))
     }
 
     /// Join the overlay after `join_delay`, then run the event loop for
@@ -398,10 +391,9 @@ mod tests {
         let rb = t.join().expect("join b");
 
         assert!(
-            node_a.obs_report().is_none(),
-            "an unarmed node records nothing"
+            node_a.telemetry().is_none(),
+            "an unarmed node records and ships nothing"
         );
-        assert!(node_a.telemetry_hex().is_none(), "and ships no telemetry");
         assert!(ra.frames_sent > 0 && rb.frames_sent > 0, "traffic flowed");
         assert_eq!(ra.decode_errors + rb.decode_errors, 0, "codec clean");
         assert!(
@@ -436,7 +428,7 @@ mod tests {
             .expect("a runs");
         assert_eq!(report.frames_received, 1, "only the genuine frame");
         assert_eq!(report.decode_errors, 1, "the impersonation is counted");
-        let obs = node_a.obs_report().expect("armed");
+        let (obs, _) = node_a.telemetry().expect("armed");
         assert_eq!(obs.registry.counter_by_name("rt.decode_errors"), Some(1));
         let intruder_addr = intruder.local_addr().unwrap().to_string();
         assert!(
@@ -449,11 +441,18 @@ mod tests {
 
     /// The same two-node exchange with observability armed: the
     /// substrate counters must agree exactly with the `RtReport` tallies,
-    /// and the final telemetry frame must round-trip through the codec.
+    /// and the shipped report and trace must read back from their JSONL.
     #[test]
     fn armed_node_counters_reconcile_with_its_report() {
         use manet_obs::CausalKind;
-        use p2p_stack::{decode_telemetry, from_hex};
+
+        fn shipped(node: &mut RtNode) -> (ObsReport, TraceLog) {
+            let (report, trace) = node.telemetry().expect("armed");
+            (
+                ObsReport::from_jsonl(&report.to_jsonl()).expect("report reads back"),
+                TraceLog::from_jsonl(&trace.to_jsonl()).expect("trace reads back"),
+            )
+        }
 
         let sock_a = UdpSocket::bind("127.0.0.1:0").expect("bind a");
         let sock_b = UdpSocket::bind("127.0.0.1:0").expect("bind b");
@@ -474,17 +473,15 @@ mod tests {
         let run = Duration::from_millis(2_000);
         let t = std::thread::spawn(move || {
             let r = node_b.run(run, Duration::from_millis(300)).expect("b runs");
-            (r, node_b.telemetry_hex().expect("armed"))
+            (r, shipped(&mut node_b))
         });
         let ra = node_a.run(run, Duration::ZERO).expect("a runs");
-        let hex_a = node_a.telemetry_hex().expect("armed");
-        let (rb, hex_b) = t.join().expect("join b");
+        let telem_a = shipped(&mut node_a);
+        let (rb, telem_b) = t.join().expect("join b");
 
-        for (report, hex, node) in [(ra, hex_a, 0u32), (rb, hex_b, 1u32)] {
-            let telem = decode_telemetry(&from_hex(&hex).expect("hex")).expect("frame");
-            assert_eq!(telem.node, node);
-            assert_eq!(telem.report.runs, 1, "each node contributes one run");
-            let reg = &telem.report.registry;
+        for (report, (obs, trace), node) in [(ra, telem_a, 0u32), (rb, telem_b, 1u32)] {
+            assert_eq!(obs.runs, 1, "each node contributes one run");
+            let reg = &obs.registry;
             assert_eq!(
                 reg.counter_by_name("rt.dgram_rx"),
                 Some(report.frames_received),
@@ -500,15 +497,14 @@ mod tests {
                 reg.counter_by_name("rt.epoll_wakeups").unwrap_or(0) > 0,
                 "traffic flowed, so the poller woke at least once"
             );
-            assert!(!telem.trace.is_empty(), "causal spans were recorded");
+            assert!(!trace.is_empty(), "causal spans were recorded");
             assert_eq!(
-                telem.trace.id_base(),
+                trace.id_base(),
                 node_id_base(node),
                 "spans mint from the node's own namespace"
             );
             let namespace = node_id_base(node)..node_id_base(node + 1);
-            let minted: Vec<u64> = telem
-                .trace
+            let minted: Vec<u64> = trace
                 .events()
                 .filter(|e| matches!(e.kind, CausalKind::Origin { .. }))
                 .map(|e| e.trace_id)
@@ -519,7 +515,7 @@ mod tests {
                 "every trace the node originates is minted in its namespace"
             );
             assert!(
-                telem.trace.events().all(|e| namespace.contains(&e.span)),
+                trace.events().all(|e| namespace.contains(&e.span)),
                 "every span the node records, foreign traces included, is its own"
             );
         }

@@ -15,8 +15,9 @@
 //!   `failure_*.jsonl` by the swarm when a child dies.
 //!
 //! The protocol layers' running totals ([`QueryStats`]/[`AodvStats`]) are
-//! mirrored into the registry at sync points, so a telemetry snapshot is
-//! always a consistent running total.
+//! mirrored into the registry at sync points, so the report a child ships
+//! or dumps (see [`RtNode::telemetry`](crate::RtNode::telemetry)) always
+//! holds consistent running totals.
 
 use manet_aodv::AodvStats;
 use manet_des::SimTime;
@@ -120,7 +121,7 @@ impl StackObs {
     }
 
     /// Mirror the protocol layers' running totals into the registry, so
-    /// an imminent snapshot (sample, telemetry frame, shutdown) reads
+    /// an imminent snapshot (sample, shipped report, shutdown) reads
     /// consistent values. Set-semantics: idempotent per call.
     pub(crate) fn mirror_stats(&mut self, q: &QueryStats, a: &AodvStats) {
         let reg = &mut self.report.registry;

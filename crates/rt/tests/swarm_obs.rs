@@ -5,13 +5,15 @@
 //! * the parent's merged `stack.queries_issued` counter reconciles
 //!   **exactly** with the sum of the per-child `RESULT` lines — the two
 //!   sides read the same totals through independent channels (key=value
-//!   stdout vs. telemetry frames), so any drift is a codec or merge bug;
-//! * answers never exceed queries in the merged report;
+//!   stdout vs. the shipped JSONL), so any drift is a serialization or
+//!   merge bug;
+//! * the merged report reads back from its JSONL, and its answers never
+//!   exceed its queries;
 //! * the merged Perfetto artifact passes [`validate_artifact`] and
 //!   survives a render → parse → extract round-trip.
 //!
 //! This is the workspace's only test that exercises the full pipeline —
-//! child instrumentation → telemetry frames over stdio → parent merge →
+//! child instrumentation → JSONL telemetry over stdio → parent merge →
 //! clock stitching → artifact — with nothing mocked.
 
 use std::path::PathBuf;
@@ -19,6 +21,7 @@ use std::process::Command;
 
 use manet_obs::causal::{events_from_artifact, validate_artifact};
 use manet_obs::json::Value;
+use manet_obs::ObsReport;
 
 /// A scratch directory under the test binary's own target dir, wiped at
 /// the start of each run so stale artifacts never satisfy assertions.
@@ -27,19 +30,6 @@ fn scratch_dir(tag: &str) -> PathBuf {
     let _ = std::fs::remove_dir_all(&dir);
     std::fs::create_dir_all(&dir).expect("create scratch dir");
     dir
-}
-
-/// The `value` field of the first JSONL counter line with this name.
-fn counter_from_jsonl(jsonl: &str, name: &str) -> Option<u64> {
-    jsonl
-        .lines()
-        .filter_map(|line| Value::parse(line).ok())
-        .find(|v| {
-            v.get("type").and_then(Value::as_str) == Some("counter")
-                && v.get("name").and_then(Value::as_str) == Some(name)
-        })
-        .and_then(|v| v.get("value").and_then(Value::as_f64))
-        .map(|n| n as u64)
 }
 
 #[test]
@@ -89,8 +79,11 @@ fn three_process_swarm_counters_reconcile_and_artifact_validates() {
 
     // The merged report on disk must carry exactly the same totals.
     let jsonl = std::fs::read_to_string(dir.join("swarm_report.jsonl")).expect("merged report");
-    let merged_issued =
-        counter_from_jsonl(&jsonl, "stack.queries_issued").expect("merged queries counter");
+    let merged = ObsReport::from_jsonl(&jsonl).expect("merged report reads back");
+    let merged_issued = merged
+        .registry
+        .counter_by_name("stack.queries_issued")
+        .expect("merged queries counter");
     assert_eq!(
         merged_issued, sum_issued,
         "merged queries_issued must equal the sum of child RESULT lines"
@@ -100,7 +93,7 @@ fn three_process_swarm_counters_reconcile_and_artifact_validates() {
         "answers ({sum_answered}) exceed merged queries ({merged_issued})"
     );
     assert_eq!(
-        counter_from_jsonl(&jsonl, "swarm.nodes"),
+        merged.registry.counter_by_name("swarm.nodes"),
         Some(3),
         "parent stamps the swarm size into the merged report"
     );

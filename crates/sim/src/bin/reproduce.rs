@@ -22,8 +22,8 @@
 //! `DIR/<algo>_rep<k>.trace.json`.
 
 use manet_sim::experiments::{
-    cfg_from_args, fig_connects, fig_distance_answers, fig_pings, fig_queries, run_matrix_traced,
-    summary_table, take_obs_out, take_trace_out,
+    cfg_from_args, fig_connects, fig_distance_answers, fig_pings, fig_queries, flag,
+    run_matrix_traced, summary_table, take_dir, usage_error,
 };
 use manet_sim::{parse_scn, render_expect, runner, Scenario};
 use p2p_core::AlgoKind;
@@ -53,22 +53,13 @@ fn run_scenario_file(
             return 1;
         }
     };
-    let flag = |name: &str| {
-        args.iter()
-            .position(|a| a == name)
-            .map(|i| args[i + 1].clone())
-    };
-    let reps = flag("--reps")
-        .map(|v| v.parse().expect("--reps count"))
+    let reps = flag(args, "--reps", "a count")
         .or(file.expect.map(|e| e.reps))
         .unwrap_or(2);
-    let seed = flag("--seed")
-        .map(|v| v.parse().expect("--seed u64"))
+    let seed = flag(args, "--seed", "a u64")
         .or(file.expect.map(|e| e.seed))
         .unwrap_or(7);
-    let threads = flag("--threads")
-        .map(|v| v.parse().expect("--threads count"))
-        .unwrap_or_else(|| reps.min(4));
+    let threads = flag(args, "--threads", "a count").unwrap_or_else(|| reps.min(4));
     eprintln!(
         "# scenario {}: {} nodes, {} adversaries, {} reps, seed {seed:#x}",
         file.name,
@@ -126,13 +117,13 @@ fn run_scenario_file(
 
 fn main() {
     let mut args: Vec<String> = std::env::args().skip(1).collect();
-    let obs_out = take_obs_out(&mut args);
-    let trace_out = take_trace_out(&mut args);
+    let obs_out = take_dir(&mut args, "--obs-out");
+    let trace_out = take_dir(&mut args, "--trace-out");
     if let Some(i) = args.iter().position(|a| a == "--scenario") {
-        let path = args.get(i + 1).cloned().unwrap_or_else(|| {
-            eprintln!("--scenario takes a .scn file");
-            std::process::exit(2);
-        });
+        let path = args
+            .get(i + 1)
+            .cloned()
+            .unwrap_or_else(|| usage_error("--scenario takes a .scn file"));
         args.drain(i..i + 2);
         std::process::exit(run_scenario_file(
             &path,
@@ -147,10 +138,7 @@ fn main() {
         return;
     }
     if args.iter().any(|a| a == "--table2") {
-        let nodes = args
-            .iter()
-            .position(|a| a == "--nodes")
-            .map_or(50, |i| args[i + 1].parse().expect("--nodes"));
+        let nodes = flag(&args, "--nodes", "an integer").unwrap_or(50);
         println!("Table 2: parameters used and their typical values\n");
         print!(
             "{}",

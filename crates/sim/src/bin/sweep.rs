@@ -20,31 +20,24 @@
 //! scenarios by estimated cost (`nodes × seconds × reps`).
 
 use manet_des::SimDuration;
-use manet_sim::experiments::{cfg_from_args, take_obs_out, take_trace_out, TRACE_CAPACITY};
+use manet_sim::experiments::{cfg_from_args, flag, take_dir, usage_error, TRACE_CAPACITY};
 use manet_sim::{render_expect, runner, ChurnCfg, MobilityKind, Scenario, ScnFile};
 use p2p_core::AlgoKind;
 
 fn main() {
     let mut raw: Vec<String> = std::env::args().skip(1).collect();
     if let Some(i) = raw.iter().position(|a| a == "--corpus") {
-        let dir = raw.get(i + 1).cloned().unwrap_or_else(|| {
-            eprintln!("--corpus takes a directory");
-            std::process::exit(2);
-        });
+        let dir = raw
+            .get(i + 1)
+            .cloned()
+            .unwrap_or_else(|| usage_error("--corpus takes a directory"));
         let check_only = raw.iter().any(|a| a == "--check-only");
-        let cheapest = raw
-            .iter()
-            .position(|a| a == "--cheapest")
-            .map(|i| raw[i + 1].parse::<usize>().expect("--cheapest count"));
+        let cheapest = flag(&raw, "--cheapest", "a count");
         std::process::exit(run_corpus(&dir, check_only, cheapest));
     }
-    let obs_out = take_obs_out(&mut raw);
-    let trace_out = take_trace_out(&mut raw);
-    let axis = raw
-        .iter()
-        .position(|a| a == "--axis")
-        .map(|i| raw[i + 1].clone())
-        .unwrap_or_else(|| "density".into());
+    let obs_out = take_dir(&mut raw, "--obs-out");
+    let trace_out = take_dir(&mut raw, "--trace-out");
+    let axis: String = flag(&raw, "--axis", "an axis name").unwrap_or_else(|| "density".into());
     let rest: Vec<String> = {
         let mut v = Vec::new();
         let mut i = 0;
@@ -181,7 +174,9 @@ fn main() {
                 }
             }
         }
-        other => panic!("unknown axis {other}: density|coverage|speed|mobility|churn"),
+        other => usage_error(&format!(
+            "unknown axis {other}: density|coverage|speed|mobility|churn"
+        )),
     }
 }
 

@@ -275,11 +275,35 @@ options:
                   (<cell>_rep<k>.trace.json; inspect with trace_query)
   --help          print this text";
 
+/// Print `msg` and [`USAGE`] to stderr and exit with status 2: how the
+/// experiment binaries refuse a command line they cannot run.
+pub fn usage_error(msg: &str) -> ! {
+    eprintln!("{msg}\n{USAGE}");
+    std::process::exit(2);
+}
+
+/// The value after the flag at `args[i]`, parsed; a missing or
+/// unparsable value is a [`usage_error`] saying the flag takes `what`.
+fn value_at<T: std::str::FromStr>(args: &[String], i: usize, what: &str) -> T {
+    args.get(i + 1)
+        .and_then(|v| v.parse().ok())
+        .unwrap_or_else(|| usage_error(&format!("{} takes {what}", args[i])))
+}
+
+/// The parsed value of flag `name` in `args`, `None` when the flag is
+/// absent (a missing or unparsable value is a [`usage_error`]).
+pub fn flag<T: std::str::FromStr>(args: &[String], name: &str, what: &str) -> Option<T> {
+    let i = args.iter().position(|a| a == name)?;
+    Some(value_at(args, i, what))
+}
+
 /// Parse `--flag value` style arguments shared by the experiment binaries.
 ///
 /// `--help` prints [`USAGE`] and exits. `--obs-out DIR` is a binary-level
-/// flag: binaries that support it strip it (see [`take_obs_out`]) before
-/// calling this, and it is rejected here otherwise.
+/// flag: binaries that support it strip it (see [`take_dir`]) before
+/// calling this, and it is rejected here otherwise. A flag without its
+/// value, a value that does not parse and an unknown argument are each a
+/// [`usage_error`].
 pub fn cfg_from_args(args: &[String]) -> ExperimentCfg {
     let mut n_nodes = 50usize;
     let mut cfg_kind = "default";
@@ -290,36 +314,23 @@ pub fn cfg_from_args(args: &[String]) -> ExperimentCfg {
     let mut i = 0;
     while i < args.len() {
         match args[i].as_str() {
-            "--nodes" => {
-                n_nodes = args[i + 1].parse().expect("--nodes takes an integer");
-                i += 2;
-            }
+            "--nodes" => n_nodes = value_at(args, i, "an integer"),
             "--paper" => {
                 cfg_kind = "paper";
                 i += 1;
+                continue;
             }
-            "--duration" => {
-                duration = Some(args[i + 1].parse().expect("--duration seconds"));
-                i += 2;
-            }
-            "--reps" => {
-                reps = Some(args[i + 1].parse().expect("--reps count"));
-                i += 2;
-            }
-            "--seed" => {
-                seed = Some(args[i + 1].parse().expect("--seed u64"));
-                i += 2;
-            }
-            "--threads" => {
-                threads = Some(args[i + 1].parse().expect("--threads count"));
-                i += 2;
-            }
+            "--duration" => duration = Some(value_at(args, i, "seconds")),
+            "--reps" => reps = Some(value_at(args, i, "a count")),
+            "--seed" => seed = Some(value_at(args, i, "a u64")),
+            "--threads" => threads = Some(value_at(args, i, "a count")),
             "--help" | "-h" => {
                 println!("{USAGE}");
                 std::process::exit(0);
             }
-            other => panic!("unknown argument {other}\n{USAGE}"),
+            other => usage_error(&format!("unknown argument {other}")),
         }
+        i += 2;
     }
     let mut cfg = if cfg_kind == "paper" {
         ExperimentCfg::paper_scale(n_nodes)
@@ -341,23 +352,15 @@ pub fn cfg_from_args(args: &[String]) -> ExperimentCfg {
     cfg
 }
 
-/// Strip a `--obs-out DIR` pair from `args`, returning the directory when
-/// present. Binaries call this before [`cfg_from_args`] and set
-/// [`ExperimentCfg::obs`] from the result.
-pub fn take_obs_out(args: &mut Vec<String>) -> Option<std::path::PathBuf> {
-    let i = args.iter().position(|a| a == "--obs-out")?;
-    assert!(i + 1 < args.len(), "--obs-out takes a directory");
-    let dir = args.remove(i + 1);
-    args.remove(i);
-    Some(std::path::PathBuf::from(dir))
-}
-
-/// Strip a `--trace-out DIR` pair from `args`, returning the directory
-/// when present. Binaries call this before [`cfg_from_args`] and set
+/// Strip a `flag DIR` pair (`--obs-out`, `--trace-out`) from `args`,
+/// returning the directory when present. Binaries call this before
+/// [`cfg_from_args`] and set [`ExperimentCfg::obs`] or
 /// [`ExperimentCfg::trace`] from the result.
-pub fn take_trace_out(args: &mut Vec<String>) -> Option<std::path::PathBuf> {
-    let i = args.iter().position(|a| a == "--trace-out")?;
-    assert!(i + 1 < args.len(), "--trace-out takes a directory");
+pub fn take_dir(args: &mut Vec<String>, flag: &str) -> Option<std::path::PathBuf> {
+    let i = args.iter().position(|a| a == flag)?;
+    if i + 1 == args.len() {
+        usage_error(&format!("{flag} takes a directory"));
+    }
     let dir = args.remove(i + 1);
     args.remove(i);
     Some(std::path::PathBuf::from(dir))
@@ -422,12 +425,15 @@ mod tests {
             .iter()
             .map(|s| s.to_string())
             .collect();
-        let dir = take_obs_out(&mut args);
+        let dir = take_dir(&mut args, "--obs-out");
         assert_eq!(dir.as_deref(), Some(std::path::Path::new("/tmp/obs")));
         let cfg = cfg_from_args(&args);
         assert_eq!(cfg.n_nodes, 30);
         assert_eq!(cfg.reps, 2);
-        assert!(take_obs_out(&mut args).is_none(), "already stripped");
+        assert!(
+            take_dir(&mut args, "--obs-out").is_none(),
+            "already stripped"
+        );
     }
 
     #[test]

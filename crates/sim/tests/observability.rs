@@ -1,9 +1,10 @@
 //! The observability contract: enabling the sink never changes results,
 //! merged reports are thread-count invariant, and failure dumps are
-//! well-formed JSONL.
+//! well-formed JSONL that reads back into the report dumped.
 
 use manet_metrics::MsgKind;
 use manet_obs::json::Value;
+use manet_obs::ObsReport;
 use manet_sim::{aggregate, check_result_dumping, run_replications, ObsConfig, Scenario, World};
 use p2p_core::AlgoKind;
 
@@ -151,6 +152,12 @@ fn failure_dumps_are_parseable_jsonl() {
         .and_then(|v| v.as_arr())
         .expect("violations array");
     assert_eq!(dumped.len(), violations.len());
+    // Past its failure line the dump is the run's report, exactly.
+    let (_, body) = text.split_once('\n').expect("a report follows the header");
+    assert_eq!(
+        ObsReport::from_jsonl(body).expect("the dumped report reads back"),
+        r.obs
+    );
     let _ = std::fs::remove_dir_all(&dir);
 }
 

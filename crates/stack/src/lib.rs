@@ -23,9 +23,9 @@
 //!   engine composition with adversarial interception, and
 //!   [`StackHost`], the trait a substrate implements to run it;
 //! * [`trace`] — [`TraceLog`], the bounded causal trace both substrates
-//!   record into, as `manet_obs::CausalEvent`s;
-//! * [`telemetry`] — the length-prefixed frame that ships one node's
-//!   `ObsReport` + [`TraceLog`] across a process boundary, plus the
+//!   record into, as `manet_obs::CausalEvent`s, and its JSONL form;
+//! * [`telemetry`] — how one node's `ObsReport` + [`TraceLog`] cross a
+//!   process boundary (as the JSONL both already write), and the
 //!   clock-offset estimator that stitches per-process traces into one
 //!   timeline.
 
@@ -38,9 +38,7 @@ pub mod wire;
 
 pub use machine::{trace_send, StackHost, StackMachine};
 pub use payload::AppMsg;
-pub use telemetry::{
-    decode_telemetry, encode_telemetry, from_hex, stitch_clocks, to_hex, Telemetry,
-};
+pub use telemetry::stitch_clocks;
 pub use trace::{node_id_base, TraceLog};
 pub use verbs::{FrameUp, OverlayDown, SendDown, TimerReq};
 pub use wire::{decode_frame, encode_frame};

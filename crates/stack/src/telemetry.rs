@@ -1,18 +1,19 @@
-//! The telemetry frame: one node's observability, shipped across a
-//! process boundary — plus the clock-offset stitcher that fuses
-//! per-process traces into one timeline.
+//! Cross-process telemetry: how one node's observability leaves its
+//! process, and how the per-process traces fuse into one timeline.
 //!
 //! A swarm child records counters, spans, flight records and a causal
-//! [`TraceLog`] locally; at shutdown it encodes everything into one
-//! length-prefixed binary frame ([`encode_telemetry`]) and ships it to the
-//! parent over the existing stdio RESULT channel (hex-armored — see
-//! [`to_hex`]/[`from_hex`] — so the frame survives line-oriented
-//! transport). The parent decodes ([`decode_telemetry`]) with the same
-//! typed-[`WireError`] discipline as the datagram codec: truncation and
-//! corruption are expected inputs, never panics. The trace travels as its
-//! [`CausalEvent`]s, one tag per [`CausalKind`]. A child that dies
-//! mid-run ships no frame; its post-mortem is the `failure_*.jsonl` dump
-//! it writes on the way out.
+//! [`TraceLog`](crate::TraceLog) locally. At shutdown it prints both on
+//! the stdout its `RESULT` line uses, in the one format every other
+//! report reader takes: the report as [`ObsReport::to_jsonl`] lines, the
+//! trace as [`TraceLog::to_jsonl`](crate::TraceLog::to_jsonl) lines. The
+//! parent reads them back with [`ObsReport::from_jsonl`] and
+//! [`TraceLog::from_jsonl`](crate::TraceLog::from_jsonl), which refuse
+//! truncated or corrupted input with an error naming the line, never a
+//! panic. A child that dies mid-run ships nothing; its post-mortem is the
+//! `failure_*.jsonl` dump it writes on the way out.
+//!
+//! [`ObsReport::to_jsonl`]: manet_obs::ObsReport::to_jsonl
+//! [`ObsReport::from_jsonl`]: manet_obs::ObsReport::from_jsonl
 //!
 //! Cross-process traces need one more step. Each node stamps span times
 //! from its own monotonic clock, and those clocks share no epoch — a
@@ -27,430 +28,7 @@
 
 use std::collections::HashMap;
 
-use manet_des::wire::{put_u16, put_u32, put_u64, put_u8};
-use manet_des::{WireError, WireReader};
-use manet_obs::registry::Histogram;
-use manet_obs::{
-    intern, CausalEvent, CausalKind, FlightRecord, FlightRecorder, ObsReport, Severity,
-};
-
-use crate::trace::TraceLog;
-
-/// Leading bytes of every telemetry frame (distinct from the datagram
-/// codec's `[0xAD, 0x0C]`, so a frame pasted into the wrong decoder is
-/// rejected up front).
-pub const TELEMETRY_MAGIC: [u8; 2] = [0xAD, 0x0B];
-
-/// Telemetry codec version; bumped on any layout change.
-pub const TELEMETRY_VERSION: u8 = 2;
-
-/// One node's decoded telemetry snapshot.
-#[derive(Debug)]
-pub struct Telemetry {
-    /// The reporting node.
-    pub node: u32,
-    /// Counters, gauges, histograms, series, spans and flight records.
-    pub report: ObsReport,
-    /// The node's causal trace. Reconstructed for *analysis*:
-    /// events, totals and id watermarks round-trip exactly; the private
-    /// reservoir-sampler state does not travel (the decoded log is
-    /// merged and read, never recorded into).
-    pub trace: TraceLog,
-}
-
-fn put_str(buf: &mut Vec<u8>, s: &str) {
-    let bytes = s.as_bytes();
-    debug_assert!(
-        bytes.len() <= u16::MAX as usize,
-        "telemetry string too long"
-    );
-    put_u16(buf, bytes.len() as u16);
-    buf.extend_from_slice(bytes);
-}
-
-fn read_str(r: &mut WireReader<'_>) -> Result<String, WireError> {
-    let len = r.u16()? as usize;
-    let mut s = Vec::with_capacity(len);
-    for _ in 0..len {
-        s.push(r.u8()?);
-    }
-    String::from_utf8(s).map_err(|_| WireError::BadTag {
-        what: "telemetry string utf-8",
-        tag: 0,
-    })
-}
-
-fn read_static_str(r: &mut WireReader<'_>) -> Result<&'static str, WireError> {
-    Ok(intern(&read_str(r)?))
-}
-
-fn put_f64(buf: &mut Vec<u8>, v: f64) {
-    put_u64(buf, v.to_bits());
-}
-
-fn read_f64(r: &mut WireReader<'_>) -> Result<f64, WireError> {
-    Ok(f64::from_bits(r.u64()?))
-}
-
-fn severity_tag(s: Severity) -> u8 {
-    match s {
-        Severity::Debug => 0,
-        Severity::Info => 1,
-        Severity::Warn => 2,
-        Severity::Error => 3,
-    }
-}
-
-fn severity_from(tag: u8) -> Result<Severity, WireError> {
-    match tag {
-        0 => Ok(Severity::Debug),
-        1 => Ok(Severity::Info),
-        2 => Ok(Severity::Warn),
-        3 => Ok(Severity::Error),
-        tag => Err(WireError::BadTag {
-            what: "flight severity",
-            tag,
-        }),
-    }
-}
-
-const EV_ORIGIN: u8 = 0;
-const EV_SEND: u8 = 1;
-const EV_RECV: u8 = 2;
-const EV_DELIVER: u8 = 3;
-const EV_UNREACHABLE: u8 = 4;
-const EV_TIMER: u8 = 5;
-
-fn put_event(buf: &mut Vec<u8>, e: &CausalEvent) {
-    put_u64(buf, e.t);
-    put_u8(
-        buf,
-        match e.kind {
-            CausalKind::Origin { .. } => EV_ORIGIN,
-            CausalKind::Send { .. } => EV_SEND,
-            CausalKind::Recv { .. } => EV_RECV,
-            CausalKind::Deliver { .. } => EV_DELIVER,
-            CausalKind::Unreachable { .. } => EV_UNREACHABLE,
-            CausalKind::TimerArm { .. } => EV_TIMER,
-        },
-    );
-    put_u32(buf, e.node);
-    put_u64(buf, e.trace_id);
-    put_u64(buf, e.span);
-    put_u64(buf, e.parent);
-    match e.kind {
-        CausalKind::Origin { label } => put_str(buf, label),
-        CausalKind::Send { frame, to, bytes } => {
-            match to {
-                Some(to) => {
-                    put_u8(buf, 1);
-                    put_u32(buf, to);
-                }
-                None => put_u8(buf, 0),
-            }
-            put_str(buf, frame);
-            put_u32(buf, bytes);
-        }
-        CausalKind::Recv { frame, from } => {
-            put_u32(buf, from);
-            put_str(buf, frame);
-        }
-        CausalKind::Deliver { kind, hops } => {
-            put_str(buf, kind);
-            put_u8(buf, hops);
-        }
-        CausalKind::Unreachable { dst } => put_u32(buf, dst),
-        CausalKind::TimerArm { at } => put_u64(buf, at),
-    }
-}
-
-fn read_event(r: &mut WireReader<'_>) -> Result<CausalEvent, WireError> {
-    let t = r.u64()?;
-    let tag = r.u8()?;
-    let node = r.u32()?;
-    let trace_id = r.u64()?;
-    let span = r.u64()?;
-    let parent = r.u64()?;
-    let kind = match tag {
-        EV_ORIGIN => CausalKind::Origin {
-            label: read_static_str(r)?,
-        },
-        EV_SEND => CausalKind::Send {
-            to: if r.flag("unicast receiver presence")? {
-                Some(r.u32()?)
-            } else {
-                None
-            },
-            frame: read_static_str(r)?,
-            bytes: r.u32()?,
-        },
-        EV_RECV => CausalKind::Recv {
-            from: r.u32()?,
-            frame: read_static_str(r)?,
-        },
-        EV_DELIVER => CausalKind::Deliver {
-            kind: read_static_str(r)?,
-            hops: r.u8()?,
-        },
-        EV_UNREACHABLE => CausalKind::Unreachable { dst: r.u32()? },
-        EV_TIMER => CausalKind::TimerArm { at: r.u64()? },
-        tag => {
-            return Err(WireError::BadTag {
-                what: "trace event",
-                tag,
-            })
-        }
-    };
-    Ok(CausalEvent {
-        trace_id,
-        span,
-        parent,
-        t,
-        node,
-        kind,
-    })
-}
-
-/// Encode node `node`'s report and trace into one telemetry frame.
-pub fn encode_telemetry(node: u32, report: &ObsReport, trace: &TraceLog) -> Vec<u8> {
-    let mut body = Vec::with_capacity(1024);
-    put_u32(&mut body, node);
-    put_u32(&mut body, report.runs);
-
-    let counters: Vec<_> = report.registry.counters().collect();
-    put_u32(&mut body, counters.len() as u32);
-    for (name, v) in counters {
-        put_str(&mut body, name);
-        put_u64(&mut body, v);
-    }
-    let gauges: Vec<_> = report.registry.gauges().collect();
-    put_u32(&mut body, gauges.len() as u32);
-    for (name, v) in gauges {
-        put_str(&mut body, name);
-        put_f64(&mut body, v);
-    }
-    let hists: Vec<_> = report.registry.hists().collect();
-    put_u32(&mut body, hists.len() as u32);
-    for (name, h) in hists {
-        put_str(&mut body, name);
-        put_u64(&mut body, h.sum());
-        let pairs = h.nonzero();
-        put_u32(&mut body, pairs.len() as u32);
-        for (floor, c) in pairs {
-            put_u64(&mut body, floor);
-            put_u64(&mut body, c);
-        }
-    }
-    put_u32(&mut body, report.registry.n_samples() as u32);
-    for (t, counters, gauges) in report.registry.samples() {
-        put_f64(&mut body, t);
-        put_u32(&mut body, counters.len() as u32);
-        for &v in counters {
-            put_u64(&mut body, v);
-        }
-        put_u32(&mut body, gauges.len() as u32);
-        for &v in gauges {
-            put_f64(&mut body, v);
-        }
-    }
-    let spans: Vec<_> = report.spans.rows().collect();
-    put_u32(&mut body, spans.len() as u32);
-    for (name, total, entries) in spans {
-        put_str(&mut body, name);
-        put_u64(&mut body, total.as_nanos() as u64);
-        put_u64(&mut body, entries);
-    }
-    put_u32(&mut body, report.recorder.capacity() as u32);
-    put_u64(&mut body, report.recorder.offered());
-    put_u64(&mut body, report.recorder.dropped());
-    put_u32(&mut body, report.recorder.len() as u32);
-    for rec in report.recorder.records() {
-        put_f64(&mut body, rec.t_secs);
-        put_u8(&mut body, severity_tag(rec.severity));
-        put_str(&mut body, rec.tag);
-        put_str(&mut body, &rec.msg);
-    }
-
-    put_u32(&mut body, trace.capacity() as u32);
-    put_u64(&mut body, trace.id_base());
-    put_u64(&mut body, trace.offered());
-    put_u64(&mut body, trace.dropped());
-    put_u64(&mut body, trace.sampled_out());
-    put_u64(&mut body, trace.next_trace);
-    put_u64(&mut body, trace.next_span);
-    put_u32(&mut body, trace.len() as u32);
-    for event in trace.events() {
-        put_event(&mut body, event);
-    }
-
-    let mut buf = Vec::with_capacity(body.len() + 9);
-    buf.extend_from_slice(&TELEMETRY_MAGIC);
-    put_u8(&mut buf, TELEMETRY_VERSION);
-    put_u32(&mut buf, body.len() as u32);
-    buf.extend_from_slice(&body);
-    buf
-}
-
-/// Decode a frame written by [`encode_telemetry`]. The whole buffer must
-/// be consumed; truncation, bad tags and trailing garbage come back as
-/// typed [`WireError`]s, never panics.
-pub fn decode_telemetry(buf: &[u8]) -> Result<Telemetry, WireError> {
-    let mut r = WireReader::new(buf);
-    for expect in TELEMETRY_MAGIC {
-        let got = r.u8()?;
-        if got != expect {
-            return Err(WireError::BadTag {
-                what: "telemetry magic",
-                tag: got,
-            });
-        }
-    }
-    let version = r.u8()?;
-    if version != TELEMETRY_VERSION {
-        return Err(WireError::BadTag {
-            what: "telemetry version",
-            tag: version,
-        });
-    }
-    let body_len = r.u32()? as usize;
-    if r.remaining() != body_len {
-        return Err(WireError::Truncated {
-            need: body_len,
-            have: r.remaining(),
-        });
-    }
-
-    let node = r.u32()?;
-    let mut report = ObsReport {
-        runs: r.u32()?,
-        ..ObsReport::default()
-    };
-    let n_counters = r.u32()?;
-    for _ in 0..n_counters {
-        let name = read_static_str(&mut r)?;
-        let v = r.u64()?;
-        let id = report.registry.counter(name);
-        report.registry.set(id, v);
-    }
-    let n_gauges = r.u32()?;
-    for _ in 0..n_gauges {
-        let name = read_static_str(&mut r)?;
-        let v = read_f64(&mut r)?;
-        let id = report.registry.gauge(name);
-        report.registry.set_gauge(id, v);
-    }
-    let n_hists = r.u32()?;
-    for _ in 0..n_hists {
-        let name = read_static_str(&mut r)?;
-        let sum = r.u64()?;
-        let n_pairs = r.u32()?;
-        let mut pairs = Vec::with_capacity(n_pairs.min(1 << 16) as usize);
-        for _ in 0..n_pairs {
-            let floor = r.u64()?;
-            let c = r.u64()?;
-            pairs.push((floor, c));
-        }
-        let id = report.registry.hist(name);
-        report
-            .registry
-            .set_hist(id, &Histogram::from_parts(&pairs, sum));
-    }
-    let n_samples = r.u32()?;
-    for _ in 0..n_samples {
-        let t = read_f64(&mut r)?;
-        let nc = r.u32()?;
-        let mut counters = Vec::with_capacity(nc.min(1 << 16) as usize);
-        for _ in 0..nc {
-            counters.push(r.u64()?);
-        }
-        let ng = r.u32()?;
-        let mut gauges = Vec::with_capacity(ng.min(1 << 16) as usize);
-        for _ in 0..ng {
-            gauges.push(read_f64(&mut r)?);
-        }
-        report.registry.push_sample(t, counters, gauges);
-    }
-    let n_spans = r.u32()?;
-    for _ in 0..n_spans {
-        let name = read_static_str(&mut r)?;
-        let nanos = r.u64()?;
-        let entries = r.u64()?;
-        let id = report.spans.register(name);
-        report.spans.add_total(id, nanos, entries);
-    }
-    let capacity = r.u32()? as usize;
-    let offered = r.u64()?;
-    let dropped = r.u64()?;
-    let n_records = r.u32()?;
-    let mut records = Vec::with_capacity(n_records.min(1 << 16) as usize);
-    for _ in 0..n_records {
-        records.push(FlightRecord {
-            t_secs: read_f64(&mut r)?,
-            severity: severity_from(r.u8()?)?,
-            tag: read_static_str(&mut r)?,
-            msg: read_str(&mut r)?,
-        });
-    }
-    report.recorder = FlightRecorder::from_parts(capacity, offered, dropped, records);
-
-    let trace_capacity = r.u32()? as usize;
-    let id_base = r.u64()?;
-    let mut trace = TraceLog::with_id_base(trace_capacity, 0, id_base);
-    trace.offered = r.u64()?;
-    trace.dropped = r.u64()?;
-    trace.sampled_out = r.u64()?;
-    trace.next_trace = r.u64()?;
-    trace.next_span = r.u64()?;
-    let n_events = r.u32()?;
-    let mut arena = Vec::with_capacity(n_events.min(1 << 20) as usize);
-    for _ in 0..n_events {
-        arena.push(read_event(&mut r)?);
-    }
-    trace.arena = arena;
-    trace.head = 0;
-
-    r.finish()?;
-    Ok(Telemetry {
-        node,
-        report,
-        trace,
-    })
-}
-
-/// Hex-armor a telemetry frame for a line-oriented channel.
-pub fn to_hex(bytes: &[u8]) -> String {
-    let mut s = String::with_capacity(bytes.len() * 2);
-    for b in bytes {
-        s.push_str(&format!("{b:02x}"));
-    }
-    s
-}
-
-/// Decode [`to_hex`] output. Odd length reads as truncation; a non-hex
-/// byte as a bad tag.
-pub fn from_hex(s: &str) -> Result<Vec<u8>, WireError> {
-    let s = s.trim();
-    if !s.len().is_multiple_of(2) {
-        return Err(WireError::Truncated { need: 1, have: 0 });
-    }
-    let digit = |c: u8| -> Result<u8, WireError> {
-        match c {
-            b'0'..=b'9' => Ok(c - b'0'),
-            b'a'..=b'f' => Ok(c - b'a' + 10),
-            b'A'..=b'F' => Ok(c - b'A' + 10),
-            c => Err(WireError::BadTag {
-                what: "hex digit",
-                tag: c,
-            }),
-        }
-    };
-    let bytes = s.as_bytes();
-    let mut out = Vec::with_capacity(bytes.len() / 2);
-    for pair in bytes.chunks_exact(2) {
-        out.push((digit(pair[0])? << 4) | digit(pair[1])?);
-    }
-    Ok(out)
-}
+use manet_obs::{CausalEvent, CausalKind};
 
 /// Estimate per-node clock offsets from the send/recv pairs in a merged
 /// causal stream, re-base every event's time, and re-order the stream so
@@ -633,7 +211,9 @@ fn parent_depths(events: &[CausalEvent], index: &HashMap<(u64, u64), usize>) -> 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::TraceLog;
     use manet_des::{NodeId, SimTime};
+    use manet_obs::{FlightRecorder, ObsReport, Severity};
 
     fn t(s: u64) -> SimTime {
         SimTime::from_secs(s)
@@ -655,16 +235,14 @@ mod tests {
         report.registry.inc(c, 8);
         report.registry.sample(20.0);
         let s = report.spans.register("rt.drain");
-        report
-            .spans
-            .add_weighted(s, std::time::Duration::from_micros(5), 64);
+        report.spans.add_total(s, 320_000, 64);
         report.recorder = FlightRecorder::new(8);
         report
             .recorder
             .record(1.0, Severity::Info, "join", "n1 joined".into());
         report
             .recorder
-            .record(2.0, Severity::Warn, "retry", "attempt 2".into());
+            .record(2.0, Severity::Warn, "retry", "attempt  2".into());
         report
     }
 
@@ -691,66 +269,83 @@ mod tests {
         log
     }
 
+    /// The trace's analytical content: events, totals, namespace,
+    /// watermarks and capacity.
+    fn assert_same_trace(a: &TraceLog, b: &TraceLog) {
+        assert_eq!(a.causal_events(), b.causal_events());
+        assert_eq!(
+            (a.offered(), a.dropped(), a.sampled_out()),
+            (b.offered(), b.dropped(), b.sampled_out())
+        );
+        assert_eq!((a.id_base(), a.capacity()), (b.id_base(), b.capacity()));
+        assert_eq!((a.next_trace, a.next_span), (b.next_trace, b.next_span));
+    }
+
     #[test]
     fn telemetry_roundtrips_exactly() {
         let report = sample_report();
+        let back = ObsReport::from_jsonl(&report.to_jsonl()).expect("report reads back");
+        assert_eq!(back, report, "report round-trips exactly");
         let trace = sample_trace();
-        let frame = encode_telemetry(7, &report, &trace);
-        let back = decode_telemetry(&frame).expect("decodes");
-        assert_eq!(back.node, 7);
-        assert_eq!(back.report, report, "report round-trips bit-exactly");
-        // The trace's analytical content round-trips: events, totals,
-        // namespaces, watermarks.
-        assert_eq!(back.trace.causal_events(), trace.causal_events());
-        assert_eq!(back.trace.offered(), trace.offered());
-        assert_eq!(back.trace.id_base(), trace.id_base());
-        assert_eq!(back.trace.next_trace, trace.next_trace);
-        assert_eq!(back.trace.next_span, trace.next_span);
-        assert_eq!(back.trace.capacity(), trace.capacity());
+        let back = TraceLog::from_jsonl(&trace.to_jsonl()).expect("trace reads back");
+        assert_same_trace(&back, &trace);
     }
 
     #[test]
-    fn hex_armor_roundtrips() {
-        let frame = encode_telemetry(0, &ObsReport::default(), &TraceLog::new(0));
-        let hex = to_hex(&frame);
-        assert!(hex.bytes().all(|b| b.is_ascii_hexdigit()));
-        assert_eq!(from_hex(&hex).expect("decodes"), frame);
-        assert_eq!(from_hex(&format!(" {hex}\n")).expect("trims"), frame);
-        assert!(from_hex("abc").is_err(), "odd length rejected");
-        assert!(from_hex("zz").is_err(), "non-hex rejected");
-    }
-
-    #[test]
-    fn truncation_yields_typed_errors_never_panics() {
-        let frame = encode_telemetry(3, &sample_report(), &sample_trace());
-        for cut in 0..frame.len() {
-            match decode_telemetry(&frame[..cut]) {
-                Err(WireError::Truncated { .. }) | Err(WireError::BadTag { .. }) => {}
-                Err(WireError::Trailing { .. }) => panic!("prefix cannot trail"),
-                Ok(_) => panic!("truncated frame at {cut} must not decode"),
+    fn truncation_yields_errors_never_panics() {
+        let (report, trace) = (sample_report().to_jsonl(), sample_trace().to_jsonl());
+        for text in [&report, &trace] {
+            for cut in 1..text.len() {
+                let bytes = text.as_bytes();
+                if bytes[cut - 1] == b'\n' || bytes[cut] == b'\n' {
+                    continue; // a cut between lines, not inside one
+                }
+                assert!(
+                    ObsReport::from_jsonl(&text[..cut]).is_err(),
+                    "report cut at {cut}"
+                );
+                assert!(
+                    TraceLog::from_jsonl(&text[..cut]).is_err(),
+                    "trace cut at {cut}"
+                );
             }
+        }
+        // The report also refuses a cut between lines: its recorder header
+        // counts the records that must follow it.
+        let lines: Vec<&str> = report.lines().collect();
+        for keep in 0..lines.len() {
+            let prefix = lines[..keep].join("\n");
+            assert!(ObsReport::from_jsonl(&prefix).is_err(), "{keep} lines read");
         }
     }
 
     #[test]
     fn corruption_is_rejected_not_propagated() {
-        let frame = encode_telemetry(3, &sample_report(), &sample_trace());
-        // Flip every byte in turn; decode must never panic, and whenever
-        // it succeeds the result must still be internally consistent.
-        for i in 0..frame.len() {
-            let mut bad = frame.clone();
-            bad[i] ^= 0xFF;
-            let _ = decode_telemetry(&bad);
+        // Flip every byte in turn; reading must never panic, and whatever
+        // still reads folds into an accumulator without overflowing it.
+        for text in [sample_report().to_jsonl(), sample_trace().to_jsonl()] {
+            for i in 0..text.len() {
+                let mut bad = text.clone().into_bytes();
+                bad[i] ^= 0x5A;
+                let Ok(bad) = String::from_utf8(bad) else {
+                    continue;
+                };
+                if let Ok(report) = ObsReport::from_jsonl(&bad) {
+                    ObsReport::default().merge(&report);
+                }
+                if let Ok(trace) = TraceLog::from_jsonl(&bad) {
+                    TraceLog::new(64).merge_offset(&trace);
+                }
+            }
         }
     }
 
-    /// Decode a frame carrying `trace` and fold it into `acc` the way the
-    /// swarm parent does.
+    /// Ship `trace` through its JSONL and fold it into `acc` `times`
+    /// times, the way the swarm parent does.
     fn merge_forged(acc: &mut TraceLog, trace: &TraceLog, times: usize) {
-        let frame = encode_telemetry(0, &ObsReport::default(), trace);
-        let decoded = decode_telemetry(&frame).expect("forged frame decodes");
+        let shipped = TraceLog::from_jsonl(&trace.to_jsonl()).expect("forged trace reads");
         for _ in 0..times {
-            acc.merge_offset(&decoded.trace);
+            acc.merge_offset(&shipped);
         }
     }
 
@@ -783,10 +378,12 @@ mod tests {
 
     #[test]
     fn empty_report_and_trace_roundtrip() {
-        let frame = encode_telemetry(0, &ObsReport::default(), &TraceLog::new(0));
-        let back = decode_telemetry(&frame).expect("decodes");
-        assert_eq!(back.report, ObsReport::default());
-        assert!(back.trace.is_empty());
+        let report = ObsReport::from_jsonl(&ObsReport::default().to_jsonl()).expect("reads");
+        assert_eq!(report, ObsReport::default());
+        let empty = TraceLog::new(0);
+        let trace = TraceLog::from_jsonl(&empty.to_jsonl()).expect("reads");
+        assert!(trace.is_empty());
+        assert_same_trace(&trace, &empty);
     }
 
     fn ev(trace: u64, span: u64, parent: u64, t: u64, node: u32, kind: CausalKind) -> CausalEvent {

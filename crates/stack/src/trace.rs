@@ -47,6 +47,8 @@
 use std::collections::HashSet;
 
 use manet_des::{NodeId, SimTime, TraceCtx};
+use manet_obs::causal::{event_from_json, event_to_json};
+use manet_obs::json::Value;
 use manet_obs::{CausalEvent, CausalKind};
 
 /// Reservoir slots per ring slot: a trace averages well over a handful of
@@ -357,6 +359,83 @@ impl TraceLog {
     /// oldest first.
     pub fn causal_events(&self) -> Vec<CausalEvent> {
         self.events().copied().collect()
+    }
+
+    /// The log as JSONL: a `trace` header line (capacity, id base,
+    /// totals and id watermarks), then one `event` line per retained
+    /// event, oldest first, each the object an artifact's `spans` array
+    /// holds ([`event_to_json`]). [`from_jsonl`](Self::from_jsonl) reads
+    /// it back.
+    pub fn to_jsonl(&self) -> String {
+        let mut header = vec![("type".to_string(), Value::Str("trace".into()))];
+        header.extend(
+            [
+                ("capacity", self.capacity as u64),
+                ("id_base", self.id_base),
+                ("offered", self.offered),
+                ("dropped", self.dropped),
+                ("sampled_out", self.sampled_out),
+                ("next_trace", self.next_trace),
+                ("next_span", self.next_span),
+            ]
+            .map(|(k, n)| (k.to_string(), Value::uint(n))),
+        );
+        let mut out = Value::Obj(header).render_line();
+        out.push('\n');
+        for e in self.events() {
+            let mut line = event_to_json(e);
+            if let Value::Obj(fields) = &mut line {
+                fields.insert(0, ("type".into(), Value::Str("event".into())));
+            }
+            out.push_str(&line.render_line());
+            out.push('\n');
+        }
+        out
+    }
+
+    /// Read back what [`to_jsonl`](Self::to_jsonl) wrote: events, totals,
+    /// capacity, id base and watermarks come back exactly. The reservoir
+    /// sampler's state does not travel — a log read back is merged and
+    /// analyzed, never recorded into. Every failure is an `Err` naming the
+    /// 1-based line at fault; nothing panics. A trace cut short between
+    /// lines reads as fewer events: the swarm relies on stdout order (the
+    /// trace precedes a child's `RESULT` line) for completeness.
+    pub fn from_jsonl(text: &str) -> Result<TraceLog, String> {
+        if text.is_empty() {
+            return Err("empty trace".into());
+        }
+        let mut log = TraceLog::new(0);
+        for (i, line) in text.lines().enumerate() {
+            log.read_line(i == 0, line)
+                .map_err(|e| format!("line {}: {e}", i + 1))?;
+        }
+        Ok(log)
+    }
+
+    /// One line of [`from_jsonl`](Self::from_jsonl): the header first,
+    /// then events up to the capacity it names.
+    fn read_line(&mut self, first: bool, text: &str) -> Result<(), String> {
+        let v = Value::parse(text)?;
+        match (first, v.str_field("type")?) {
+            (true, "trace") => {
+                self.capacity = usize::try_from(v.u64_field("capacity")?)
+                    .map_err(|_| "capacity exceeds usize")?;
+                self.id_base = v.u64_field("id_base")?;
+                self.offered = v.u64_field("offered")?;
+                self.dropped = v.u64_field("dropped")?;
+                self.sampled_out = v.u64_field("sampled_out")?;
+                self.next_trace = v.u64_field("next_trace")?;
+                self.next_span = v.u64_field("next_span")?;
+            }
+            (false, "event") if self.arena.len() < self.capacity => {
+                self.arena.push(event_from_json(&v)?);
+            }
+            (false, "event") => {
+                return Err(format!("more events than the capacity {}", self.capacity))
+            }
+            (_, ty) => return Err(format!("unexpected {ty} line")),
+        }
+        Ok(())
     }
 }
 

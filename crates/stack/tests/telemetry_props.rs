@@ -1,29 +1,27 @@
-//! Property suite for the telemetry frame codec.
+//! Property suite for what a swarm child ships: its `ObsReport` and
+//! causal `TraceLog` as JSONL.
 //!
 //! The same three contracts `wire_props.rs` pins for the datagram codec,
-//! over randomly populated telemetry snapshots (registries with
-//! counters/gauges/histograms/series, span profiles, flight-recorder
-//! rings, and causal trace logs holding every `CausalKind`, under local
-//! and foreign traces):
+//! over randomly populated snapshots (registries with full-range `u64`
+//! counters, histograms and sums, gauges, series, span profiles,
+//! flight-recorder rings, and causal trace logs holding every
+//! `CausalKind`, under local and foreign traces):
 //!
-//! 1. **Round-trip identity** — `decode_telemetry(&encode_telemetry(..))`
-//!    reproduces the report bit-exactly and the trace's analytical
-//!    content (events, totals, id watermarks) verbatim.
-//! 2. **Typed truncation** — every strict prefix of a valid frame
-//!    decodes to a typed [`WireError`], never a panic, never a frame.
-//! 3. **Corruption tolerance** — flipping any byte never panics; the
-//!    parent decodes whatever a dying child managed to flush and folds
-//!    it into its accumulators without overflowing them.
-//!
-//! Plus the hex armor: `from_hex(&to_hex(b)) == b`, odd-length and
-//! non-hex inputs rejected with typed errors.
+//! 1. **Round-trip identity** — `from_jsonl(&to_jsonl())` reproduces the
+//!    report exactly and the trace's analytical content (events, totals,
+//!    id watermarks) verbatim, integers above 2^53 included.
+//! 2. **Truncation is an error** — every cut inside a line reads as an
+//!    `Err`, never a panic, never a report or trace.
+//! 3. **Corruption tolerance** — flipping any byte never panics; whatever
+//!    still reads folds, twice over, into the parent's accumulators
+//!    without overflowing them.
 
 use manet_des::{NodeId, SimTime, TraceCtx};
 use manet_metrics::MsgKind;
 use manet_obs::{CausalKind, FlightRecorder, ObsReport, Severity};
 use manet_testkit::{prop_assert, prop_assert_eq, properties, Gen, Strategy};
 use p2p_stack::trace::node_id_base;
-use p2p_stack::{decode_telemetry, encode_telemetry, from_hex, to_hex, TraceLog};
+use p2p_stack::TraceLog;
 
 const COUNTER_NAMES: [&str; 6] = [
     "rt.dgram_rx",
@@ -40,11 +38,15 @@ const TAGS: [&str; 4] = ["join", "decode_error", "retry", "crash"];
 const FRAMES: [&str; 5] = ["rreq", "rrep", "rerr", "data", "flood"];
 const LABELS: [&str; 4] = ["query", "reconfig", "fetch", "transfer"];
 
+/// Flight-record message bytes: letters, plus runs of spaces and what
+/// JSON must escape, all of which must come back verbatim.
+const MSG_CHARS: &[u8] = b"abcdefghijklmnopqrstuvwxyz  \"\\\n";
+
 fn any_msg(g: &mut Gen) -> String {
     let r = g.rng();
     let n = r.below(24) as usize;
     (0..n)
-        .map(|_| char::from(b'a' + r.below(26) as u8))
+        .map(|_| char::from(MSG_CHARS[r.below(MSG_CHARS.len() as u64) as usize]))
         .collect()
 }
 
@@ -169,56 +171,71 @@ fn any_trace(g: &mut Gen, node: u32) -> TraceLog {
     log
 }
 
-/// A whole telemetry snapshot: node id, populated report, populated
-/// trace — everything one swarm child ships at shutdown.
+/// A whole telemetry snapshot: populated report and populated trace —
+/// everything one swarm child ships at shutdown.
 #[derive(Clone, Copy, Debug)]
 struct AnyTelemetry;
 
 impl Strategy for AnyTelemetry {
-    type Value = (u32, ObsReport, TraceLog);
+    type Value = (ObsReport, TraceLog);
 
-    fn generate(&self, g: &mut Gen) -> (u32, ObsReport, TraceLog) {
+    fn generate(&self, g: &mut Gen) -> (ObsReport, TraceLog) {
         let node = g.rng().below(64) as u32;
         let report = any_report(g);
         let trace = any_trace(g, node);
-        (node, report, trace)
+        (report, trace)
     }
+}
+
+/// Byte offsets strictly inside a line of `text` (neither just after nor
+/// at a newline): every cut point of the first 16 bytes plus a stride
+/// through the rest, since exhaustive scans of multi-KB texts would
+/// dominate the suite.
+fn cuts_inside_lines(text: &str) -> Vec<usize> {
+    let bytes = text.as_bytes();
+    let stride = (bytes.len() / 128).max(1);
+    (1..bytes.len())
+        .step_by(stride)
+        .chain(1..16.min(bytes.len()))
+        .filter(|&cut| bytes[cut - 1] != b'\n' && bytes[cut] != b'\n')
+        .collect()
 }
 
 properties! {
     config = manet_testkit::Config::cases(256);
 
-    /// Any snapshot survives the frame byte-exactly: the report compares
-    /// equal and the trace's events and totals are verbatim.
+    /// Any snapshot survives its JSONL exactly: the report compares equal
+    /// and the trace's events and totals are verbatim.
     fn telemetry_round_trip_identity(t in AnyTelemetry) {
-        let (node, report, trace) = t;
-        let frame = encode_telemetry(node, &report, &trace);
-        match decode_telemetry(&frame) {
+        let (report, trace) = t;
+        match ObsReport::from_jsonl(&report.to_jsonl()) {
+            Ok(back) => prop_assert_eq!(back, report.clone()),
+            Err(e) => prop_assert!(false, "report read failed: {e}"),
+        }
+        match TraceLog::from_jsonl(&trace.to_jsonl()) {
             Ok(back) => {
-                prop_assert_eq!(back.node, node);
-                prop_assert_eq!(back.report, report.clone());
-                prop_assert_eq!(back.trace.causal_events(), trace.causal_events());
-                prop_assert_eq!(back.trace.id_base(), trace.id_base());
-                prop_assert_eq!(back.trace.capacity(), trace.capacity());
-                prop_assert_eq!(back.trace.offered(), trace.offered());
-                prop_assert_eq!(back.trace.dropped(), trace.dropped());
-                prop_assert_eq!(back.trace.sampled_out(), trace.sampled_out());
+                prop_assert_eq!(back.causal_events(), trace.causal_events());
+                prop_assert_eq!(back.id_base(), trace.id_base());
+                prop_assert_eq!(back.capacity(), trace.capacity());
+                prop_assert_eq!(back.offered(), trace.offered());
+                prop_assert_eq!(back.dropped(), trace.dropped());
+                prop_assert_eq!(back.sampled_out(), trace.sampled_out());
             }
-            Err(e) => prop_assert!(false, "decode failed: {e}"),
+            Err(e) => prop_assert!(false, "trace read failed: {e}"),
         }
     }
 
-    /// Every strict prefix decodes to a typed error — the decoder never
+    /// Every cut inside a line reads as an error — the reader never
     /// panics and never fabricates a snapshot from a partial flush.
-    fn telemetry_truncation_is_a_typed_error(t in AnyTelemetry) {
-        let (node, report, trace) = t;
-        let frame = encode_telemetry(node, &report, &trace);
-        // Every cut point of the header plus a stride through the body:
-        // exhaustive scans of multi-KB frames would dominate the suite.
-        let stride = (frame.len() / 128).max(1);
-        for cut in (0..frame.len()).step_by(stride).chain(0..16.min(frame.len())) {
-            let r = decode_telemetry(&frame[..cut]);
-            prop_assert!(r.is_err(), "prefix of {} bytes decoded", cut);
+    fn telemetry_truncation_is_an_error(t in AnyTelemetry) {
+        let (report, trace) = t;
+        let text = report.to_jsonl();
+        for cut in cuts_inside_lines(&text) {
+            prop_assert!(ObsReport::from_jsonl(&text[..cut]).is_err(), "report cut at {} read", cut);
+        }
+        let text = trace.to_jsonl();
+        for cut in cuts_inside_lines(&text) {
+            prop_assert!(TraceLog::from_jsonl(&text[..cut]).is_err(), "trace cut at {} read", cut);
         }
     }
 
@@ -227,35 +244,25 @@ properties! {
     /// it, twice over, into one accumulator the way the swarm parent
     /// merges reports and traces.
     fn telemetry_corruption_never_panics(t in AnyTelemetry, pick in manet_testkit::any_u64()) {
-        let (node, report, trace) = t;
-        let mut frame = encode_telemetry(node, &report, &trace);
-        let at = pick as usize % frame.len();
-        frame[at] ^= 0x5A;
-        if let Ok(back) = decode_telemetry(&frame) {
-            let mut acc_report = ObsReport::default();
-            let mut acc_trace = TraceLog::new(64);
+        let (report, trace) = t;
+        let flip = |text: String| {
+            let mut bytes = text.into_bytes();
+            let at = pick as usize % bytes.len();
+            bytes[at] ^= 0x5A;
+            String::from_utf8(bytes).expect("JSONL is ASCII")
+        };
+        if let Ok(back) = ObsReport::from_jsonl(&flip(report.to_jsonl())) {
+            let mut acc = ObsReport::default();
             for _ in 0..2 {
-                acc_report.merge(&back.report);
-                acc_trace.merge_offset(&back.trace);
+                acc.merge(&back);
             }
-            prop_assert!(acc_trace.len() <= acc_trace.capacity());
         }
-    }
-
-    /// Hex armor is the identity on bytes, and rejects what a mangled
-    /// stdout line could carry: odd lengths and non-hex characters.
-    fn hex_round_trip_and_rejection(t in AnyTelemetry, pick in manet_testkit::any_u64()) {
-        let (node, report, trace) = t;
-        let frame = encode_telemetry(node, &report, &trace);
-        let hex = to_hex(&frame);
-        prop_assert_eq!(from_hex(&hex).expect("hex decodes"), frame.clone());
-        let mut odd = hex.clone();
-        odd.push('a');
-        prop_assert!(from_hex(&odd).is_err(), "odd length accepted");
-        let mut bad = hex.into_bytes();
-        let at = pick as usize % bad.len();
-        bad[at] = b'z';
-        let bad = String::from_utf8(bad).unwrap();
-        prop_assert!(from_hex(&bad).is_err(), "non-hex digit accepted");
+        if let Ok(back) = TraceLog::from_jsonl(&flip(trace.to_jsonl())) {
+            let mut acc = TraceLog::new(64);
+            for _ in 0..2 {
+                acc.merge_offset(&back);
+            }
+            prop_assert!(acc.len() <= acc.capacity());
+        }
     }
 }
